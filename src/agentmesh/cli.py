@@ -74,7 +74,10 @@ def _theta(cfg: RunConfig, checkpoint: Path | None) -> np.ndarray:
 
 
 def _out_dir(cfg: RunConfig) -> Path:
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise BadConfig(f"out_dir: cannot create {cfg.out_dir}: {exc}") from None
     return cfg.out_dir
 
 

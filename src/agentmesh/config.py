@@ -1,33 +1,40 @@
 """Run configuration: one JSON file describes a full reproducible run.
 
-All cross-module constraints (reward-weight ordering, group size, class
-probabilities) are validated here at load time, each with a message naming
-the violated constraint.
+Each JSON object is read by one loader, ``_build``, into the dataclass or
+preset function it describes: its keys are the target's parameters, absent
+keys keep the target's defaults and unknown keys are ignored. Values are
+checked against the declared types (numbers must be finite), and every error
+is a :class:`BadConfig` naming the dotted key, e.g.
+``trainer.learning_rate: must be finite``.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
-from dataclasses import dataclass
+import math
+import sys
+import typing
+from collections.abc import Sequence
+from dataclasses import asdict, dataclass
+from functools import cache
 from pathlib import Path
-from typing import Any, Optional
+from types import UnionType
+from typing import Any, Callable, Optional
 
-from .errors import BadConfig, InvalidWeights
+from .errors import BadConfig
 from .policy import ActionSpace, PolicySpec
-from .registry import AgentCard, AgentMetrics, load_cards
+from .registry import AgentCard, AgentMetrics
 from .rewards import RewardWeights
 from .router import RoutingWeights
-from .simenv import (
-    GeneratorConfig,
-    SimAgentConfig,
-    TaskClass,
-    WorldConfig,
-    preset_case_study,
-)
+from .simenv import GeneratorConfig, SimAgentConfig, TaskClass, WorldConfig, preset_case_study
 from .trainer import ExplorationConfig, TrainerConfig
 from .vocab import RELAY_ANSWER
 
 PROFILE_CASE_STUDY = "case-study"
+# The observation encodes the step index one-hot, so the parameter matrix
+# grows linearly with max_steps; past this a typo would ask for gigabytes.
+MAX_STEPS_LIMIT = 10_000
 
 
 @dataclass(frozen=True)
@@ -42,84 +49,190 @@ class SftConfig:
             raise BadConfig("sft learning_rate must be > 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class RunConfig:
-    seed: int
+    seed: int = 0
     world: WorldConfig
     policy_spec: PolicySpec
     router_weights: RoutingWeights
     reward_weights: RewardWeights
     trainer: TrainerConfig
     sft: SftConfig
-    out_dir: Path
-    max_steps: int
+    out_dir: Path = Path("out")
+    max_steps: int = 4
     profile: Optional[str] = None
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise BadConfig("seed must be >= 0")
 
-def _routing_weights(section: dict) -> RoutingWeights:
+
+# --- the loader ---
+#
+# A key is a top-level name ("" for the root) or a (parent key, name or list
+# index) pair. It is rendered as a dotted path only for an error message,
+# since a config may hold thousands of entries.
+
+def _dotted(key) -> str:
+    if type(key) is not tuple:
+        return key
+    parent, last = _dotted(key[0]), key[1]
+    if type(last) is int:
+        return f"{parent}[{last}]"
+    return f"{parent}.{last}" if parent else last
+
+
+def _object(value, key) -> dict:
+    if type(value) is not dict:
+        raise BadConfig(f"{_dotted(key)}: must be an object")
+    return value
+
+
+def _list(value, key) -> list:
+    if type(value) is not list:
+        raise BadConfig(f"{_dotted(key)}: must be a list")
+    return value
+
+
+def _str(value, key) -> str:
+    if type(value) is not str:
+        raise BadConfig(f"{_dotted(key)}: must be a string")
+    return value
+
+
+def _float(value, key) -> float:
+    if type(value) is float and math.isfinite(value):
+        return value
+    if type(value) is int and abs(value) <= sys.float_info.max:
+        return float(value)
+    # a JSON true/false is a bool, not a number
+    problem = "must be finite" if type(value) in (int, float) else "must be a number"
+    raise BadConfig(f"{_dotted(key)}: {problem}")
+
+
+def _int(value, key) -> int:
+    if type(value) is int:
+        return value
+    if type(value) is float and value.is_integer():
+        return int(value)
+    _float(value, key)  # raises for a non-number or a non-finite one
+    raise BadConfig(f"{_dotted(key)}: must be an integer")
+
+
+def _converter(tp) -> Optional[Callable[[Any, Any], Any]]:
+    """A function ``(json_value, key) -> value`` that checks a JSON value
+    against the declared type ``tp`` and converts it; None for a type that
+    only a caller supplies."""
+    if tp in _SCALARS:
+        return _SCALARS[tp]
+    if tp is Path:
+        return lambda v, key: Path(_str(v, key))
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, UnionType) and type(None) in args:
+        (inner,) = [a for a in args if a is not type(None)]
+        item = _converter(inner)
+        return item and (lambda v, key: None if v is None else item(v, key))
+    if origin is dict:
+        item = _converter(args[1])
+        return lambda v, key: {k: item(x, (key, k)) for k, x in _object(v, key).items()}
+    if origin in (tuple, frozenset, Sequence):
+        item = _converter(args[0])
+        make = frozenset if origin is frozenset else tuple
+        return lambda v, key: make([item(x, (key, i)) for i, x in enumerate(_list(v, key))])
+    return None
+
+
+_SCALARS = {int: _int, float: _float, str: _str}
+
+
+@cache
+def _params(target) -> tuple[tuple[tuple[str, Callable], ...], frozenset[str]]:
+    """(name, converter) of each parameter of ``target``, and the names of
+    the required ones; reflected once per target."""
+    hints = typing.get_type_hints(target)
+    params = inspect.signature(target).parameters.values()
+    converters = tuple((p.name, _converter(hints.get(p.name))) for p in params)
+    required = frozenset(p.name for p in params if p.default is inspect.Parameter.empty)
+    return converters, required
+
+
+def _build(target: Callable, section, key, **given):
+    """``target(**kwargs)`` from the JSON object ``section`` found at ``key``.
+
+    ``given`` arguments are passed as they are and cannot be set from the
+    file. Any other parameter is read from the entry of its name, converted
+    to its declared type; an absent one keeps the target's default.
+    """
+    converters, required = _params(target)
+    section = _object(section, key)
+    kwargs = given
+    for name, convert in converters:
+        if name in section and name not in given:
+            kwargs[name] = convert(section[name], (key, name))
     try:
-        return RoutingWeights(
-            w_load=float(section.get("w_load", 1.0)),
-            w_accuracy=float(section.get("w_accuracy", 1.0)),
-            w_latency=float(section.get("w_latency", 1.0)),
-            latency_ref_ms=float(section.get("latency_ref_ms", 100.0)),
-            w_cost=float(section.get("w_cost", 0.0)),
-        )
-    except ValueError as exc:
-        raise BadConfig(f"router weights: {exc}") from None
+        return target(**kwargs)
+    except (BadConfig, ValueError, TypeError, KeyError) as exc:
+        missing = required - kwargs.keys()
+        if missing:
+            raise BadConfig(f"{_dotted((key, min(missing)))}: required") from None
+        raise BadConfig(f"{_dotted(key)}: {exc}" if key else str(exc)) from None
 
 
-def _reward_weights(section: dict) -> RewardWeights:
+def _read_json(path, key: str):
     try:
-        return RewardWeights(
-            lambda_acc=float(section.get("lambda_acc", 1.0)),
-            lambda_fmt=float(section.get("lambda_fmt", 0.2)),
-            lambda_eff=float(section.get("lambda_eff", 0.2)),
-            lambda_qos=float(section.get("lambda_qos", 0.2)),
-            lambda_exp=float(section.get("lambda_exp", 0.1)),
-        )
-    except InvalidWeights:
-        raise
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise BadConfig(f"{key}: cannot read {path}: {exc}") from None
+    except ValueError as exc:  # malformed JSON or text encoding
+        raise BadConfig(f"{key}: {path} is not valid JSON: {exc}") from None
 
+
+def _card(entry, key) -> AgentCard:
+    return _build(AgentCard, {"protocol_tag": "native", **_object(entry, key)}, key)
+
+
+def load_cards(path) -> list[tuple[AgentCard, AgentMetrics]]:
+    """Read the agent-card file format: a JSON array of card objects, each
+    with an optional ``metrics`` object of priors."""
+    out = []
+    for i, entry in enumerate(_list(_read_json(path, "registry_cards"), "registry_cards")):
+        key = ("registry_cards", i)
+        card = _card(entry, key)
+        # The file holds priors, not observations: the first observed call
+        # overwrites them, as for a card with no metrics at all.
+        metrics = _build(AgentMetrics, entry.get("metrics", {}), (key, "metrics"), sample_count=0)
+        out.append((card, metrics))
+    return out
+
+
+# --- the file layout ---
 
 def _explicit_world(raw: dict) -> WorldConfig:
     classes = []
-    for entry in raw["task_classes"]:
-        classes.append(TaskClass(
-            name=entry["name"],
-            probability=float(entry["probability"]),
-            required_action=entry.get("required_action"),
-            answer_pool=tuple(entry["answer_pool"]),
-            sla_deadline_ms=float(entry.get("sla_deadline_ms", 500.0)),
-        ))
+    for i, entry in enumerate(_list(raw["task_classes"], "task_classes")):
+        key = ("task_classes", i)
+        # a class without required_action is answered directly
+        classes.append(_build(TaskClass, {"required_action": None, **_object(entry, key)}, key))
     generator = GeneratorConfig(classes=tuple(classes)).validate()
 
-    agents = []
-    metrics: dict[str, AgentMetrics] = {}
-    card_lookup: dict[str, AgentCard] = {}
+    cards = []
     if "registry_cards" in raw:
-        for card, m in load_cards(raw["registry_cards"]):
-            card_lookup[card.card_id] = card
-            metrics[card.card_id] = m
-    for entry in raw.get("agents", []):
-        cid = entry["card_id"]
-        card = card_lookup.get(cid) or AgentCard(
-            card_id=cid,
-            protocol_tag=entry.get("protocol_tag", "native"),
-            supported_actions=frozenset(entry["supported_actions"]),
-            endpoint=entry.get("endpoint", ""),
-            cost=float(entry.get("cost", 0.0)),
-        )
-        agents.append(SimAgentConfig(
-            card=card,
-            success_prob={k: float(v) for k, v in entry["success_prob"].items()},
-            latency_base_ms=float(entry.get("latency_base_ms", 50.0)),
-            latency_jitter_ms=float(entry.get("latency_jitter_ms", 0.0)),
-            load_per_call=float(entry.get("load_per_call", 0.1)),
-        ))
+        cards = load_cards(_str(raw["registry_cards"], "registry_cards"))
+    known = {card.card_id: card for card, _ in cards}
+    agents: dict[str, SimAgentConfig] = {}
+    for i, entry in enumerate(_list(raw.get("agents", []), "agents")):
+        key = ("agents", i)
+        # an agent that names a card of the card file serves under that card
+        cid = _object(entry, key).get("card_id")
+        card = known[cid] if isinstance(cid, str) and cid in known else _card(entry, key)
+        if card.card_id in agents:
+            raise BadConfig(f"{_dotted((key, 'card_id'))}: duplicate card id {card.card_id!r}")
+        agents[card.card_id] = _build(SimAgentConfig, entry, key, card=card)
     if not agents:
-        raise BadConfig("explicit configuration needs at least one agent")
-    return WorldConfig(agents=tuple(agents), generator=generator, initial_metrics=metrics)
+        raise BadConfig("agents: explicit configuration needs at least one agent")
+    metrics = {card.card_id: m for card, m in cards}
+    return WorldConfig(agents=tuple(agents.values()), generator=generator, initial_metrics=metrics)
 
 
 def _build_world(raw: dict) -> tuple[WorldConfig, Optional[str]]:
@@ -127,19 +240,12 @@ def _build_world(raw: dict) -> tuple[WorldConfig, Optional[str]]:
         return _explicit_world(raw), None
     profile = raw.get("profile", PROFILE_CASE_STUDY)
     if profile != PROFILE_CASE_STUDY:
-        raise BadConfig(f"unknown profile {profile!r}")
-    env = raw.get("env", {})
-    return preset_case_study(
-        class_probs=tuple(env.get("class_probs", (1 / 3, 1 / 3, 1 / 3))),
-        agent_success=float(env.get("agent_success", 0.9)),
-        latency_base_ms=float(env.get("latency_base_ms", 50.0)),
-        latency_jitter_ms=float(env.get("latency_jitter_ms", 5.0)),
-        load_per_call=float(env.get("load_per_call", 0.2)),
-    ), profile
+        raise BadConfig(f"profile: unknown profile {profile!r}")
+    return _build(preset_case_study, raw.get("env", {}), "env"), profile
 
 
 def default_policy_spec(world: WorldConfig, max_steps: int,
-                        answer_tokens=None) -> PolicySpec:
+                        answer_tokens: Optional[tuple[str, ...]] = None) -> PolicySpec:
     """Action space derived from the world: direct-answer tokens (the pools
     of classes answerable without delegation, plus the relay token) and one
     delegation action per action type."""
@@ -162,45 +268,27 @@ def default_policy_spec(world: WorldConfig, max_steps: int,
     )
 
 
-def parse_config(raw: dict) -> RunConfig:
+def parse_config(raw) -> RunConfig:
+    raw = _object(raw, "config")
+    max_steps = _int(raw.get("max_steps", RunConfig.max_steps), "max_steps")
+    if not 1 <= max_steps <= MAX_STEPS_LIMIT:
+        raise BadConfig(f"max_steps: must be in [1, {MAX_STEPS_LIMIT}]")
     world, profile = _build_world(raw)
-    max_steps = int(raw.get("max_steps", 4))
-    if max_steps < 1:
-        raise BadConfig("max_steps must be >= 1")
-    spec = default_policy_spec(
-        world, max_steps,
-        answer_tokens=raw.get("policy", {}).get("answer_tokens"),
-    )
-    trainer_raw = raw.get("trainer", {})
-    defaults = ExplorationConfig.defaults(spec.num_actions)
-    exploration = ExplorationConfig(
-        entropy_high_threshold=float(
-            trainer_raw.get("entropy_high_threshold", defaults.entropy_high_threshold)),
-        entropy_floor=float(trainer_raw.get("entropy_floor", defaults.entropy_floor)),
-        branch_factor=int(trainer_raw.get("branch_factor", 2)),
-        entropy_bonus=float(trainer_raw.get("entropy_bonus", 0.1)),
-    )
-    trainer = TrainerConfig(
-        group_size=int(trainer_raw.get("group_size", 8)),
-        learning_rate=float(trainer_raw.get("learning_rate", 0.05)),
-        iterations=int(trainer_raw.get("iterations", 500)),
-        max_steps=max_steps,
-        exploration=exploration,
-        checkpoint_every=int(trainer_raw.get("checkpoint_every", 0)),
-    )
-    sft_raw = raw.get("sft", {})
-    return RunConfig(
-        seed=int(raw.get("seed", 0)),
+    spec = _build(default_policy_spec, raw.get("policy", {}), "policy",
+                  world=world, max_steps=max_steps)
+    trainer = _object(raw.get("trainer", {}), "trainer")
+    exploration_defaults = asdict(ExplorationConfig.defaults(spec.num_actions))
+    return _build(
+        RunConfig, raw, "",
         world=world,
         policy_spec=spec,
-        router_weights=_routing_weights(raw.get("router", {})),
-        reward_weights=_reward_weights(raw.get("rewards", {})),
-        trainer=trainer,
-        sft=SftConfig(
-            steps=int(sft_raw.get("steps", 500)),
-            learning_rate=float(sft_raw.get("learning_rate", 0.1)),
+        router_weights=_build(RoutingWeights, raw.get("router", {}), "router"),
+        reward_weights=_build(RewardWeights, raw.get("rewards", {}), "rewards"),
+        trainer=_build(
+            TrainerConfig, trainer, "trainer", max_steps=max_steps,
+            exploration=_build(ExplorationConfig, {**exploration_defaults, **trainer}, "trainer"),
         ),
-        out_dir=Path(raw.get("out_dir", "out")),
+        sft=_build(SftConfig, raw.get("sft", {}), "sft"),
         max_steps=max_steps,
         profile=profile,
     )
@@ -209,7 +297,7 @@ def parse_config(raw: dict) -> RunConfig:
 def _coerce(value: str) -> Any:
     try:
         return json.loads(value)
-    except json.JSONDecodeError:
+    except ValueError:
         return value
 
 
@@ -233,13 +321,7 @@ def load_config(path=None, overrides: list[str] | None = None,
                 seed: int | None = None) -> RunConfig:
     raw: dict = {}
     if path is not None:
-        try:
-            with open(path) as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            raise BadConfig(f"cannot read config {path}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise BadConfig(f"config {path} is not valid JSON: {exc}") from None
+        raw = _object(_read_json(path, "config"), "config")
     if overrides:
         raw = apply_overrides(raw, overrides)
     if seed is not None:

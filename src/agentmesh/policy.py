@@ -59,6 +59,10 @@ class ActionSpace:
     answer_tokens: tuple[str, ...]
     action_types: tuple[str, ...]
 
+    def __post_init__(self):
+        if not self.answer_tokens and not self.action_types:
+            raise ValueError("the action space needs at least one action")
+
     @property
     def num_actions(self) -> int:
         return len(self.answer_tokens) + len(self.action_types)
@@ -174,7 +178,7 @@ def load_checkpoint(path, spec: PolicySpec | None = None) -> np.ndarray:
             payload = json.load(fh)
         shape = tuple(payload["shape"])
         theta = np.array(payload["values"], dtype=float).reshape(shape)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise BadCheckpoint(f"cannot read checkpoint {path}: {exc}") from None
     if spec is not None and theta.shape != (spec.num_actions, spec.encoded_dim):
         raise BadCheckpoint(
@@ -199,7 +203,11 @@ def save_sft_dataset(samples: list[SftSample], path) -> None:
 
 def load_sft_dataset(path, spec: PolicySpec) -> list[SftSample]:
     samples = []
-    with open(path) as fh:
+    try:
+        fh = open(path, "rb")  # json.loads decodes each line, inside the check below
+    except OSError as exc:
+        raise BadDataset(0, f"cannot read {path}: {exc}") from None
+    with fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

@@ -7,7 +7,6 @@ small key-renaming adapters. Discovery is by action type, never by identity.
 
 from __future__ import annotations
 
-import json
 import threading
 from dataclasses import dataclass, field, replace
 
@@ -47,7 +46,6 @@ class AgentMetrics:
     load: float = 0.0
     historical_accuracy: float = 1.0
     avg_latency_ms: float = 0.0
-    throughput_rps: float = 0.0
     sample_count: int = 0
 
     def __post_init__(self):
@@ -55,8 +53,8 @@ class AgentMetrics:
             raise ValueError("load must be in [0, 1]")
         if not 0.0 <= self.historical_accuracy <= 1.0:
             raise ValueError("historical_accuracy must be in [0, 1]")
-        if self.avg_latency_ms < 0 or self.throughput_rps < 0 or self.sample_count < 0:
-            raise ValueError("latency, throughput and sample_count must be >= 0")
+        if self.avg_latency_ms < 0 or self.sample_count < 0:
+            raise ValueError("latency and sample_count must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -188,46 +186,3 @@ class Registry:
             self._metrics[card_id] = updated
             return updated
 
-
-def load_cards(path) -> list[tuple[AgentCard, AgentMetrics]]:
-    """Read the agent-card file format: a JSON array of card objects."""
-    with open(path) as fh:
-        entries = json.load(fh)
-    out = []
-    for entry in entries:
-        card = AgentCard(
-            card_id=entry["card_id"],
-            protocol_tag=entry.get("protocol_tag", "native"),
-            supported_actions=frozenset(entry["supported_actions"]),
-            endpoint=entry.get("endpoint", ""),
-            cost=float(entry.get("cost", 0.0)),
-        )
-        m = entry.get("metrics", {})
-        metrics = AgentMetrics(
-            load=float(m.get("load", 0.0)),
-            historical_accuracy=float(m.get("historical_accuracy", 1.0)),
-            avg_latency_ms=float(m.get("avg_latency_ms", 0.0)),
-            throughput_rps=float(m.get("throughput_rps", 0.0)),
-        )
-        out.append((card, metrics))
-    return out
-
-
-def save_cards(path, cards: list[tuple[AgentCard, AgentMetrics]]) -> None:
-    entries = []
-    for card, metrics in cards:
-        entries.append({
-            "card_id": card.card_id,
-            "protocol_tag": card.protocol_tag,
-            "supported_actions": sorted(card.supported_actions),
-            "endpoint": card.endpoint,
-            "cost": card.cost,
-            "metrics": {
-                "load": metrics.load,
-                "historical_accuracy": metrics.historical_accuracy,
-                "avg_latency_ms": metrics.avg_latency_ms,
-                "throughput_rps": metrics.throughput_rps,
-            },
-        })
-    with open(path, "w") as fh:
-        json.dump(entries, fh, indent=2)

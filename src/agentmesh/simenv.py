@@ -14,7 +14,7 @@ import numpy as np
 from .errors import BadConfig, UnknownCard, UnsupportedAction
 from .registry import AgentCard, AgentMetrics, Registry
 from .trajectory import ActionInvocation
-from .vocab import ANS_CLOSE, ANS_OPEN, NOISE, WRONG, Vocabulary
+from .vocab import ANS_CLOSE, ANS_OPEN, NOISE, WRONG
 
 LOAD_DECAY = 0.9
 
@@ -44,7 +44,15 @@ class TaskClass:
     probability: float
     required_action: Optional[str]
     answer_pool: tuple[str, ...]
-    sla_deadline_ms: float
+    sla_deadline_ms: float = 500.0
+
+    def __post_init__(self):
+        if not 0.0 <= self.probability <= 1.0:
+            raise ValueError("probability must be in [0, 1]")
+        if self.sla_deadline_ms <= 0:
+            raise ValueError("sla_deadline_ms must be positive")
+        if not self.answer_pool:
+            raise ValueError("answer_pool must be nonempty")
 
 
 @dataclass(frozen=True)
@@ -61,9 +69,6 @@ class GeneratorConfig:
         total = sum(c.probability for c in self.classes)
         if abs(total - 1.0) > 1e-9:
             raise BadConfig(f"class probabilities must sum to 1 (got {total})")
-        for c in self.classes:
-            if not c.answer_pool:
-                raise BadConfig(f"class {c.name!r} has an empty answer pool")
         return self
 
 
@@ -89,7 +94,7 @@ def sample_task(config: GeneratorConfig, rng: np.random.Generator) -> TaskSpec:
 class SimAgentConfig:
     card: AgentCard
     success_prob: dict[str, float]
-    latency_base_ms: float
+    latency_base_ms: float = 50.0
     latency_jitter_ms: float = 0.0
     load_per_call: float = 0.1
 
@@ -203,14 +208,6 @@ class WorldConfig:
                 names.append(c.required_action)
         return tuple(names)
 
-    def vocabulary(self) -> Vocabulary:
-        symbols: list[str] = []
-        for c in self.generator.classes:
-            symbols.extend(c.answer_pool)
-            symbols.append(goal_token(c.name))
-        symbols.extend(self.action_types)
-        return Vocabulary(symbols)
-
 
 def goal_token(class_name: str) -> str:
     """Deterministic delegation payload derived from the task class."""
@@ -239,6 +236,8 @@ def preset_case_study(
     """Two specialized agents plus a direct-answer task class."""
     if len(class_probs) != 3:
         raise BadConfig("case-study preset takes exactly three class probabilities")
+    if not 0.0 <= agent_success <= 1.0:
+        raise BadConfig("agent_success must be in [0, 1]")
     na_card = AgentCard("na-agent", "native", frozenset({ACTION_NETWORK_ANALYSIS}),
                         endpoint="sim://na-agent")
     pq_card = AgentCard("pq-agent", "native", frozenset({ACTION_PROTOCOL_QUERY}),

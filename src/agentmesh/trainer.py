@@ -44,15 +44,9 @@ class ExplorationConfig:
             raise BadConfig("entropy_bonus must be >= 0")
 
     @staticmethod
-    def defaults(num_actions: int, branch_factor: int = 2,
-                 entropy_bonus: float = 0.1) -> "ExplorationConfig":
+    def defaults(num_actions: int) -> "ExplorationConfig":
         max_h = math.log(num_actions)
-        return ExplorationConfig(
-            entropy_high_threshold=0.8 * max_h,
-            entropy_floor=0.05 * max_h,
-            branch_factor=branch_factor,
-            entropy_bonus=entropy_bonus,
-        )
+        return ExplorationConfig(entropy_high_threshold=0.8 * max_h, entropy_floor=0.05 * max_h)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,9 @@
-"""Closed symbolic vocabulary with the control tags used in trajectories.
+"""Symbols used in trajectories: the control tags and marker tokens.
 
-Tokens are plain strings; a :class:`Vocabulary` assigns stable integer ids.
-Control tags are ordinary vocabulary entries so a policy can, in principle,
-emit them out of order (which is exactly what structural validation detects).
+Tokens are plain strings. Control tags are ordinary tokens so a policy can,
+in principle, emit them out of order (which is exactly what structural
+validation detects).
 """
-
-from __future__ import annotations
-
-from typing import Iterable, Sequence
 
 ACTION_OPEN = "<action>"
 ACTION_CLOSE = "</action>"
@@ -25,46 +21,3 @@ WRONG = "wrong"
 # Distinguished answer token resolved by the orchestrator to the informative
 # span of the most recent successful agent response.
 RELAY_ANSWER = "relay_answer"
-
-BUILTIN_SYMBOLS: tuple[str, ...] = CONTROL_TAGS + (
-    SYS_AGENT_SUCCESS,
-    SYS_AGENT_FAILURE,
-    NOISE,
-    WRONG,
-    RELAY_ANSWER,
-)
-
-
-class Vocabulary:
-    """Fixed symbol set with symbol <-> id lookup."""
-
-    def __init__(self, symbols: Iterable[str] = ()):
-        self._symbols: list[str] = []
-        self._ids: dict[str, int] = {}
-        for sym in BUILTIN_SYMBOLS:
-            self._add(sym)
-        for sym in symbols:
-            if sym not in self._ids:
-                self._add(sym)
-
-    def _add(self, symbol: str) -> None:
-        self._ids[symbol] = len(self._symbols)
-        self._symbols.append(symbol)
-
-    def __len__(self) -> int:
-        return len(self._symbols)
-
-    def __contains__(self, symbol: str) -> bool:
-        return symbol in self._ids
-
-    def id_of(self, symbol: str) -> int:
-        return self._ids[symbol]
-
-    def symbol_of(self, symbol_id: int) -> str:
-        return self._symbols[symbol_id]
-
-    def encode(self, symbols: Sequence[str]) -> list[int]:
-        return [self._ids[s] for s in symbols]
-
-    def decode(self, ids: Sequence[int]) -> list[str]:
-        return [self._symbols[i] for i in ids]

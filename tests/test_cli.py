@@ -108,6 +108,18 @@ class TestSft:
                      "--set", "sft.steps=50"]) == 0
         assert (out / "checkpoint.json").exists()
 
+    def test_missing_dataset_is_config_error(self, tmp_path, capsys):
+        code = main(["sft", str(tmp_path / "missing.jsonl"), "--out", str(tmp_path / "sft")])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_undecodable_dataset_is_config_error(self, tmp_path, capsys):
+        data = tmp_path / "demos.jsonl"
+        data.write_bytes(b"\xff\xfe\x00\n")
+        code = main(["sft", str(data), "--out", str(tmp_path / "sft")])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_malformed_dataset_is_config_error(self, tmp_path, capsys):
         data = tmp_path / "demos.jsonl"
         data.write_text("{broken\n")
@@ -162,6 +174,13 @@ class TestEval:
         save_checkpoint(np.zeros((2, 2)), bad)
         code = main(["eval", "--checkpoint", str(bad),
                      "--out", str(tmp_path / "eval")])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_checkpoint_with_non_list_shape_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"shape": 5, "values": [1]}))
+        code = main(["eval", "--checkpoint", str(bad), "--out", str(tmp_path / "eval")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
 

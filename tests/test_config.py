@@ -1,0 +1,203 @@
+"""Config loading through the CLI: every bad input exits 1 with one
+``error:`` line that names its key, and no input escapes as a traceback."""
+
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from agentmesh.cli import main
+from agentmesh.config import load_config
+
+TASK = {"name": "t", "probability": 1.0, "required_action": "a", "answer_pool": ["x"]}
+AGENT = {"card_id": "c1", "supported_actions": ["a"], "success_prob": {"a": 1.0}}
+
+
+def run_cli(args, capsys):
+    code = main(["run", "--out", "out", *args])
+    return code, capsys.readouterr().err
+
+
+def assert_config_error(code, err, message_start):
+    assert code == 1
+    assert err.splitlines() == [err.strip()], err
+    assert err.startswith(f"error: {message_start}"), err
+
+
+OVERRIDE_CASES = {
+    "string max_steps": ('max_steps="abc"', "max_steps: must be a number"),
+    "string group_size": ('trainer.group_size="x"', "trainer.group_size: must be a number"),
+    "fractional group_size": ("trainer.group_size=2.5", "trainer.group_size: must be an integer"),
+    "boolean seed": ("seed=true", "seed: must be a number"),
+    "success above 1": ("env.agent_success=1.5", "env: agent_success"),
+    "env not an object": ("env=3", "env: must be an object"),
+    "answer_tokens not a list": ("policy.answer_tokens=5", "policy.answer_tokens: must be a list"),
+    "answer token not a string": ("policy.answer_tokens=[1]",
+                                  "policy.answer_tokens[0]: must be a string"),
+    "numeric out_dir": ("out_dir=5", "out_dir: must be a string"),
+    "NaN routing weight": ("router.w_load=NaN", "router.w_load: must be finite"),
+    "infinite reward weight": ("rewards.lambda_acc=Infinity", "rewards.lambda_acc: must be finite"),
+    "NaN learning rate": ("trainer.learning_rate=NaN", "trainer.learning_rate: must be finite"),
+    "overflowing entropy bonus": ("trainer.entropy_bonus=1e400",
+                                  "trainer.entropy_bonus: must be finite"),
+    "negative class probability": ("env.class_probs=[2,-1,0]", "env: probability"),
+    "negative seed": ("seed=-1", "seed must be >= 0"),
+    "huge max_steps": ("max_steps=1e30", "max_steps: must be in"),
+}
+
+
+@pytest.mark.parametrize("override,message", OVERRIDE_CASES.values(), ids=OVERRIDE_CASES.keys())
+def test_bad_override_names_its_key(override, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert_config_error(*run_cli(["--set", override], capsys), message)
+
+
+FILE_CASES = {
+    "top level not an object": ([1], None, "config: must be an object"),
+    "task class without name": (
+        {"task_classes": [{k: v for k, v in TASK.items() if k != "name"}], "agents": [AGENT]},
+        None, "task_classes[0].name: required"),
+    "agent success_prob not an object": (
+        {"task_classes": [TASK], "agents": [{**AGENT, "success_prob": [1.0]}]},
+        None, "agents[0].success_prob: must be an object"),
+    "two agents with one card id": (
+        {"task_classes": [TASK], "agents": [AGENT, AGENT]},
+        None, "agents[1].card_id: duplicate card id"),
+    "card entry without supported_actions": (
+        {"task_classes": [TASK], "registry_cards": "cards.json",
+         "agents": [{"card_id": "c1", "success_prob": {"a": 1.0}}]},
+        [{"card_id": "c1"}], "registry_cards[0].supported_actions: required"),
+    "card metrics out of range": (
+        {"task_classes": [TASK], "registry_cards": "cards.json", "agents": [AGENT]},
+        [{**AGENT, "metrics": {"load": 2.0}}], "registry_cards[0].metrics: load"),
+    "missing card file": (
+        {"task_classes": [TASK], "registry_cards": "missing.json", "agents": [AGENT]},
+        None, "registry_cards: cannot read missing.json"),
+}
+
+
+@pytest.mark.parametrize("config,cards,message", FILE_CASES.values(), ids=FILE_CASES.keys())
+def test_bad_config_file_names_its_key(config, cards, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    if cards is not None:
+        (tmp_path / "cards.json").write_text(json.dumps(cards))
+    assert_config_error(*run_cli(["--config", "config.json"], capsys), message)
+
+
+def test_card_file_supplies_cards_and_metric_priors(tmp_path):
+    cards = [{"card_id": "c1", "protocol_tag": "a2a", "supported_actions": ["a"], "cost": 0.5,
+              # unknown keys such as throughput_rps are ignored
+              "metrics": {"load": 0.3, "historical_accuracy": 0.7, "throughput_rps": 9.0}}]
+    (tmp_path / "cards.json").write_text(json.dumps(cards))
+    config = {"task_classes": [TASK], "registry_cards": str(tmp_path / "cards.json"),
+              "agents": [{"card_id": "c1", "success_prob": {"a": 1.0}}]}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    world = load_config(tmp_path / "config.json").world
+    (agent,) = world.agents
+    assert (agent.card.protocol_tag, agent.card.cost, agent.latency_base_ms) == ("a2a", 0.5, 50.0)
+    _, metrics = world.build_registry().get("c1")
+    assert (metrics.load, metrics.historical_accuracy, metrics.sample_count) == (0.3, 0.7, 0)
+
+
+def test_explicit_world_defaults(tmp_path):
+    direct = {"name": "d", "probability": 0.5, "answer_pool": ["ack"]}
+    config = {"task_classes": [direct, {**TASK, "probability": 0.5}], "agents": [AGENT]}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    world = load_config(tmp_path / "config.json").world
+    assert [(c.required_action, c.sla_deadline_ms) for c in world.generator.classes] == [
+        (None, 500.0), ("a", 500.0)]
+    (agent,) = world.agents
+    assert (agent.card.protocol_tag, agent.card.endpoint, agent.card.cost) == ("native", "", 0.0)
+    assert (agent.latency_base_ms, agent.latency_jitter_ms, agent.load_per_call) == (50.0, 0.0, 0.1)
+
+
+# Every key the config format reads, as a --set path.
+CONFIG_KEYS = [
+    "seed", "max_steps", "profile", "out_dir",
+    "env", "env.class_probs", "env.agent_success", "env.latency_base_ms",
+    "env.latency_jitter_ms", "env.load_per_call",
+    "task_classes", "agents", "registry_cards",
+    "policy", "policy.answer_tokens",
+    "router", "router.w_load", "router.w_accuracy", "router.w_latency",
+    "router.latency_ref_ms", "router.w_cost",
+    "rewards", "rewards.lambda_acc", "rewards.lambda_fmt", "rewards.lambda_eff",
+    "rewards.lambda_qos", "rewards.lambda_exp",
+    "trainer", "trainer.group_size", "trainer.learning_rate", "trainer.iterations",
+    "trainer.checkpoint_every", "trainer.entropy_high_threshold", "trainer.entropy_floor",
+    "trainer.branch_factor", "trainer.entropy_bonus",
+    "sft", "sft.steps", "sft.learning_rate",
+]
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=10,
+)
+overrides = st.lists(st.tuples(st.sampled_from(CONFIG_KEYS), json_values), max_size=4)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(overrides)
+def test_any_override_list_exits_cleanly(tmp_path, monkeypatch, capsys, pairs):
+    # relative paths among the values resolve inside an empty directory
+    monkeypatch.chdir(tmp_path)
+    args = []
+    for key, value in pairs:
+        args += ["--set", f"{key}={json.dumps(value)}"]
+    code, err = run_cli(args, capsys)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.startswith("error: ")
+
+
+# An explicit world whose second agent takes its card from the card file.
+WORLD = {
+    "config.json": {
+        "task_classes": [{**TASK, "sla_deadline_ms": 100.0}],
+        "agents": [{**AGENT, "latency_base_ms": 20.0, "latency_jitter_ms": 1.0,
+                    "load_per_call": 0.2},
+                   {"card_id": "c2", "success_prob": {"a": 0.9}}],
+        "registry_cards": "cards.json",
+    },
+    "cards.json": [{"card_id": "c2", "protocol_tag": "a2a", "supported_actions": ["a"],
+                    "endpoint": "e", "cost": 0.5,
+                    "metrics": {"load": 0.5, "historical_accuracy": 0.9, "avg_latency_ms": 10.0}}],
+}
+
+
+def paths(node, prefix=()):
+    """The key path of ``node`` and of every value inside it."""
+    yield prefix
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from paths(child, prefix + (key,))
+
+
+WORLD_PATHS = [(name, path) for name, doc in WORLD.items() for path in paths(doc) if path]
+DROP = object()
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(WORLD_PATHS), st.just(DROP) | json_values)
+def test_world_with_one_bad_value_exits_cleanly(tmp_path, monkeypatch, capsys, where, value):
+    monkeypatch.chdir(tmp_path)
+    docs = json.loads(json.dumps(WORLD))
+    name, path = where
+    node = docs[name]
+    for key in path[:-1]:
+        node = node[key]
+    if value is DROP:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    for file, doc in docs.items():
+        (tmp_path / file).write_text(json.dumps(doc))
+    code, err = run_cli(["--config", "config.json"], capsys)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.startswith("error: ")

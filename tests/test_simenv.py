@@ -192,12 +192,13 @@ class TestPresetCaseStudy:
             seen.add(task.feature_vector.index(1.0))
         assert seen == {0, 1, 2}
 
-    def test_ground_truths_in_vocabulary(self):
+    def test_ground_truths_in_answer_pool(self):
         world = preset_case_study()
-        vocab = world.vocabulary()
         rng = np.random.default_rng(3)
         for _ in range(100):
-            assert sample_task(world.generator, rng).ground_truth in vocab
+            task = sample_task(world.generator, rng)
+            cls = world.generator.classes[task.feature_vector.index(1.0)]
+            assert task.ground_truth in cls.answer_pool
 
     def test_class_probs_configurable(self):
         world = preset_case_study(class_probs=(1.0, 0.0, 0.0))
