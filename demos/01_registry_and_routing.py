@@ -1,12 +1,12 @@
 """Registry and routing walkthrough.
 
 Registers agents arriving under different descriptor protocols, shows
-capability discovery, scores the candidates, routes a task, and watches the
-router re-weight after a missed latency target.
+capability discovery, scores the candidates, routes a task, and folds
+observed calls into the chosen card's metrics.
 """
 
 from agentmesh.registry import AgentMetrics, RawDescriptor, Registry, adapt_descriptor
-from agentmesh.router import RoutingWeights, adapt_weights, route, score
+from agentmesh.router import RoutingWeights, route, score
 
 DESCRIPTORS = [
     RawDescriptor("native", {"id": "na-fast",
@@ -55,15 +55,6 @@ def main():
                                     load_now=0.3)
         print(f"  observed {latency:.0f}ms success={ok} -> "
               f"acc={m.historical_accuracy:.3f} lat={m.avg_latency_ms:.1f}ms")
-
-    print("\nan SLA miss shifts weight mass toward latency:")
-    adapted = adapt_weights(weights, episode_latency_ms=480.0, sla_met=False,
-                            step_size=0.5)
-    print(f"  before: load={weights.w_load:.3f} acc={weights.w_accuracy:.3f} "
-          f"lat={weights.w_latency:.3f}")
-    print(f"  after:  load={adapted.w_load:.3f} acc={adapted.w_accuracy:.3f} "
-          f"lat={adapted.w_latency:.3f}")
-    print(f"router picks now: {route('network_analysis', registry, adapted)!r}")
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from .errors import AgentMeshError, BadConfig
 from .policy import ActionSpace, Decision, Observation, PolicySpec
 from .registry import AgentCard, AgentMetrics, RawDescriptor, Registry, adapt_descriptor
 from .rewards import NoveltyLedger, RewardVector, RewardWeights, scalarize
-from .router import RoutingWeights, adapt_weights, route, score
+from .router import RoutingWeights, route, score
 from .simenv import GeneratorConfig, SimEnv, TaskClass, TaskSpec, WorldConfig, preset_case_study, sample_task
 from .trainer import (
     ExplorationConfig,
@@ -51,7 +51,6 @@ __all__ = [
     "Trajectory",
     "WorldConfig",
     "adapt_descriptor",
-    "adapt_weights",
     "evaluate_policy",
     "group_advantage",
     "preset_case_study",

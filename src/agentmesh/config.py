@@ -322,6 +322,10 @@ def load_config(path=None, overrides: list[str] | None = None,
     raw: dict = {}
     if path is not None:
         raw = _object(_read_json(path, "config"), "config")
+        # a card file named in the config file lies relative to that file
+        cards = raw.get("registry_cards")
+        if isinstance(cards, str):
+            raw["registry_cards"] = str(Path(path).parent / cards)
     if overrides:
         raw = apply_overrides(raw, overrides)
     if seed is not None:

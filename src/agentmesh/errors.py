@@ -47,10 +47,6 @@ class MalformedAgentResponse(AgentMeshError):
     pass
 
 
-class NotAnAction(AgentMeshError):
-    pass
-
-
 # --- environment ---
 
 class UnsupportedAction(AgentMeshError):

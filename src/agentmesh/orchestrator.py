@@ -48,6 +48,8 @@ class EpisodeOutcome:
     invocation_count: int
     sla_met: bool
     failure: Optional[FailureReport] = None
+    # action type of every delegation span, in order, routed or not
+    delegations: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -106,6 +108,7 @@ def execute_episode(
     traj = Trajectory()
     start_clock = env.begin_episode(task)
     records: list[StepRecord] = []
+    delegations: list[str] = []
     relay_source: Optional[str] = None  # informative token of last successful response
     failure: Optional[FailureReport] = None
     final_answer: Optional[str] = None
@@ -135,6 +138,7 @@ def execute_episode(
 
         goal = [payload] if payload else []
         traj.append_core([ACTION_OPEN, decision.action_type, *goal, ACTION_CLOSE])
+        delegations.append(decision.action_type)
         try:
             card_id = route(decision.action_type, registry, weights)
         except NoAgentForAction:
@@ -170,15 +174,9 @@ def execute_episode(
         invocation_count=invocations,
         sla_met=total_latency <= task.sla_deadline_ms,
         failure=failure,
+        delegations=tuple(delegations),
     )
     return traj, outcome, records
-
-
-def delegation_signature(traj: Trajectory) -> tuple[str, ...]:
-    """Ordered tuple of invoked action types (novelty-ledger key)."""
-    from .trajectory import action_spans
-
-    return tuple(inv.action_type for inv in action_spans(traj))
 
 
 def make_warmup_dataset(generator: GeneratorConfig, spec: PolicySpec, n: int,

@@ -110,57 +110,49 @@ def adapt_descriptor(raw: RawDescriptor) -> AgentCard:
 class Registry:
     """Card store with action-type discovery and EWMA metric tracking.
 
-    Reads are safe to run concurrently; mutations are serialized by a lock,
-    so a concurrent read observes either the pre- or post-state of a mutation.
+    Every operation, reads included, holds one lock, so operations from
+    several threads are serialized and no read sees a half-done mutation.
     """
 
     def __init__(self, ewma_alpha: float = DEFAULT_EWMA_ALPHA):
         if not 0.0 < ewma_alpha <= 1.0:
             raise ValueError("ewma_alpha must be in (0, 1]")
         self.ewma_alpha = ewma_alpha
-        self._cards: dict[str, AgentCard] = {}
-        self._metrics: dict[str, AgentMetrics] = {}
+        self._entries: dict[str, tuple[AgentCard, AgentMetrics]] = {}
         self._lock = threading.Lock()
 
     def register_card(self, card: AgentCard, initial_metrics: AgentMetrics | None = None) -> str:
         if not card.supported_actions:
             raise EmptyActions(f"card {card.card_id!r} declares no supported actions")
         with self._lock:
-            if card.card_id in self._cards:
+            if card.card_id in self._entries:
                 raise DuplicateId(f"card id {card.card_id!r} already registered")
-            self._cards[card.card_id] = card
-            self._metrics[card.card_id] = initial_metrics or AgentMetrics()
+            self._entries[card.card_id] = (card, initial_metrics or AgentMetrics())
         return card.card_id
 
-    def register_descriptor(self, raw: RawDescriptor,
-                            initial_metrics: AgentMetrics | None = None) -> str:
-        return self.register_card(adapt_descriptor(raw), initial_metrics)
+    def _entry(self, card_id: str) -> tuple[AgentCard, AgentMetrics]:
+        try:
+            return self._entries[card_id]
+        except KeyError:
+            raise UnknownCard(f"card id {card_id!r} is not registered") from None
 
     def deregister(self, card_id: str) -> AgentCard:
         with self._lock:
-            if card_id not in self._cards:
-                raise UnknownCard(f"card id {card_id!r} is not registered")
-            self._metrics.pop(card_id)
-            return self._cards.pop(card_id)
+            card, _ = self._entry(card_id)
+            del self._entries[card_id]
+        return card
 
     def discover(self, action_type: str) -> list[tuple[AgentCard, AgentMetrics]]:
         """All cards supporting ``action_type``, ascending by card_id."""
-        snapshot = [
-            (card, self._metrics[cid])
-            for cid, card in self._cards.items()
-            if action_type in card.supported_actions
-        ]
+        with self._lock:
+            snapshot = [entry for entry in self._entries.values()
+                        if action_type in entry[0].supported_actions]
         snapshot.sort(key=lambda pair: pair[0].card_id)
         return snapshot
 
     def get(self, card_id: str) -> tuple[AgentCard, AgentMetrics]:
-        try:
-            return self._cards[card_id], self._metrics[card_id]
-        except KeyError:
-            raise UnknownCard(f"card id {card_id!r} is not registered") from None
-
-    def card_ids(self) -> list[str]:
-        return sorted(self._cards)
+        with self._lock:
+            return self._entry(card_id)
 
     def update_metrics(self, card_id: str, latency_ms: float, success: bool,
                        load_now: float) -> AgentMetrics:
@@ -171,9 +163,7 @@ class Registry:
         measurement and is replaced, not smoothed.
         """
         with self._lock:
-            if card_id not in self._cards:
-                raise UnknownCard(f"card id {card_id!r} is not registered")
-            prev = self._metrics[card_id]
+            card, prev = self._entry(card_id)
             a = 1.0 if prev.sample_count == 0 else self.ewma_alpha
             observed_acc = 1.0 if success else 0.0
             updated = replace(
@@ -183,6 +173,5 @@ class Registry:
                 avg_latency_ms=(1 - a) * prev.avg_latency_ms + a * latency_ms,
                 sample_count=prev.sample_count + 1,
             )
-            self._metrics[card_id] = updated
+            self._entries[card_id] = (card, updated)
             return updated
-

@@ -9,14 +9,22 @@ correct, well-formed episode.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 from .errors import InvalidWeights
-from .orchestrator import EpisodeOutcome, delegation_signature
+from .orchestrator import EpisodeOutcome
 from .simenv import TaskSpec
 from .trajectory import Trajectory, WELL_FORMED, validate
 
 COMPONENT_NAMES = ("accuracy", "format", "efficiency", "qos", "exploration")
+
+# Every component lies in [-1, 1], so a scalar reward lies in [-W, W] for the
+# weight sum W, and a group's squared deviations from its mean add up to at
+# most len(group) * W**2. No group is longer than sys.maxsize, so up to this
+# sum every reward statistic stays finite.
+MAX_WEIGHT_SUM = math.sqrt(sys.float_info.max / sys.maxsize)
 
 
 @dataclass(frozen=True)
@@ -53,6 +61,9 @@ class RewardWeights:
             raise InvalidWeights("lambda_acc must be positive")
         if self.lambda_fmt >= self.lambda_acc:
             raise InvalidWeights("lambda_fmt must be < lambda_acc")
+        if (self.lambda_acc + self.lambda_fmt + self.lambda_eff
+                + self.lambda_qos + self.lambda_exp) > MAX_WEIGHT_SUM:
+            raise InvalidWeights(f"reward weights must sum to at most {MAX_WEIGHT_SUM:.3g}")
 
 
 class NoveltyLedger:
@@ -120,5 +131,5 @@ def episode_reward(traj: Trajectory, outcome: EpisodeOutcome, task: TaskSpec,
         format=format_reward(traj),
         efficiency=efficiency_reward(outcome, max_steps),
         qos=qos_reward(outcome, task),
-        exploration=exploration_reward(ledger, delegation_signature(traj)),
+        exploration=exploration_reward(ledger, outcome.delegations),
     )

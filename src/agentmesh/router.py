@@ -8,7 +8,7 @@ same agent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import NoAgentForAction
 from .registry import AgentMetrics, Registry
@@ -67,26 +67,3 @@ def route(action_type: str, registry: Registry, weights: RoutingWeights) -> str:
             best_id = card.card_id
     return best_id
 
-
-def adapt_weights(weights: RoutingWeights, episode_latency_ms: float, sla_met: bool,
-                  step_size: float) -> RoutingWeights:
-    """Shift weight mass toward latency after an SLA violation.
-
-    The (load, accuracy, latency) block is renormalized to its previous L1 sum
-    so repeated violations monotonically grow the latency share without
-    inflating overall score magnitudes. No-op when the SLA was met.
-    """
-    if not 0.0 < step_size < 1.0:
-        raise ValueError("step_size must be in (0, 1)")
-    if sla_met:
-        return weights
-    total = weights.w_load + weights.w_accuracy + weights.w_latency
-    bumped_latency = weights.w_latency * (1.0 + step_size)
-    new_total = weights.w_load + weights.w_accuracy + bumped_latency
-    scale = total / new_total
-    return replace(
-        weights,
-        w_load=weights.w_load * scale,
-        w_accuracy=weights.w_accuracy * scale,
-        w_latency=bumped_latency * scale,
-    )

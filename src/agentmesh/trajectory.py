@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import EpisodeClosed, MalformedAgentResponse, NotAnAction
+from .errors import EpisodeClosed, MalformedAgentResponse
 from .vocab import ACTION_CLOSE, ACTION_OPEN, ANS_CLOSE, ANS_OPEN, CONTROL_TAGS
 
 SOURCE_CORE = "core"
@@ -33,28 +33,28 @@ MALFORMED_AGENT_RESPONSE = "malformed_agent_response"
 class Segment:
     tokens: tuple[str, ...]
     source: str
-    loss_included: bool
     card_id: Optional[str] = None
 
     def __post_init__(self):
-        if self.source == SOURCE_CORE and not self.loss_included:
-            raise ValueError("core segments must be loss-included")
-        if self.source in (SOURCE_AGENT, SOURCE_SYSTEM) and self.loss_included:
-            raise ValueError("agent/system segments must be loss-excluded")
         if self.source == SOURCE_AGENT and self.card_id is None:
             raise ValueError("agent segments must carry a card_id")
 
+    @property
+    def loss_included(self) -> bool:
+        """Only the reasoning core's own tokens train the policy."""
+        return self.source == SOURCE_CORE
+
 
 def core_segment(tokens) -> Segment:
-    return Segment(tuple(tokens), SOURCE_CORE, loss_included=True)
+    return Segment(tuple(tokens), SOURCE_CORE)
 
 
 def agent_segment(card_id: str, tokens) -> Segment:
-    return Segment(tuple(tokens), SOURCE_AGENT, loss_included=False, card_id=card_id)
+    return Segment(tuple(tokens), SOURCE_AGENT, card_id=card_id)
 
 
 def system_segment(tokens) -> Segment:
-    return Segment(tuple(tokens), SOURCE_SYSTEM, loss_included=False)
+    return Segment(tuple(tokens), SOURCE_SYSTEM)
 
 
 @dataclass(frozen=True)
@@ -204,32 +204,6 @@ def validate(traj: Trajectory):
         if open_at is not None:
             return FailureReport(INDICATOR_DISORDER, (si, open_at))
     return WELL_FORMED
-
-
-def parse_action(segment: Segment) -> ActionInvocation:
-    """Interpret a core segment that is exactly one action span."""
-    toks = segment.tokens
-    if (
-        len(toks) < 3
-        or toks[0] != ACTION_OPEN
-        or toks[-1] != ACTION_CLOSE
-        or any(t in CONTROL_TAGS for t in toks[1:-1])
-    ):
-        raise NotAnAction(f"segment is not a single action span: {list(toks)!r}")
-    return ActionInvocation(action_type=toks[1], goal_tokens=tuple(toks[2:-1]))
-
-
-def action_spans(traj: Trajectory) -> list[ActionInvocation]:
-    """Parse every core segment that is an action span, in order."""
-    out = []
-    for seg in traj.segments:
-        if seg.source != SOURCE_CORE:
-            continue
-        try:
-            out.append(parse_action(seg))
-        except NotAnAction:
-            continue
-    return out
 
 
 def to_log_record(traj: Trajectory, episode_id: str,

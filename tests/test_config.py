@@ -86,6 +86,21 @@ def test_bad_config_file_names_its_key(config, cards, message, tmp_path, monkeyp
     assert_config_error(*run_cli(["--config", "config.json"], capsys), message)
 
 
+# Weights that are each finite but whose scalar reward, or the spread of a
+# group of scalar rewards, overflows.
+OVERFLOW_CASES = {
+    "scalar reward": ["run", "--set", "rewards.lambda_acc=1e308", "--set", "rewards.lambda_qos=1e308"],
+    "group spread": ["train", "--set", "rewards.lambda_acc=1e300", "--set", "trainer.iterations=5"],
+}
+
+
+@pytest.mark.parametrize("argv", OVERFLOW_CASES.values(), ids=OVERFLOW_CASES.keys())
+def test_overflowing_reward_weights_rejected(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code = main([*argv, "--seed", "3", "--out", "out"])
+    assert_config_error(code, capsys.readouterr().err, "rewards: ")
+
+
 def test_card_file_supplies_cards_and_metric_priors(tmp_path):
     cards = [{"card_id": "c1", "protocol_tag": "a2a", "supported_actions": ["a"], "cost": 0.5,
               # unknown keys such as throughput_rps are ignored
@@ -179,6 +194,15 @@ def paths(node, prefix=()):
 
 WORLD_PATHS = [(name, path) for name, doc in WORLD.items() for path in paths(doc) if path]
 DROP = object()
+
+
+def test_card_file_path_is_relative_to_the_config_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    for file, doc in WORLD.items():
+        (tmp_path / "sub" / file).write_text(json.dumps(doc))
+    code, err = run_cli(["--config", "sub/config.json"], capsys)
+    assert code == 0, err
 
 
 @settings(max_examples=150, deadline=None,

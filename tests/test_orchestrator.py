@@ -6,7 +6,6 @@ import pytest
 from agentmesh.errors import MalformedAgentResponse
 from agentmesh.orchestrator import (
     decide,
-    delegation_signature,
     execute_episode,
     integrate,
     interpret,
@@ -150,7 +149,21 @@ class TestExecuteEpisode:
         assert outcome.failure is not None
         assert outcome.failure.kind == "no_agent_for_action"
         assert outcome.invocation_count == 0
+        assert outcome.delegations == ("slicing",)
         assert traj.terminal.kind == "failed"
+
+    def test_malformed_response_fails_after_one_invocation(self, world, spec):
+        task = task_of_class(world, "network_analysis")
+        idx = spec.actions.index_of(Decision.delegate("network_analysis"))
+        env = world.build_env([0, 0])
+        env.invoke_agent = lambda card_id, inv: AgentResponse(("no", "span"), 10.0, True)
+        traj, outcome, _ = execute_episode(
+            task, forced(spec, idx), spec, world.build_registry(), WEIGHTS, env,
+            np.random.default_rng(1), generator=world.generator)
+        assert outcome.failure.kind == "malformed_agent_response"
+        assert outcome.invocation_count == 1
+        assert outcome.delegations == ("network_analysis",)
+        assert traj.agent_segment_count() == 0
 
     def test_always_delegate_truncates_at_cap(self, world, spec):
         task = task_of_class(world, "network_analysis")
@@ -181,7 +194,7 @@ class TestExecuteEpisode:
         assert outcome.final_answer == task.ground_truth
         assert outcome.invocation_count == 1
         assert validate(traj) == WELL_FORMED
-        assert delegation_signature(traj) == ("network_analysis",)
+        assert outcome.delegations == ("network_analysis",)
 
     def test_episode_determinism(self, world, spec):
         task = task_of_class(world, "network_analysis")
@@ -216,6 +229,9 @@ class TestExecuteEpisode:
                 max_steps=4, generator=world.generator)
             assert validate(traj) == WELL_FORMED
             assert outcome.failure is None
+            assert outcome.delegations == tuple(
+                seg.tokens[1] for seg in traj.segments
+                if seg.source == "core" and seg.tokens[0] == ACTION_OPEN)
 
 
 class TestWarmupDataset:

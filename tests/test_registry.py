@@ -1,3 +1,7 @@
+import sys
+import threading
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -181,3 +185,38 @@ def test_discover_always_sorted_without_duplicates(entries):
         ids = [c.card_id for c, _ in reg.discover(action)]
         assert ids == sorted(ids)
         assert len(ids) == len(set(ids))
+
+
+def test_discover_while_another_thread_registers_and_deregisters():
+    reg = Registry()
+    stable = [f"na-{i:02d}" for i in range(20)]
+    for cid in stable:
+        reg.register_card(card(cid))
+    stop = threading.Event()
+    writer_errors = []
+
+    def churn():
+        try:
+            for _ in range(20_000):
+                if stop.is_set():
+                    return
+                reg.register_card(card("temp"))
+                reg.deregister("temp")
+        except Exception as exc:
+            writer_errors.append(exc)
+
+    writer = threading.Thread(target=churn)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the threads often
+    try:
+        writer.start()
+        deadline = time.monotonic() + 60
+        while writer.is_alive() and time.monotonic() < deadline:
+            found = [c.card_id for c, _ in reg.discover("network_analysis")]
+            assert found in (stable, stable + ["temp"])
+    finally:
+        stop.set()
+        writer.join(timeout=60)
+        sys.setswitchinterval(interval)
+    assert not writer.is_alive()
+    assert writer_errors == []

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from agentmesh.errors import NoAgentForAction
 from agentmesh.registry import AgentCard, AgentMetrics, Registry
-from agentmesh.router import RoutingWeights, adapt_weights, route, score
+from agentmesh.router import RoutingWeights, route, score
 
 
 def registry_with(metrics_by_id, action="network_analysis"):
@@ -122,33 +122,6 @@ class TestRouteProperties:
             reg.deregister(winner)
             reg.register_card(AgentCard(winner, "native", frozenset({"act"})), boosted)
             assert route("act", reg, w) == winner
-
-
-class TestAdaptWeights:
-    def test_unchanged_when_sla_met(self):
-        w = RoutingWeights(w_load=1, w_accuracy=2, w_latency=3)
-        assert adapt_weights(w, 500.0, sla_met=True, step_size=0.5) == w
-
-    def test_violation_shifts_mass_to_latency(self):
-        w = RoutingWeights(w_load=1, w_accuracy=1, w_latency=1)
-        got = adapt_weights(w, 500.0, sla_met=False, step_size=0.5)
-        assert got.w_load == pytest.approx(6 / 7)
-        assert got.w_accuracy == pytest.approx(6 / 7)
-        assert got.w_latency == pytest.approx(9 / 7)
-        assert got.w_load + got.w_accuracy + got.w_latency == pytest.approx(3.0)
-
-    def test_repeated_violations_monotone_latency_share(self):
-        w = RoutingWeights(w_load=1, w_accuracy=1, w_latency=1)
-        shares = []
-        for _ in range(5):
-            w = adapt_weights(w, 500.0, sla_met=False, step_size=0.2)
-            shares.append(w.w_latency / (w.w_load + w.w_accuracy + w.w_latency))
-        assert shares == sorted(shares)
-        assert shares[0] > 1 / 3
-
-    def test_step_size_range(self):
-        with pytest.raises(ValueError):
-            adapt_weights(RoutingWeights(), 1.0, sla_met=False, step_size=1.5)
 
 
 def test_invalid_weights_rejected():

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from agentmesh.errors import EpisodeClosed, MalformedAgentResponse, NotAnAction
+from agentmesh.errors import EpisodeClosed, MalformedAgentResponse
 from agentmesh.trajectory import (
     INDICATOR_DISORDER,
     WELL_FORMED,
@@ -10,7 +10,6 @@ from agentmesh.trajectory import (
     Trajectory,
     agent_segment,
     core_segment,
-    parse_action,
     system_segment,
     validate,
 )
@@ -109,22 +108,6 @@ class TestValidate:
         assert validate(traj) == validate(traj)
 
 
-class TestParseAction:
-    def test_action_with_goal_tokens(self):
-        inv = parse_action(core_segment(
-            [ACTION_OPEN, "network_analysis", "kpi_drop", ACTION_CLOSE]))
-        assert inv.action_type == "network_analysis"
-        assert inv.goal_tokens == ("kpi_drop",)
-
-    def test_plain_answer_segment(self):
-        with pytest.raises(NotAnAction):
-            parse_action(core_segment(["ack"]))
-
-    def test_empty_interior(self):
-        with pytest.raises(NotAnAction):
-            parse_action(core_segment([ACTION_OPEN, ACTION_CLOSE]))
-
-
 class TestLossMask:
     def test_all_core(self):
         traj = Trajectory().append_core(["a", "b"]).append_core(["c"])
@@ -162,8 +145,4 @@ def test_mask_matches_source_for_random_segment_sequences(layout):
 
 def test_segment_invariants_enforced():
     with pytest.raises(ValueError):
-        Segment(("x",), "core", loss_included=False)
-    with pytest.raises(ValueError):
-        Segment(("x",), "agent", loss_included=True, card_id="a")
-    with pytest.raises(ValueError):
-        Segment(("x",), "agent", loss_included=False)  # missing card_id
+        Segment(("x",), "agent")  # missing card_id
