@@ -42,7 +42,7 @@ def main():
     traj, outcome, steps = execute_episode(
         task, delegate_then_relay(spec), spec, world.build_registry(),
         RoutingWeights(), world.build_env([7, 0]), np.random.default_rng([7, 1]),
-        max_steps=4, generator=world.generator)
+        generator=world.generator)
 
     print("\ntrajectory (loss-masked segments marked with *):")
     for seg in traj.segments:

@@ -20,7 +20,7 @@ from .errors import AgentMeshError, BadCheckpoint, BadConfig, BadDataset
 from .orchestrator import execute_episode, make_warmup_dataset
 from .policy import load_checkpoint, load_sft_dataset, save_checkpoint, sft_loss, sft_update
 from .rewards import NoveltyLedger, episode_reward, scalarize
-from .simenv import GeneratorConfig, TaskClass, sample_task
+from .simenv import GeneratorConfig, sample_task
 from .trainer import evaluate_policy, train
 from .trajectory import WELL_FORMED, to_log_record, validate
 
@@ -89,12 +89,9 @@ def cmd_run(args) -> int:
         matched = [c for c in generator.classes if c.name == args.task_class]
         if not matched:
             raise BadConfig(f"unknown task class {args.task_class!r}")
-        forced = tuple(
-            TaskClass(c.name, 1.0 if c.name == args.task_class else 0.0,
-                      c.required_action, c.answer_pool, c.sla_deadline_ms)
-            for c in generator.classes
-        )
-        generator = GeneratorConfig(classes=forced).validate()
+        forced = tuple(replace(c, probability=1.0 if c.name == args.task_class else 0.0)
+                       for c in generator.classes)
+        generator = GeneratorConfig(classes=forced)
 
     task = sample_task(generator, np.random.default_rng([cfg.seed, 2]))
     registry = cfg.world.build_registry()
@@ -102,7 +99,7 @@ def cmd_run(args) -> int:
     rng = np.random.default_rng([cfg.seed, 3, 1])
     traj, outcome, _ = execute_episode(
         task, theta, cfg.policy_spec, registry, cfg.router_weights, env, rng,
-        max_steps=cfg.max_steps, generator=cfg.world.generator,
+        generator=cfg.world.generator,
     )
     vector = episode_reward(traj, outcome, task, cfg.max_steps, NoveltyLedger())
     record = to_log_record(
@@ -179,14 +176,12 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load(args)
-    if args.episodes < 1:
-        raise BadConfig("--episodes must be >= 1")
     if args.checkpoint is None:
         raise BadCheckpoint("eval requires --checkpoint")
     theta = load_checkpoint(args.checkpoint, cfg.policy_spec)
     summary = evaluate_policy(
         cfg.world, cfg.policy_spec, theta, cfg.router_weights,
-        n_episodes=args.episodes, seed=cfg.seed, max_steps=cfg.max_steps,
+        n_episodes=args.episodes, seed=cfg.seed,
     )
     print(json.dumps(summary.as_dict(), indent=2))
     return EXIT_OK

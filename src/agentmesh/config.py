@@ -32,6 +32,7 @@ from .trainer import ExplorationConfig, TrainerConfig
 from .vocab import RELAY_ANSWER
 
 PROFILE_CASE_STUDY = "case-study"
+DEFAULT_MAX_STEPS = 4
 # The observation encodes the step index one-hot, so the parameter matrix
 # grows linearly with max_steps; past this a typo would ask for gigabytes.
 MAX_STEPS_LIMIT = 10_000
@@ -59,12 +60,15 @@ class RunConfig:
     trainer: TrainerConfig
     sft: SftConfig
     out_dir: Path = Path("out")
-    max_steps: int = 4
-    profile: Optional[str] = None
 
     def __post_init__(self):
         if self.seed < 0:
             raise BadConfig("seed must be >= 0")
+
+    @property
+    def max_steps(self) -> int:
+        """Decision steps per episode; the policy spec owns the budget."""
+        return self.policy_spec.max_steps
 
 
 # --- the loader ---
@@ -214,7 +218,7 @@ def _explicit_world(raw: dict) -> WorldConfig:
         key = ("task_classes", i)
         # a class without required_action is answered directly
         classes.append(_build(TaskClass, {"required_action": None, **_object(entry, key)}, key))
-    generator = GeneratorConfig(classes=tuple(classes)).validate()
+    generator = GeneratorConfig(classes=tuple(classes))
 
     cards = []
     if "registry_cards" in raw:
@@ -235,13 +239,13 @@ def _explicit_world(raw: dict) -> WorldConfig:
     return WorldConfig(agents=tuple(agents.values()), generator=generator, initial_metrics=metrics)
 
 
-def _build_world(raw: dict) -> tuple[WorldConfig, Optional[str]]:
+def _build_world(raw: dict) -> WorldConfig:
     if "task_classes" in raw:
-        return _explicit_world(raw), None
+        return _explicit_world(raw)
     profile = raw.get("profile", PROFILE_CASE_STUDY)
     if profile != PROFILE_CASE_STUDY:
         raise BadConfig(f"profile: unknown profile {profile!r}")
-    return _build(preset_case_study, raw.get("env", {}), "env"), profile
+    return _build(preset_case_study, raw.get("env", {}), "env")
 
 
 def default_policy_spec(world: WorldConfig, max_steps: int,
@@ -270,27 +274,32 @@ def default_policy_spec(world: WorldConfig, max_steps: int,
 
 def parse_config(raw) -> RunConfig:
     raw = _object(raw, "config")
-    max_steps = _int(raw.get("max_steps", RunConfig.max_steps), "max_steps")
+    max_steps = _int(raw.get("max_steps", DEFAULT_MAX_STEPS), "max_steps")
     if not 1 <= max_steps <= MAX_STEPS_LIMIT:
         raise BadConfig(f"max_steps: must be in [1, {MAX_STEPS_LIMIT}]")
-    world, profile = _build_world(raw)
+    world = _build_world(raw)
     spec = _build(default_policy_spec, raw.get("policy", {}), "policy",
                   world=world, max_steps=max_steps)
+    router = _build(RoutingWeights, raw.get("router", {}), "router")
+    # A score adds w_load, w_accuracy and w_latency times terms in [0, 1] and
+    # subtracts w_cost times the card's cost, so this bound keeps it finite.
+    for agent in world.agents:
+        cost = router.w_cost * agent.card.cost
+        if not math.isfinite(router.w_load + router.w_accuracy + router.w_latency + cost):
+            raise BadConfig(f"router: weights overflow the score of card {agent.card.card_id!r}")
     trainer = _object(raw.get("trainer", {}), "trainer")
     exploration_defaults = asdict(ExplorationConfig.defaults(spec.num_actions))
     return _build(
         RunConfig, raw, "",
         world=world,
         policy_spec=spec,
-        router_weights=_build(RoutingWeights, raw.get("router", {}), "router"),
+        router_weights=router,
         reward_weights=_build(RewardWeights, raw.get("rewards", {}), "rewards"),
         trainer=_build(
-            TrainerConfig, trainer, "trainer", max_steps=max_steps,
+            TrainerConfig, trainer, "trainer",
             exploration=_build(ExplorationConfig, {**exploration_defaults, **trainer}, "trainer"),
         ),
         sft=_build(SftConfig, raw.get("sft", {}), "sft"),
-        max_steps=max_steps,
-        profile=profile,
     )
 
 

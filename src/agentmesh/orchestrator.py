@@ -56,7 +56,6 @@ class EpisodeOutcome:
 class StepRecord:
     obs: Observation
     action_index: int
-    log_prob: float
     entropy: float
 
 
@@ -66,8 +65,9 @@ def interpret(task: TaskSpec) -> Observation:
 
 
 def decide(obs: Observation, theta: np.ndarray, spec: PolicySpec,
-           rng: np.random.Generator, greedy: bool = False) -> tuple[Decision, int, float]:
-    """Sample one decision from the policy's action distribution.
+           rng: np.random.Generator, greedy: bool = False) -> tuple[Decision, int, np.ndarray]:
+    """Sample one decision from the policy's action distribution; returns
+    the decision, its action index and the distribution it was drawn from.
 
     Greedy mode takes the argmax instead (first index on exact ties).
     """
@@ -76,7 +76,7 @@ def decide(obs: Observation, theta: np.ndarray, spec: PolicySpec,
         index = int(np.argmax(probs))
     else:
         index = int(rng.choice(spec.num_actions, p=probs))
-    return spec.actions.decision_of(index), index, float(np.log(probs[index]))
+    return spec.actions.decision_of(index), index, probs
 
 
 def integrate(traj: Trajectory, response: AgentResponse, card_id: str) -> Trajectory:
@@ -98,11 +98,14 @@ def execute_episode(
     weights: RoutingWeights,
     env: SimEnv,
     rng: np.random.Generator,
-    max_steps: int = 4,
+    max_steps: int | None = None,
     generator: GeneratorConfig | None = None,
-    update_registry_metrics: bool = True,
     greedy: bool = False,
 ) -> tuple[Trajectory, EpisodeOutcome, list[StepRecord]]:
+    """Run one episode of at most ``max_steps`` decisions (by default the
+    spec's step budget, which its step encoding is sized for)."""
+    if max_steps is None:
+        max_steps = spec.max_steps
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     traj = Trajectory()
@@ -119,13 +122,8 @@ def execute_episode(
 
     for step in range(max_steps):
         obs = Observation(task.feature_vector, step_index=step, last_outcome=last_outcome)
-        decision, index, log_prob = decide(obs, theta, spec, rng, greedy=greedy)
-        records.append(StepRecord(
-            obs=obs,
-            action_index=index,
-            log_prob=log_prob,
-            entropy=policy_entropy(theta, spec, obs),
-        ))
+        decision, index, probs = decide(obs, theta, spec, rng, greedy=greedy)
+        records.append(StepRecord(obs=obs, action_index=index, entropy=policy_entropy(probs)))
 
         if decision.kind == KIND_ANSWER:
             token = decision.token
@@ -155,9 +153,8 @@ def execute_episode(
             failure = FailureReport(MALFORMED_AGENT_RESPONSE)
             traj.close(Terminal.failed(MALFORMED_AGENT_RESPONSE))
             break
-        if update_registry_metrics:
-            registry.update_metrics(card_id, response.latency_ms, response.succeeded,
-                                    load_now=env.loads[card_id])
+        registry.update_metrics(card_id, response.latency_ms, response.succeeded,
+                                load_now=env.loads[card_id])
         if response.succeeded:
             # the informative span is a single answer token by construction
             relay_source = traj.segments[-2].tokens[-1]

@@ -130,8 +130,8 @@ def log_prob_and_grad(theta: np.ndarray, spec: PolicySpec, obs: Observation,
     return float(np.log(probs[action_index])), grad
 
 
-def entropy(theta: np.ndarray, spec: PolicySpec, obs: Observation) -> float:
-    probs = action_distribution(theta, spec, obs)
+def entropy(probs: np.ndarray) -> float:
+    """Shannon entropy (nats) of an action distribution."""
     return float(-np.sum(probs * np.log(probs)))
 
 

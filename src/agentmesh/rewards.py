@@ -18,8 +18,6 @@ from .orchestrator import EpisodeOutcome
 from .simenv import TaskSpec
 from .trajectory import Trajectory, WELL_FORMED, validate
 
-COMPONENT_NAMES = ("accuracy", "format", "efficiency", "qos", "exploration")
-
 # Every component lies in [-1, 1], so a scalar reward lies in [-W, W] for the
 # weight sum W, and a group's squared deviations from its mean add up to at
 # most len(group) * W**2. No group is longer than sys.maxsize, so up to this

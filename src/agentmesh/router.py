@@ -56,14 +56,8 @@ def route(action_type: str, registry: Registry, weights: RoutingWeights) -> str:
     candidates = registry.discover(action_type)
     if not candidates:
         raise NoAgentForAction(action_type)
-    best_id = None
-    best_score = float("-inf")
-    # discover() is sorted ascending by card_id, so strict improvement gives
-    # the lexicographically-smallest winner on ties.
-    for card, metrics in candidates:
-        s = score(metrics, weights, cost=card.cost)
-        if s > best_score:
-            best_score = s
-            best_id = card.card_id
-    return best_id
+    # discover() is sorted ascending by card_id and max() keeps the first
+    # maximal candidate, so ties go to the lexicographically-smallest id.
+    card, _ = max(candidates, key=lambda entry: score(entry[1], weights, cost=entry[0].cost))
+    return card.card_id
 

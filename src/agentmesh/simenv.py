@@ -59,22 +59,20 @@ class TaskClass:
 class GeneratorConfig:
     classes: tuple[TaskClass, ...]
 
-    @property
-    def feature_dim(self) -> int:
-        return len(self.classes)
-
-    def validate(self) -> "GeneratorConfig":
+    def __post_init__(self):
         if not self.classes:
             raise BadConfig("task generator needs at least one class")
         total = sum(c.probability for c in self.classes)
         if abs(total - 1.0) > 1e-9:
             raise BadConfig(f"class probabilities must sum to 1 (got {total})")
-        return self
+
+    @property
+    def feature_dim(self) -> int:
+        return len(self.classes)
 
 
 def sample_task(config: GeneratorConfig, rng: np.random.Generator) -> TaskSpec:
     """Draw one task; features are the one-hot of the drawn class."""
-    config.validate()
     probs = np.array([c.probability for c in config.classes])
     idx = int(rng.choice(len(config.classes), p=probs))
     cls = config.classes[idx]
@@ -190,8 +188,8 @@ class WorldConfig:
     generator: GeneratorConfig
     initial_metrics: dict[str, AgentMetrics] = field(default_factory=dict)
 
-    def build_registry(self, ewma_alpha: float = 0.3) -> Registry:
-        reg = Registry(ewma_alpha=ewma_alpha)
+    def build_registry(self) -> Registry:
+        reg = Registry()
         for agent in self.agents:
             reg.register_card(agent.card, self.initial_metrics.get(agent.card.card_id))
         return reg
@@ -264,5 +262,5 @@ def preset_case_study(
                   _NA_ANSWERS, sla_deadline_ms=600.0),
         TaskClass(ACTION_PROTOCOL_QUERY, class_probs[2], ACTION_PROTOCOL_QUERY,
                   _PQ_ANSWERS, sla_deadline_ms=600.0),
-    )).validate()
+    ))
     return WorldConfig(agents=agents, generator=generator)

@@ -20,7 +20,8 @@ from .errors import BadConfig
 from .orchestrator import EpisodeOutcome, StepRecord, execute_episode
 from .policy import PolicySpec, log_prob_and_grad
 from .registry import Registry
-from .rewards import NoveltyLedger, RewardVector, RewardWeights, episode_reward, scalarize
+from .rewards import (NoveltyLedger, RewardVector, RewardWeights, accuracy_reward,
+                      episode_reward, scalarize)
 from .router import RoutingWeights
 from .simenv import TaskSpec, WorldConfig, sample_task
 from .trajectory import Trajectory
@@ -73,7 +74,6 @@ class TrainerConfig:
     group_size: int = 8
     learning_rate: float = 0.05
     iterations: int = 500
-    max_steps: int = 4
     exploration: ExplorationConfig | None = None
     checkpoint_every: int = 0
 
@@ -84,8 +84,6 @@ class TrainerConfig:
             raise BadConfig("learning_rate must be >= 0")
         if self.iterations < 1:
             raise BadConfig("iterations must be >= 1")
-        if self.max_steps < 1:
-            raise BadConfig("max_steps must be >= 1")
 
 
 @dataclass
@@ -249,7 +247,7 @@ def train(
         for gi, (task, size) in enumerate(plans):
             group = rollout_group(
                 task, theta, spec, registry, router_weights, size, world,
-                [seed, iteration + 1, gi], reward_weights, cfg.max_steps, ledger,
+                [seed, iteration + 1, gi], reward_weights, spec.max_steps, ledger,
             )
             groups.append(group)
             advantages = group_advantage(group.scalar_rewards)
@@ -311,14 +309,14 @@ def evaluate_policy(
     router_weights: RoutingWeights,
     n_episodes: int,
     seed: int,
-    max_steps: int = 4,
+    max_steps: int | None = None,
     greedy: bool = True,
 ) -> EvalSummary:
     """Seeded evaluation over freshly sampled tasks.
 
     Greedy (argmax) decisions by default; the same seed always yields the
     same task sequence, so summaries from different policies are directly
-    comparable.
+    comparable. ``max_steps`` defaults to the spec's step budget.
     """
     if n_episodes < 1:
         raise BadConfig("n_episodes must be >= 1")
@@ -337,8 +335,7 @@ def evaluate_policy(
             task, theta, spec, registry, router_weights, env, rng,
             max_steps=max_steps, generator=world.generator, greedy=greedy,
         )
-        if outcome.failure is None and outcome.final_answer == task.ground_truth:
-            correct += 1
+        correct += accuracy_reward(outcome, task)
         latencies.append(outcome.total_latency_ms)
         if not outcome.sla_met:
             sla_violations += 1

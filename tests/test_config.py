@@ -101,6 +101,16 @@ def test_overflowing_reward_weights_rejected(argv, tmp_path, monkeypatch, capsys
     assert_config_error(code, capsys.readouterr().err, "rewards: ")
 
 
+def test_overflowing_router_weights_rejected(tmp_path, monkeypatch, capsys):
+    # w_cost * cost overflows, so every score of the only card is -inf
+    monkeypatch.chdir(tmp_path)
+    config = {"task_classes": [TASK], "agents": [{**AGENT, "cost": 2.0}]}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    code, err = run_cli(["--config", "config.json", "--seed", "3",
+                         "--set", "router.w_cost=1e308"], capsys)
+    assert_config_error(code, err, "router: ")
+
+
 def test_card_file_supplies_cards_and_metric_priors(tmp_path):
     cards = [{"card_id": "c1", "protocol_tag": "a2a", "supported_actions": ["a"], "cost": 0.5,
               # unknown keys such as throughput_rps are ignored

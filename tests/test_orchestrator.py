@@ -63,11 +63,11 @@ class TestInterpret:
 class TestDecide:
     def test_deterministic_policy(self, spec, rng):
         idx = spec.actions.index_of(Decision.delegate("network_analysis"))
-        decision, got_idx, log_prob = decide(
+        decision, got_idx, probs = decide(
             Observation((0, 1.0, 0)), forced(spec, idx), spec, rng)
         assert decision == Decision.delegate("network_analysis")
         assert got_idx == idx
-        assert abs(log_prob) <= 1e-6
+        assert abs(np.log(probs[idx])) <= 1e-6
 
     def test_uniform_sampling_frequencies(self, spec):
         rng = np.random.default_rng(77)
@@ -84,10 +84,11 @@ class TestDecide:
 
     def test_log_prob_matches_distribution(self, spec, rng):
         theta = np.random.default_rng(5).normal(size=(spec.num_actions, spec.encoded_dim))
-        from agentmesh.policy import action_distribution
+        from agentmesh.policy import action_distribution, log_prob_and_grad
         obs = Observation((0, 0, 1.0), 2, "agent_failure")
-        _, idx, log_prob = decide(obs, theta, spec, rng)
-        assert log_prob == float(np.log(action_distribution(theta, spec, obs)[idx]))
+        _, idx, probs = decide(obs, theta, spec, rng)
+        assert np.array_equal(probs, action_distribution(theta, spec, obs))
+        assert float(np.log(probs[idx])) == log_prob_and_grad(theta, spec, obs, idx)[0]
 
     def test_greedy_takes_argmax(self, spec, rng):
         theta = np.random.default_rng(6).normal(size=(spec.num_actions, spec.encoded_dim))
@@ -206,7 +207,7 @@ class TestExecuteEpisode:
                 [(s.source, s.tokens) for s in traj.segments],
                 traj.terminal,
                 outcome,
-                [(r.action_index, r.log_prob, r.entropy) for r in records],
+                [(r.action_index, r.entropy) for r in records],
             ))
         assert results[0] == results[1]
 

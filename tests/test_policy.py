@@ -99,19 +99,20 @@ class TestLogProbAndGrad:
 
 class TestEntropy:
     def test_uniform_is_log_k(self):
-        h = entropy(SPEC.zero_params(), SPEC, Observation((0, 1.0, 0)))
+        h = entropy(action_distribution(SPEC.zero_params(), SPEC, Observation((0, 1.0, 0))))
         assert abs(h - math.log(SPEC.num_actions)) <= 1e-12
 
     def test_near_deterministic_is_tiny(self):
         theta = SPEC.zero_params()
         theta[1, :] = 50.0
-        assert entropy(theta, SPEC, Observation((1.0, 0, 0))) <= 1e-6
+        assert entropy(action_distribution(theta, SPEC, Observation((1.0, 0, 0)))) <= 1e-6
 
     def test_bounded_by_log_k(self):
         rng = np.random.default_rng(9)
         for _ in range(100):
             theta, obs = random_instance(rng, scale=3.0)
-            assert 0.0 <= entropy(theta, SPEC, obs) <= math.log(SPEC.num_actions) + 1e-12
+            h = entropy(action_distribution(theta, SPEC, obs))
+            assert 0.0 <= h <= math.log(SPEC.num_actions) + 1e-12
 
 
 class TestSftUpdate:

@@ -72,6 +72,14 @@ class TestRoute:
         })
         assert route("network_analysis", reg, RoutingWeights()) == "better"
 
+    def test_all_scores_minus_infinity_route_to_smallest_id(self):
+        reg = Registry()
+        for cid in ("b", "a", "c"):
+            reg.register_card(AgentCard(cid, "native", frozenset({"network_analysis"}), cost=2.0))
+        weights = RoutingWeights(w_cost=1e308)
+        assert score(AgentMetrics(), weights, cost=2.0) == float("-inf")
+        assert route("network_analysis", reg, weights) == "a"
+
 
 def random_registry(rng, n_cards):
     reg = Registry()

@@ -25,7 +25,7 @@ def single_agent_world(success=1.0, base=50.0, jitter=0.0, load_per_call=0.1,
         TaskClass("direct", direct_prob, None, ("ack",), 100.0),
         TaskClass("network_analysis", 1.0 - direct_prob, "network_analysis",
                   ("congestion", "link_failure"), 500.0),
-    )).validate()
+    ))
     return WorldConfig(agents=(agent,), generator=generator)
 
 
@@ -33,7 +33,7 @@ class TestSampleTask:
     def test_single_class_always_drawn(self):
         gen = GeneratorConfig(classes=(
             TaskClass("direct", 1.0, None, ("ack",), 100.0),
-        )).validate()
+        ))
         rng = np.random.default_rng(0)
         for _ in range(20):
             task = sample_task(gen, rng)
@@ -45,19 +45,18 @@ class TestSampleTask:
         gen = GeneratorConfig(classes=(
             TaskClass("a", 0.5, None, ("ack",), 100.0),
             TaskClass("b", 0.5, None, ("nack",), 100.0),
-        )).validate()
+        ))
         rng = np.random.default_rng(42)
         draws = [sample_task(gen, rng).feature_vector[0] for _ in range(10_000)]
         freq_a = sum(draws) / len(draws)
         assert abs(freq_a - 0.5) <= 0.05
 
     def test_bad_probability_sum(self):
-        gen = GeneratorConfig(classes=(
-            TaskClass("a", 0.5, None, ("ack",), 100.0),
-            TaskClass("b", 0.3, None, ("nack",), 100.0),
-        ))
-        with pytest.raises(BadConfig):
-            sample_task(gen, np.random.default_rng(0))
+        with pytest.raises(BadConfig, match="must sum to 1"):
+            GeneratorConfig(classes=(
+                TaskClass("a", 0.5, None, ("ack",), 100.0),
+                TaskClass("b", 0.3, None, ("nack",), 100.0),
+            ))
 
     def test_seeded_draws_reproduce(self):
         gen = preset_case_study().generator

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from agentmesh import trainer
 from agentmesh.config import default_policy_spec
 from agentmesh.errors import BadConfig
-from agentmesh.orchestrator import StepRecord
-from agentmesh.policy import Observation, action_distribution, log_prob_and_grad
+from agentmesh.orchestrator import StepRecord, execute_episode
+from agentmesh.policy import Decision, Observation, action_distribution, log_prob_and_grad
 from agentmesh.rewards import NoveltyLedger, RewardWeights, episode_reward, scalarize
 from agentmesh.router import RoutingWeights
 from agentmesh.simenv import preset_case_study, sample_task
@@ -12,6 +13,7 @@ from agentmesh.trainer import (
     ExplorationConfig,
     TrainerConfig,
     entropy_control,
+    evaluate_policy,
     group_advantage,
     masked_policy_update,
     rollout_group,
@@ -47,7 +49,7 @@ class TestGroupAdvantage:
 
 def records_with_entropies(entropies):
     obs = Observation((1.0, 0.0, 0.0))
-    return [StepRecord(obs, 0, -1.0, h) for h in entropies]
+    return [StepRecord(obs, 0, h) for h in entropies]
 
 
 class TestEntropyControl:
@@ -91,10 +93,43 @@ class TestMaskedPolicyUpdate:
     def test_single_step_matches_gradient(self, spec):
         theta = np.random.default_rng(1).normal(size=(spec.num_actions, spec.encoded_dim))
         obs = Observation((0.0, 1.0, 0.0), 1, "agent_success")
-        step = StepRecord(obs, 2, -1.0, 0.5)
+        step = StepRecord(obs, 2, 0.5)
         updated = masked_policy_update(theta, spec, [([step], np.array([1.0]))], 0.05)
         _, grad = log_prob_and_grad(theta, spec, obs, 2)
         assert np.allclose(updated, theta + 0.05 * grad, atol=1e-12)
+
+
+def always_delegate(spec):
+    theta = spec.zero_params()
+    theta[spec.actions.index_of(Decision.delegate("network_analysis")), :] = 60.0
+    return theta
+
+
+class TestStepBudget:
+    """The policy spec's step budget bounds every episode of train and eval."""
+
+    def test_train_truncates_at_the_spec_budget(self, world, monkeypatch):
+        spec = default_policy_spec(world, max_steps=3)
+        episodes = []
+
+        def recording(*args, **kwargs):
+            episodes.append(execute_episode(*args, **kwargs))
+            return episodes[-1]
+
+        monkeypatch.setattr(trainer, "execute_episode", recording)
+        train(world, spec, TrainerConfig(iterations=1), REWARDS, WEIGHTS, seed=0,
+              initial_theta=always_delegate(spec))
+        assert episodes
+        for traj, outcome, steps in episodes:
+            assert traj.terminal.kind == "truncated"
+            assert (outcome.invocation_count, len(steps)) == (3, 3)
+
+    def test_evaluate_truncates_at_the_spec_budget(self, world):
+        spec = default_policy_spec(world, max_steps=3)
+        summary = evaluate_policy(world, spec, always_delegate(spec), WEIGHTS,
+                                  n_episodes=20, seed=0)
+        assert (summary.mean_invocations, summary.success_rate) == (3.0, 0.0)
+        assert summary.failure_modes == {}
 
 
 class TestRolloutGroup:
@@ -233,7 +268,7 @@ class TestOracleOptimalityGap:
         world = preset_case_study()
         spec = default_policy_spec(world, max_steps=2)
         theta = warm_start(world, spec)
-        cfg = TrainerConfig(iterations=500, max_steps=2)
+        cfg = TrainerConfig(iterations=500)
         theta, _ = train(world, spec, cfg, REWARDS, WEIGHTS, seed=42,
                          initial_theta=theta)
 
