@@ -99,15 +99,17 @@ def execute_episode(
     env: SimEnv,
     rng: np.random.Generator,
     max_steps: int | None = None,
-    generator: GeneratorConfig | None = None,
+    *,
+    generator: GeneratorConfig,
     greedy: bool = False,
 ) -> tuple[Trajectory, EpisodeOutcome, list[StepRecord]]:
     """Run one episode of at most ``max_steps`` decisions (by default the
-    spec's step budget, which its step encoding is sized for)."""
+    spec's step budget, which its step encoding is sized for); every
+    delegation carries the goal token of the task's class in ``generator``."""
     if max_steps is None:
         max_steps = spec.max_steps
-    if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
+    if not 1 <= max_steps <= spec.max_steps:
+        raise ValueError(f"max_steps must be in [1, {spec.max_steps}]")
     traj = Trajectory()
     start_clock = env.begin_episode(task)
     records: list[StepRecord] = []
@@ -118,7 +120,7 @@ def execute_episode(
     invocations = 0
     last_outcome = OUTCOME_NONE
 
-    payload = goal_token(class_of_task(generator, task).name) if generator else None
+    payload = goal_token(class_of_task(generator, task).name)
 
     for step in range(max_steps):
         obs = Observation(task.feature_vector, step_index=step, last_outcome=last_outcome)
@@ -134,8 +136,7 @@ def execute_episode(
             final_answer = token
             break
 
-        goal = [payload] if payload else []
-        traj.append_core([ACTION_OPEN, decision.action_type, *goal, ACTION_CLOSE])
+        traj.append_core([ACTION_OPEN, decision.action_type, payload, ACTION_CLOSE])
         delegations.append(decision.action_type)
         try:
             card_id = route(decision.action_type, registry, weights)
@@ -144,8 +145,7 @@ def execute_episode(
             traj.close(Terminal.failed(NO_AGENT_FOR_ACTION))
             break
 
-        invocation = ActionInvocation(decision.action_type, tuple(goal))
-        response = env.invoke_agent(card_id, invocation)
+        response = env.invoke_agent(card_id, ActionInvocation(decision.action_type, (payload,)))
         invocations += 1
         try:
             integrate(traj, response, card_id)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadCheckpoint, BadDataset
+from .vocab import CONTROL_TAGS
 
 OUTCOME_NONE = "none"
 OUTCOME_AGENT_SUCCESS = "agent_success"
@@ -62,6 +63,8 @@ class ActionSpace:
     def __post_init__(self):
         if not self.answer_tokens and not self.action_types:
             raise ValueError("the action space needs at least one action")
+        if set(CONTROL_TAGS) & {*self.answer_tokens, *self.action_types}:
+            raise ValueError("control tags cannot be actions")
 
     @property
     def num_actions(self) -> int:
@@ -172,7 +175,7 @@ def save_checkpoint(theta: np.ndarray, path) -> None:
         json.dump(payload, fh)
 
 
-def load_checkpoint(path, spec: PolicySpec | None = None) -> np.ndarray:
+def load_checkpoint(path, spec: PolicySpec) -> np.ndarray:
     try:
         with open(path) as fh:
             payload = json.load(fh)
@@ -180,7 +183,7 @@ def load_checkpoint(path, spec: PolicySpec | None = None) -> np.ndarray:
         theta = np.array(payload["values"], dtype=float).reshape(shape)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise BadCheckpoint(f"cannot read checkpoint {path}: {exc}") from None
-    if spec is not None and theta.shape != (spec.num_actions, spec.encoded_dim):
+    if theta.shape != (spec.num_actions, spec.encoded_dim):
         raise BadCheckpoint(
             f"checkpoint shape {theta.shape} does not match policy "
             f"({spec.num_actions}, {spec.encoded_dim})"

@@ -7,6 +7,7 @@ small key-renaming adapters. Discovery is by action type, never by identity.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field, replace
 
@@ -35,8 +36,8 @@ class AgentCard:
         if not self.card_id:
             raise ValueError("card_id must be nonempty")
         object.__setattr__(self, "supported_actions", frozenset(self.supported_actions))
-        if self.cost < 0:
-            raise ValueError("cost must be >= 0")
+        if not 0.0 <= self.cost < math.inf:
+            raise ValueError("cost must be finite and >= 0")
 
 
 @dataclass(frozen=True)

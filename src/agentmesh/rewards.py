@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import InvalidWeights
 from .orchestrator import EpisodeOutcome
@@ -34,13 +34,7 @@ class RewardVector:
     exploration: float
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "accuracy": self.accuracy,
-            "format": self.format,
-            "efficiency": self.efficiency,
-            "qos": self.qos,
-            "exploration": self.exploration,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -41,14 +41,12 @@ def score(metrics: AgentMetrics, weights: RoutingWeights, cost: float = 0.0) -> 
     decreases monotonically without ever dividing by zero.
     """
     latency_term = weights.latency_ref_ms / (weights.latency_ref_ms + metrics.avg_latency_ms)
-    s = (
+    return (
         weights.w_load * (1.0 - metrics.load)
         + weights.w_accuracy * metrics.historical_accuracy
         + weights.w_latency * latency_term
+        - weights.w_cost * cost
     )
-    if weights.w_cost > 0:
-        s -= weights.w_cost * cost
-    return s
 
 
 def route(action_type: str, registry: Registry, weights: RoutingWeights) -> str:

@@ -6,7 +6,9 @@ Everything runs on a simulated clock with seeded randomness so that a
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -14,7 +16,7 @@ import numpy as np
 from .errors import BadConfig, UnknownCard, UnsupportedAction
 from .registry import AgentCard, AgentMetrics, Registry
 from .trajectory import ActionInvocation
-from .vocab import ANS_CLOSE, ANS_OPEN, NOISE, WRONG
+from .vocab import ANS_CLOSE, ANS_OPEN, CONTROL_TAGS, NOISE, WRONG
 
 LOAD_DECAY = 0.9
 
@@ -53,6 +55,8 @@ class TaskClass:
             raise ValueError("sla_deadline_ms must be positive")
         if not self.answer_pool:
             raise ValueError("answer_pool must be nonempty")
+        if set(CONTROL_TAGS) & {self.required_action, *self.answer_pool}:
+            raise ValueError("answer_pool and required_action must not be control tags")
 
 
 @dataclass(frozen=True)
@@ -125,19 +129,17 @@ class AgentResponse:
 class SimEnv:
     """One episode-scoped environment instance.
 
-    Holds per-agent load levels, a simulated clock, and a private RNG stream.
-    Parallel rollouts use independent instances with derived seeds.
+    Holds the load of every agent called so far (any other agent's load is
+    0), a simulated clock, and a private RNG stream. ``agents`` is the
+    world's map, shared by every instance and never mutated. Parallel
+    rollouts use independent instances with derived seeds.
     """
 
-    agents: dict[str, SimAgentConfig]
+    agents: Mapping[str, SimAgentConfig]
     rng: np.random.Generator
     loads: dict[str, float] = field(default_factory=dict)
     clock_ms: float = 0.0
     current_task: Optional[TaskSpec] = None
-
-    def __post_init__(self):
-        for cid in self.agents:
-            self.loads.setdefault(cid, 0.0)
 
     def begin_episode(self, task: TaskSpec) -> float:
         """Bind the episode's task; returns the clock at episode start."""
@@ -165,7 +167,7 @@ class SimEnv:
 
         for cid in self.loads:
             self.loads[cid] *= LOAD_DECAY
-        load = self.loads[card_id]
+        load = self.loads.get(card_id, 0.0)
         latency = agent.latency_base_ms * (1.0 + load)
         if agent.latency_jitter_ms > 0:
             latency += float(self.rng.uniform(0.0, agent.latency_jitter_ms))
@@ -194,9 +196,12 @@ class WorldConfig:
             reg.register_card(agent.card, self.initial_metrics.get(agent.card.card_id))
         return reg
 
+    @cached_property
+    def agents_by_card(self) -> Mapping[str, SimAgentConfig]:
+        return {a.card.card_id: a for a in self.agents}
+
     def build_env(self, seed) -> SimEnv:
-        agents = {a.card.card_id: a for a in self.agents}
-        return SimEnv(agents=agents, rng=np.random.default_rng(seed))
+        return SimEnv(agents=self.agents_by_card, rng=np.random.default_rng(seed))
 
     @property
     def action_types(self) -> tuple[str, ...]:

@@ -12,7 +12,7 @@ collapse-warning counter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -39,8 +39,8 @@ class ExplorationConfig:
     def __post_init__(self):
         if self.entropy_floor >= self.entropy_high_threshold:
             raise BadConfig("entropy_floor must be < entropy_high_threshold")
-        if self.branch_factor < 1:
-            raise BadConfig("branch_factor must be >= 1")
+        if self.branch_factor < 2:
+            raise BadConfig("branch_factor must be >= 2")
         if self.entropy_bonus < 0:
             raise BadConfig("entropy_bonus must be >= 0")
 
@@ -61,7 +61,6 @@ class EpisodeResult:
 
 @dataclass(frozen=True)
 class RolloutGroup:
-    task: TaskSpec
     episodes: list[EpisodeResult]
 
     @property
@@ -100,15 +99,9 @@ class TrainingReport:
     rows: list[IterationStats] = field(default_factory=list)
     collapse_warnings: int = 0
 
-    CSV_HEADER = "iteration,mean_reward,success_rate,mean_entropy,triggers"
-
     def to_csv(self) -> str:
-        lines = [self.CSV_HEADER]
-        for r in self.rows:
-            lines.append(
-                f"{r.iteration},{r.mean_reward!r},{r.success_rate!r},"
-                f"{r.mean_entropy!r},{r.triggers}"
-            )
+        lines = [",".join(f.name for f in fields(IterationStats))]
+        lines += [",".join(map(repr, astuple(r))) for r in self.rows]
         return "\n".join(lines) + "\n"
 
 
@@ -149,7 +142,7 @@ def rollout_group(
             reward_vector=vector,
             scalar_reward=scalarize(vector, reward_weights),
         ))
-    return RolloutGroup(task=task, episodes=episodes)
+    return RolloutGroup(episodes=episodes)
 
 
 def group_advantage(scalar_rewards) -> np.ndarray:
@@ -238,7 +231,7 @@ def train(
         plans: list[tuple[TaskSpec, int]] = [(sample_task(world.generator, task_rng),
                                               cfg.group_size)]
         for t in pending_tasks:
-            plans.append((t, max(2, exploration.branch_factor)))
+            plans.append((t, exploration.branch_factor))
         pending_tasks = []
 
         groups: list[RolloutGroup] = []
@@ -284,22 +277,15 @@ def train(
 
 @dataclass
 class EvalSummary:
+    n_episodes: int
     success_rate: float
     mean_latency_ms: float
     sla_violation_rate: float
     mean_invocations: float
     failure_modes: dict[str, int]
-    n_episodes: int
 
     def as_dict(self) -> dict:
-        return {
-            "n_episodes": self.n_episodes,
-            "success_rate": self.success_rate,
-            "mean_latency_ms": self.mean_latency_ms,
-            "sla_violation_rate": self.sla_violation_rate,
-            "mean_invocations": self.mean_invocations,
-            "failure_modes": self.failure_modes,
-        }
+        return asdict(self)
 
 
 def evaluate_policy(
@@ -344,10 +330,10 @@ def evaluate_policy(
             kind = outcome.failure.kind
             failure_modes[kind] = failure_modes.get(kind, 0) + 1
     return EvalSummary(
+        n_episodes=n_episodes,
         success_rate=correct / n_episodes,
         mean_latency_ms=float(np.mean(latencies)),
         sla_violation_rate=sla_violations / n_episodes,
         mean_invocations=invocations / n_episodes,
         failure_modes=failure_modes,
-        n_episodes=n_episodes,
     )

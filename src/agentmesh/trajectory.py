@@ -207,7 +207,7 @@ def validate(traj: Trajectory):
 
 
 def to_log_record(traj: Trajectory, episode_id: str,
-                  reward_vector=None, scalar_reward=None) -> dict:
+                  reward_vector: dict[str, float], scalar_reward: float) -> dict:
     """JSONL trajectory-log record for one episode."""
     segs = []
     for seg in traj.segments:
@@ -224,9 +224,5 @@ def to_log_record(traj: Trajectory, episode_id: str,
         terminal["answer"] = traj.terminal.answer
     if traj.terminal.reason is not None:
         terminal["reason"] = traj.terminal.reason
-    record = {"episode_id": episode_id, "segments": segs, "terminal": terminal}
-    if reward_vector is not None:
-        record["reward_vector"] = reward_vector
-    if scalar_reward is not None:
-        record["scalar_reward"] = scalar_reward
-    return record
+    return {"episode_id": episode_id, "segments": segs, "terminal": terminal,
+            "reward_vector": reward_vector, "scalar_reward": scalar_reward}

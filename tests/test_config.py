@@ -44,6 +44,7 @@ OVERRIDE_CASES = {
     "negative class probability": ("env.class_probs=[2,-1,0]", "env: probability"),
     "negative seed": ("seed=-1", "seed must be >= 0"),
     "huge max_steps": ("max_steps=1e30", "max_steps: must be in"),
+    "control tag as answer token": ('policy.answer_tokens=["<action>"]', "policy: control tags"),
 }
 
 
@@ -74,6 +75,16 @@ FILE_CASES = {
     "missing card file": (
         {"task_classes": [TASK], "registry_cards": "missing.json", "agents": [AGENT]},
         None, "registry_cards: cannot read missing.json"),
+    "control tag in a direct answer pool": (
+        {"task_classes": [{"name": "d", "probability": 1.0, "answer_pool": ["<ans>"]}],
+         "agents": [AGENT]},
+        None, "task_classes[0]: answer_pool and required_action must not be control tags"),
+    "control tag as required action": (
+        {"task_classes": [{**TASK, "required_action": "</action>"}], "agents": [AGENT]},
+        None, "task_classes[0]: answer_pool and required_action must not be control tags"),
+    "control tag in a delegated answer pool": (
+        {"task_classes": [{**TASK, "answer_pool": ["<ans>"]}], "agents": [AGENT]},
+        None, "task_classes[0]: answer_pool and required_action must not be control tags"),
 }
 
 
@@ -99,6 +110,14 @@ def test_overflowing_reward_weights_rejected(argv, tmp_path, monkeypatch, capsys
     monkeypatch.chdir(tmp_path)
     code = main([*argv, "--seed", "3", "--out", "out"])
     assert_config_error(code, capsys.readouterr().err, "rewards: ")
+
+
+def test_branch_factor_below_two_rejected(tmp_path, monkeypatch, capsys):
+    # a factor of 1 was accepted and then ran branch groups of 2
+    monkeypatch.chdir(tmp_path)
+    code = main(["train", "--out", "out", "--set", "trainer.branch_factor=1",
+                 "--set", "trainer.iterations=2"])
+    assert_config_error(code, capsys.readouterr().err, "trainer: branch_factor must be >= 2")
 
 
 def test_overflowing_router_weights_rejected(tmp_path, monkeypatch, capsys):

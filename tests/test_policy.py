@@ -177,7 +177,7 @@ class TestCheckpointIO:
         path = tmp_path / "ckpt.json"
         path.write_text("not json")
         with pytest.raises(BadCheckpoint):
-            load_checkpoint(path)
+            load_checkpoint(path, SPEC)
 
 
 class TestSftDatasetIO:

@@ -79,6 +79,12 @@ class TestAdaptDescriptor:
         assert got.supported_actions == frozenset({"slicing"})
         assert got.endpoint == "u"
 
+    @pytest.mark.parametrize("cost", ["inf", "nan"])
+    def test_cost_must_be_finite(self, cost):
+        raw = RawDescriptor("native", {"id": "x-1", "actions": "slicing", "cost": cost})
+        with pytest.raises(ValueError, match="cost"):
+            adapt_descriptor(raw)
+
     def test_deterministic_per_adapter(self):
         raw = RawDescriptor("acp", {"name": "n", "supported_ops": "a,b"})
         assert adapt_descriptor(raw) == adapt_descriptor(raw)

@@ -4,6 +4,7 @@ import pytest
 from agentmesh.errors import BadConfig, UnknownCard, UnsupportedAction
 from agentmesh.registry import AgentCard
 from agentmesh.simenv import (
+    LOAD_DECAY,
     GeneratorConfig,
     SimAgentConfig,
     TaskClass,
@@ -173,6 +174,49 @@ class TestInvokeAgent:
         )
         tolerance = 3 * (p * (1 - p) / n) ** 0.5
         assert abs(hits / n - p) <= tolerance
+
+
+def three_agent_world():
+    agents = tuple(
+        SimAgentConfig(AgentCard(cid, "native", frozenset({"network_analysis"})),
+                       {"network_analysis": 1.0}, latency_base_ms=base,
+                       load_per_call=per_call)
+        for cid, base, per_call in (("a", 40.0, 0.3), ("b", 55.0, 0.5), ("c", 70.0, 0.2))
+    )
+    generator = GeneratorConfig(classes=(
+        TaskClass("network_analysis", 1.0, "network_analysis", ("congestion",)),
+    ))
+    return WorldConfig(agents=agents, generator=generator)
+
+
+class TestLoads:
+    """An env stores loads only for the agents it called; every other load is
+    0, which decays to 0, so it must match an env that decays every load."""
+
+    def test_matches_decaying_every_load_on_every_call(self):
+        world = three_agent_world()
+        env = world.build_env(0)
+        env.begin_episode(sample_task(world.generator, np.random.default_rng(0)))
+        agents = {a.card.card_id: a for a in world.agents}
+        dense = dict.fromkeys(agents, 0.0)
+        clock = 0.0
+        for called, cid in enumerate("abac", start=1):
+            for other in dense:
+                dense[other] *= LOAD_DECAY
+            latency = agents[cid].latency_base_ms * (1.0 + dense[cid])
+            dense[cid] = min(1.0, dense[cid] + agents[cid].load_per_call)
+            clock += latency
+            resp = env.invoke_agent(cid, ActionInvocation("network_analysis"))
+            assert resp.latency_ms == latency
+            assert set(env.loads) == set("abac"[:called])
+            assert {c: env.loads.get(c, 0.0) for c in dense} == dense
+            assert env.clock_ms == clock
+
+    def test_fresh_envs_have_no_loads_and_share_the_agent_map(self):
+        world = three_agent_world()
+        first, second = world.build_env(0), world.build_env(1)
+        assert first.loads == {} and second.loads == {}
+        assert first.agents is second.agents
 
 
 class TestPresetCaseStudy:

@@ -131,6 +131,26 @@ class TestStepBudget:
         assert (summary.mean_invocations, summary.success_rate) == (3.0, 0.0)
         assert summary.failure_modes == {}
 
+    def test_evaluate_rejects_a_budget_above_the_spec(self, world):
+        spec = default_policy_spec(world, max_steps=2)
+        # rejected up front, not at the third step after two agent calls
+        with pytest.raises(ValueError, match=r"max_steps must be in \[1, 2\]"):
+            evaluate_policy(world, spec, always_delegate(spec), WEIGHTS,
+                            n_episodes=3, seed=0, max_steps=4)
+
+    @pytest.mark.parametrize("max_steps", [0, 3])
+    def test_bad_budget_is_rejected_before_the_episode_starts(self, world, max_steps):
+        spec = default_policy_spec(world, max_steps=2)
+        registry = world.build_registry()
+        env = world.build_env(0)
+        task = sample_task(world.generator, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="max_steps"):
+            execute_episode(task, always_delegate(spec), spec, registry, WEIGHTS, env,
+                            np.random.default_rng(1), max_steps=max_steps,
+                            generator=world.generator)
+        assert (env.clock_ms, env.current_task, env.loads) == (0.0, None, {})
+        assert all(registry.get(a.card.card_id)[1].sample_count == 0 for a in world.agents)
+
 
 class TestRolloutGroup:
     def test_deterministic_policy_identical_trajectories(self, world, spec):
