@@ -1,41 +1,26 @@
 """Registry and routing walkthrough.
 
-Registers agents arriving under different descriptor protocols, shows
-capability discovery, scores the candidates, routes a task, and folds
-observed calls into the chosen card's metrics.
+Reads agents announced under four descriptor protocols from a card file, as
+the CLI does, registers them, shows capability discovery, scores the
+candidates, routes a task, and folds observed calls into the chosen card's
+metrics.
 """
 
-from agentmesh.registry import AgentMetrics, RawDescriptor, Registry, adapt_descriptor
+from pathlib import Path
+
+from agentmesh.config import load_cards
+from agentmesh.registry import Registry
 from agentmesh.router import RoutingWeights, route, score
 
-DESCRIPTORS = [
-    RawDescriptor("native", {"id": "na-fast",
-                             "actions": ["network_analysis"],
-                             "endpoint": "local://na-fast"}),
-    RawDescriptor("a2a", {"agent_id": "na-accurate",
-                          "capabilities": ["network_analysis"],
-                          "url": "grpc://na-accurate"}),
-    RawDescriptor("acp", {"name": "pq-main",
-                          "supported_ops": ["protocol_query"],
-                          "address": "http://pq-main"}),
-    RawDescriptor("anp", {"identifier": "generalist",
-                          "action_types": ["network_analysis", "protocol_query"],
-                          "locator": "http://generalist"}),
-]
-
-METRICS = {
-    "na-fast": AgentMetrics(load=0.2, historical_accuracy=0.80, avg_latency_ms=40.0),
-    "na-accurate": AgentMetrics(load=0.5, historical_accuracy=0.97, avg_latency_ms=120.0),
-    "pq-main": AgentMetrics(load=0.1, historical_accuracy=0.90, avg_latency_ms=60.0),
-    "generalist": AgentMetrics(load=0.7, historical_accuracy=0.85, avg_latency_ms=90.0),
-}
+# Four cards, one per announcement protocol, each in that protocol's
+# spelling and with metric priors.
+CARD_FILE = Path(__file__).with_name("cards.json")
 
 
 def main():
     registry = Registry()
-    for raw in DESCRIPTORS:
-        card = adapt_descriptor(raw)
-        registry.register_card(card, METRICS[card.card_id])
+    for card, metrics in load_cards(CARD_FILE):
+        registry.register_card(card, metrics)
         print(f"registered {card.card_id!r} via {card.protocol_tag} "
               f"(actions: {sorted(card.supported_actions)})")
 

@@ -10,7 +10,7 @@ exploration control.
 
 from .errors import AgentMeshError, BadConfig
 from .policy import ActionSpace, Decision, Observation, PolicySpec
-from .registry import AgentCard, AgentMetrics, RawDescriptor, Registry, adapt_descriptor
+from .registry import AgentCard, AgentMetrics, Registry
 from .rewards import NoveltyLedger, RewardVector, RewardWeights, scalarize
 from .router import RoutingWeights, route, score
 from .simenv import GeneratorConfig, SimEnv, TaskClass, TaskSpec, WorldConfig, preset_case_study, sample_task
@@ -37,7 +37,6 @@ __all__ = [
     "NoveltyLedger",
     "Observation",
     "PolicySpec",
-    "RawDescriptor",
     "Registry",
     "RewardVector",
     "RewardWeights",
@@ -50,7 +49,6 @@ __all__ = [
     "TrainingReport",
     "Trajectory",
     "WorldConfig",
-    "adapt_descriptor",
     "evaluate_policy",
     "group_advantage",
     "preset_case_study",

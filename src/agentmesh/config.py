@@ -15,7 +15,7 @@ import json
 import math
 import sys
 import typing
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import asdict, dataclass
 from functools import cache
 from pathlib import Path
@@ -160,25 +160,31 @@ def _params(target) -> tuple[tuple[tuple[str, Callable], ...], frozenset[str]]:
     return converters, required
 
 
-def _build(target: Callable, section, key, **given):
+_AS_NAMED: Mapping[str, str] = {}
+
+
+def _build(target: Callable, section, key, spelling: Mapping[str, str] = _AS_NAMED, **given):
     """``target(**kwargs)`` from the JSON object ``section`` found at ``key``.
 
     ``given`` arguments are passed as they are and cannot be set from the
-    file. Any other parameter is read from the entry of its name, converted
-    to its declared type; an absent one keeps the target's default.
+    file. Any other parameter is read from the entry of its name, or of the
+    name ``spelling`` maps it to, converted to its declared type; an absent
+    one keeps the target's default.
     """
     converters, required = _params(target)
     section = _object(section, key)
     kwargs = given
     for name, convert in converters:
-        if name in section and name not in given:
-            kwargs[name] = convert(section[name], (key, name))
+        entry = spelling.get(name, name)
+        if entry in section and name not in given:
+            kwargs[name] = convert(section[entry], (key, entry))
     try:
         return target(**kwargs)
     except (BadConfig, ValueError, TypeError, KeyError) as exc:
         missing = required - kwargs.keys()
         if missing:
-            raise BadConfig(f"{_dotted((key, min(missing)))}: required") from None
+            name = min(missing)
+            raise BadConfig(f"{_dotted((key, spelling.get(name, name)))}: required") from None
         raise BadConfig(f"{_dotted(key)}: {exc}" if key else str(exc)) from None
 
 
@@ -192,22 +198,41 @@ def _read_json(path, key: str):
         raise BadConfig(f"{key}: {path} is not valid JSON: {exc}") from None
 
 
+# The card format: each announcement protocol's key for an AgentCard field
+# that it names differently. A native card uses the field names themselves.
+CARD_SPELLINGS: dict[str, Mapping[str, str]] = {
+    "native": _AS_NAMED,
+    "a2a": {"card_id": "agent_id", "supported_actions": "capabilities", "endpoint": "url"},
+    "acp": {"card_id": "name", "supported_actions": "supported_ops", "endpoint": "address"},
+    "anp": {"card_id": "identifier", "supported_actions": "action_types", "endpoint": "locator"},
+}
+
+
 def _card(entry, key) -> AgentCard:
-    return _build(AgentCard, {"protocol_tag": "native", **_object(entry, key)}, key)
+    """The card that the object ``entry`` announces, read in the spelling of
+    its ``protocol_tag`` (``native`` when absent)."""
+    protocol = _str(_object(entry, key).get("protocol_tag", "native"), (key, "protocol_tag"))
+    if protocol not in CARD_SPELLINGS:
+        raise BadConfig(f"{_dotted((key, 'protocol_tag'))}: unknown protocol {protocol!r} "
+                        f"(known: {', '.join(CARD_SPELLINGS)})")
+    return _build(AgentCard, entry, key, CARD_SPELLINGS[protocol], protocol_tag=protocol)
 
 
 def load_cards(path) -> list[tuple[AgentCard, AgentMetrics]]:
     """Read the agent-card file format: a JSON array of card objects, each
-    with an optional ``metrics`` object of priors."""
-    out = []
+    in the spelling of its protocol and with an optional ``metrics`` object
+    of priors."""
+    out: dict[str, tuple[AgentCard, AgentMetrics]] = {}
     for i, entry in enumerate(_list(_read_json(path, "registry_cards"), "registry_cards")):
         key = ("registry_cards", i)
         card = _card(entry, key)
+        if card.card_id in out:
+            raise BadConfig(f"{_dotted(key)}: duplicate card id {card.card_id!r}")
         # The file holds priors, not observations: the first observed call
         # overwrites them, as for a card with no metrics at all.
         metrics = _build(AgentMetrics, entry.get("metrics", {}), (key, "metrics"), sample_count=0)
-        out.append((card, metrics))
-    return out
+        out[card.card_id] = (card, metrics)
+    return list(out.values())
 
 
 # --- the file layout ---

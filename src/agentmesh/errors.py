@@ -19,16 +19,6 @@ class UnknownCard(AgentMeshError):
     pass
 
 
-class UnknownProtocol(AgentMeshError):
-    pass
-
-
-class MissingAttribute(AgentMeshError):
-    def __init__(self, name: str):
-        super().__init__(f"descriptor missing required attribute {name!r}")
-        self.name = name
-
-
 # --- router ---
 
 class NoAgentForAction(AgentMeshError):

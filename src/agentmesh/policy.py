@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadCheckpoint, BadDataset
-from .vocab import CONTROL_TAGS
+from .vocab import CONTROL_TAGS, RELAY_ANSWER, RESERVED_TOKENS
 
 OUTCOME_NONE = "none"
 OUTCOME_AGENT_SUCCESS = "agent_success"
@@ -63,8 +63,13 @@ class ActionSpace:
     def __post_init__(self):
         if not self.answer_tokens and not self.action_types:
             raise ValueError("the action space needs at least one action")
-        if set(CONTROL_TAGS) & {*self.answer_tokens, *self.action_types}:
+        answers, actions = set(self.answer_tokens), set(self.action_types)
+        if len(answers) < len(self.answer_tokens) or len(actions) < len(self.action_types):
+            raise ValueError("answer tokens and action types must not repeat")
+        if set(CONTROL_TAGS) & (answers | actions):
             raise ValueError("control tags cannot be actions")
+        if set(RESERVED_TOKENS) & (answers - {RELAY_ANSWER} | actions):
+            raise ValueError("reserved tokens cannot be actions, except relay_answer as an answer")
 
     @property
     def num_actions(self) -> int:
@@ -191,17 +196,6 @@ def load_checkpoint(path, spec: PolicySpec) -> np.ndarray:
     if not np.all(np.isfinite(theta)):
         raise BadCheckpoint("checkpoint contains non-finite values")
     return theta
-
-
-def save_sft_dataset(samples: list[SftSample], path) -> None:
-    with open(path, "w") as fh:
-        for s in samples:
-            fh.write(json.dumps({
-                "features": list(s.obs.features),
-                "step": s.obs.step_index,
-                "last_outcome": s.obs.last_outcome,
-                "demo_action": s.demo_action_index,
-            }) + "\n")
 
 
 def load_sft_dataset(path, spec: PolicySpec) -> list[SftSample]:

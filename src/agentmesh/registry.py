@@ -1,23 +1,18 @@
 """Protocol-agnostic agent registry.
 
 Agents are described by unified cards regardless of which interoperability
-protocol they were announced on; per-protocol descriptors are absorbed through
-small key-renaming adapters. Discovery is by action type, never by identity.
+protocol they were announced on; the config loader reads each protocol's
+spelling of a card (``config.CARD_SPELLINGS``). Discovery is by action type,
+never by identity.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
-from .errors import (
-    DuplicateId,
-    EmptyActions,
-    MissingAttribute,
-    UnknownCard,
-    UnknownProtocol,
-)
+from .errors import DuplicateId, EmptyActions, UnknownCard
 
 DEFAULT_EWMA_ALPHA = 0.3
 
@@ -56,56 +51,6 @@ class AgentMetrics:
             raise ValueError("historical_accuracy must be in [0, 1]")
         if self.avg_latency_ms < 0 or self.sample_count < 0:
             raise ValueError("latency and sample_count must be >= 0")
-
-
-@dataclass(frozen=True)
-class RawDescriptor:
-    """Protocol-specific announcement prior to adapter normalization."""
-
-    protocol_tag: str
-    attributes: dict[str, object] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class _AdapterSpec:
-    id_key: str
-    actions_key: str
-    endpoint_key: str
-    cost_key: str
-
-
-# Each protocol uses its own field names for the same four concepts.
-_ADAPTERS: dict[str, _AdapterSpec] = {
-    "native": _AdapterSpec("id", "actions", "endpoint", "cost"),
-    "a2a": _AdapterSpec("agent_id", "capabilities", "url", "cost"),
-    "acp": _AdapterSpec("name", "supported_ops", "address", "cost"),
-    "anp": _AdapterSpec("identifier", "action_types", "locator", "cost"),
-}
-
-
-def adapt_descriptor(raw: RawDescriptor) -> AgentCard:
-    """Normalize a protocol-specific descriptor into an AgentCard.
-
-    The mapping is a deterministic key-rename; id and actions are required,
-    endpoint and cost fall back to defaults when absent.
-    """
-    spec = _ADAPTERS.get(raw.protocol_tag)
-    if spec is None:
-        raise UnknownProtocol(f"no adapter for protocol {raw.protocol_tag!r}")
-    attrs = raw.attributes
-    for required in (spec.id_key, spec.actions_key):
-        if required not in attrs:
-            raise MissingAttribute(required)
-    actions = attrs[spec.actions_key]
-    if isinstance(actions, str):
-        actions = [a.strip() for a in actions.split(",") if a.strip()]
-    return AgentCard(
-        card_id=str(attrs[spec.id_key]),
-        protocol_tag=raw.protocol_tag,
-        supported_actions=frozenset(actions),
-        endpoint=str(attrs.get(spec.endpoint_key, "")),
-        cost=float(attrs.get(spec.cost_key, 0.0)),
-    )
 
 
 class Registry:

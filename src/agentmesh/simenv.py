@@ -16,7 +16,7 @@ import numpy as np
 from .errors import BadConfig, UnknownCard, UnsupportedAction
 from .registry import AgentCard, AgentMetrics, Registry
 from .trajectory import ActionInvocation
-from .vocab import ANS_CLOSE, ANS_OPEN, CONTROL_TAGS, NOISE, WRONG
+from .vocab import ANS_CLOSE, ANS_OPEN, CONTROL_TAGS, NOISE, RESERVED_TOKENS, WRONG
 
 LOAD_DECAY = 0.9
 
@@ -57,6 +57,8 @@ class TaskClass:
             raise ValueError("answer_pool must be nonempty")
         if set(CONTROL_TAGS) & {self.required_action, *self.answer_pool}:
             raise ValueError("answer_pool and required_action must not be control tags")
+        if set(RESERVED_TOKENS) & {self.required_action, *self.answer_pool}:
+            raise ValueError("answer_pool and required_action must not be reserved tokens")
 
 
 @dataclass(frozen=True)

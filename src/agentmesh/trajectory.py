@@ -148,9 +148,6 @@ class Trajectory:
             mask.extend([seg.loss_included] * len(seg.tokens))
         return mask
 
-    def agent_segment_count(self) -> int:
-        return sum(1 for s in self.segments if s.source == SOURCE_AGENT)
-
 
 def extract_answer_span(raw_tokens) -> tuple[str, ...]:
     """The tokens strictly between the unique answer-delimiter pair."""

@@ -21,3 +21,7 @@ WRONG = "wrong"
 # Distinguished answer token resolved by the orchestrator to the informative
 # span of the most recent successful agent response.
 RELAY_ANSWER = "relay_answer"
+
+# Tokens whose meaning the orchestrator or the simulated agents fix; no
+# answer or action may be one, except RELAY_ANSWER as the relay action.
+RESERVED_TOKENS: tuple[str, ...] = (SYS_AGENT_SUCCESS, SYS_AGENT_FAILURE, NOISE, WRONG, RELAY_ANSWER)

@@ -96,7 +96,7 @@ class TestSft:
 
     def test_explicit_dataset_argument(self, tmp_path):
         from agentmesh.orchestrator import make_warmup_dataset
-        from agentmesh.policy import save_sft_dataset
+        from sft_files import save_sft_dataset
 
         cfg = load_config(seed=0)
         samples = make_warmup_dataset(cfg.world.generator, cfg.policy_spec, 50,

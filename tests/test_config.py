@@ -2,13 +2,14 @@
 ``error:`` line that names its key, and no input escapes as a traceback."""
 
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from agentmesh.cli import main
-from agentmesh.config import load_config
+from agentmesh.config import load_cards, load_config
 
 TASK = {"name": "t", "probability": 1.0, "required_action": "a", "answer_pool": ["x"]}
 AGENT = {"card_id": "c1", "supported_actions": ["a"], "success_prob": {"a": 1.0}}
@@ -45,6 +46,10 @@ OVERRIDE_CASES = {
     "negative seed": ("seed=-1", "seed must be >= 0"),
     "huge max_steps": ("max_steps=1e30", "max_steps: must be in"),
     "control tag as answer token": ('policy.answer_tokens=["<action>"]', "policy: control tags"),
+    "duplicate answer token": ('policy.answer_tokens=["ack","ack"]',
+                               "policy: answer tokens and action types must not repeat"),
+    "reserved marker as answer token": ('policy.answer_tokens=["ack","noise"]',
+                                        "policy: reserved tokens cannot be actions"),
 }
 
 
@@ -85,6 +90,58 @@ FILE_CASES = {
     "control tag in a delegated answer pool": (
         {"task_classes": [{**TASK, "answer_pool": ["<ans>"]}], "agents": [AGENT]},
         None, "task_classes[0]: answer_pool and required_action must not be control tags"),
+    # an agent that always fails answers "wrong", which would score as correct
+    "reserved marker in a delegated answer pool": (
+        {"task_classes": [{**TASK, "answer_pool": ["wrong"]}],
+         "agents": [{**AGENT, "success_prob": {"a": 0.0}}]},
+        None, "task_classes[0]: answer_pool and required_action must not be reserved tokens"),
+    "relay marker in a direct answer pool": (
+        {"task_classes": [{"name": "d", "probability": 1.0, "answer_pool": ["relay_answer"]}],
+         "agents": [AGENT]},
+        None, "task_classes[0]: answer_pool and required_action must not be reserved tokens"),
+    "reserved marker as required action": (
+        {"task_classes": [{**TASK, "required_action": "sys_agent_success"}], "agents": [AGENT]},
+        None, "task_classes[0]: answer_pool and required_action must not be reserved tokens"),
+    "two cards with one card id": (
+        {"task_classes": [TASK], "registry_cards": "cards.json", "agents": [AGENT]},
+        [AGENT, {"protocol_tag": "acp", "name": "c1", "supported_ops": ["a"]}],
+        "registry_cards[1]: duplicate card id 'c1'"),
+    "unknown card protocol": (
+        {"task_classes": [TASK], "registry_cards": "cards.json", "agents": [AGENT]},
+        [{**AGENT, "protocol_tag": "no-such-protocol"}],
+        "registry_cards[0].protocol_tag: unknown protocol 'no-such-protocol'"),
+    "unknown agent protocol": (
+        {"task_classes": [TASK], "agents": [{**AGENT, "protocol_tag": "A2A"}]},
+        None, "agents[0].protocol_tag: unknown protocol 'A2A'"),
+    "a2a card without its id": (
+        {"task_classes": [TASK], "registry_cards": "cards.json", "agents": [AGENT]},
+        [{"protocol_tag": "a2a", "card_id": "c1", "capabilities": ["a"]}],
+        "registry_cards[0].agent_id: required"),
+    "a2a card without its actions": (
+        {"task_classes": [TASK], "registry_cards": "cards.json", "agents": [AGENT]},
+        [{"protocol_tag": "a2a", "agent_id": "c1", "url": "x"}],
+        "registry_cards[0].capabilities: required"),
+    "acp card without its actions": (
+        {"task_classes": [TASK], "registry_cards": "cards.json", "agents": [AGENT]},
+        [{"protocol_tag": "acp", "name": "c1", "supported_actions": ["a"]}],
+        "registry_cards[0].supported_ops: required"),
+    "anp agent without its actions": (
+        {"task_classes": [TASK],
+         "agents": [{"protocol_tag": "anp", "identifier": "c1", "success_prob": {"a": 1.0}}]},
+        None, "agents[0].action_types: required"),
+    "string action list": (
+        {"task_classes": [TASK], "registry_cards": "cards.json", "agents": [AGENT]},
+        [{"protocol_tag": "anp", "identifier": "c1", "action_types": "a,b"}],
+        "registry_cards[0].action_types: must be a list"),
+    "string card cost": (
+        {"task_classes": [TASK], "registry_cards": "cards.json", "agents": [AGENT]},
+        [{**AGENT, "cost": "0.5"}], "registry_cards[0].cost: must be a number"),
+    "infinite card cost": (
+        {"task_classes": [TASK], "agents": [{**AGENT, "cost": 1e400}]},
+        None, "agents[0].cost: must be finite"),
+    "NaN card cost": (
+        {"task_classes": [TASK], "registry_cards": "cards.json", "agents": [AGENT]},
+        [{**AGENT, "cost": float("nan")}], "registry_cards[0].cost: must be finite"),
 }
 
 
@@ -131,7 +188,7 @@ def test_overflowing_router_weights_rejected(tmp_path, monkeypatch, capsys):
 
 
 def test_card_file_supplies_cards_and_metric_priors(tmp_path):
-    cards = [{"card_id": "c1", "protocol_tag": "a2a", "supported_actions": ["a"], "cost": 0.5,
+    cards = [{"agent_id": "c1", "protocol_tag": "a2a", "capabilities": ["a"], "cost": 0.5,
               # unknown keys such as throughput_rps are ignored
               "metrics": {"load": 0.3, "historical_accuracy": 0.7, "throughput_rps": 9.0}}]
     (tmp_path / "cards.json").write_text(json.dumps(cards))
@@ -143,6 +200,49 @@ def test_card_file_supplies_cards_and_metric_priors(tmp_path):
     assert (agent.card.protocol_tag, agent.card.cost, agent.latency_base_ms) == ("a2a", 0.5, 50.0)
     _, metrics = world.build_registry().get("c1")
     assert (metrics.load, metrics.historical_accuracy, metrics.sample_count) == (0.3, 0.7, 0)
+
+
+# One card per protocol, each in its own spelling, and the same four cards
+# in native spelling.
+SPELLED_CARDS = [
+    {"card_id": "n-1", "supported_actions": ["a"], "endpoint": "local://n", "cost": 0.1},
+    {"protocol_tag": "a2a", "agent_id": "a-1", "capabilities": ["a", "b"], "url": "grpc://a",
+     "cost": 0.2, "metrics": {"load": 0.5, "historical_accuracy": 0.9}},
+    {"protocol_tag": "acp", "name": "c-1", "supported_ops": ["b"], "address": "http://c"},
+    {"protocol_tag": "anp", "identifier": "p-1", "action_types": ["a"], "locator": "http://p",
+     "metrics": {"avg_latency_ms": 30.0}},
+]
+NATIVE_CARDS = [
+    {"card_id": "n-1", "supported_actions": ["a"], "endpoint": "local://n", "cost": 0.1},
+    {"card_id": "a-1", "supported_actions": ["a", "b"], "endpoint": "grpc://a", "cost": 0.2,
+     "metrics": {"load": 0.5, "historical_accuracy": 0.9}},
+    {"card_id": "c-1", "supported_actions": ["b"], "endpoint": "http://c"},
+    {"card_id": "p-1", "supported_actions": ["a"], "endpoint": "http://p",
+     "metrics": {"avg_latency_ms": 30.0}},
+]
+
+
+def test_every_protocol_spelling_loads_the_same_cards(tmp_path):
+    (tmp_path / "spelled.json").write_text(json.dumps(SPELLED_CARDS))
+    (tmp_path / "native.json").write_text(json.dumps(NATIVE_CARDS))
+    spelled = load_cards(tmp_path / "spelled.json")
+    assert [card.protocol_tag for card, _ in spelled] == ["native", "a2a", "acp", "anp"]
+    assert [(replace(card, protocol_tag="native"), metrics) for card, metrics in spelled] == (
+        load_cards(tmp_path / "native.json"))
+
+
+@pytest.mark.parametrize("spelled,native", zip(SPELLED_CARDS, NATIVE_CARDS),
+                         ids=["native", "a2a", "acp", "anp"])
+def test_inline_agent_reads_its_protocol_spelling(spelled, native, tmp_path):
+    action = native["supported_actions"][0]
+    config = {"task_classes": [{**TASK, "required_action": action}],
+              "agents": [{**spelled, "success_prob": {action: 1.0}}]}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    (tmp_path / "native.json").write_text(json.dumps([native]))
+    (agent,) = load_config(tmp_path / "config.json").world.agents
+    assert agent.card.protocol_tag == spelled.get("protocol_tag", "native")
+    ((card, _),) = load_cards(tmp_path / "native.json")
+    assert replace(agent.card, protocol_tag="native") == card
 
 
 def test_explicit_world_defaults(tmp_path):
@@ -207,8 +307,8 @@ WORLD = {
                    {"card_id": "c2", "success_prob": {"a": 0.9}}],
         "registry_cards": "cards.json",
     },
-    "cards.json": [{"card_id": "c2", "protocol_tag": "a2a", "supported_actions": ["a"],
-                    "endpoint": "e", "cost": 0.5,
+    "cards.json": [{"agent_id": "c2", "protocol_tag": "a2a", "capabilities": ["a"],
+                    "url": "e", "cost": 0.5,
                     "metrics": {"load": 0.5, "historical_accuracy": 0.9, "avg_latency_ms": 10.0}}],
 }
 

@@ -164,7 +164,7 @@ class TestExecuteEpisode:
         assert outcome.failure.kind == "malformed_agent_response"
         assert outcome.invocation_count == 1
         assert outcome.delegations == ("network_analysis",)
-        assert traj.agent_segment_count() == 0
+        assert not any(seg.source == "agent" for seg in traj.segments)
 
     def test_always_delegate_truncates_at_cap(self, world, spec):
         task = task_of_class(world, "network_analysis")
@@ -180,7 +180,7 @@ class TestExecuteEpisode:
         task = task_of_class(world, "protocol_query")
         theta = np.random.default_rng(8).normal(size=(spec.num_actions, spec.encoded_dim))
         traj, outcome, _ = self.run(world, spec, theta, task)
-        assert outcome.invocation_count == traj.agent_segment_count()
+        assert outcome.invocation_count == sum(seg.source == "agent" for seg in traj.segments)
 
     def test_relay_reports_ground_truth_after_success(self, world, spec):
         world_sure = preset_case_study(agent_success=1.0, latency_jitter_ms=0.0)

@@ -17,11 +17,11 @@ from agentmesh.policy import (
     load_sft_dataset,
     log_prob_and_grad,
     save_checkpoint,
-    save_sft_dataset,
     sft_loss,
     sft_update,
 )
 from oracles import finite_difference_log_prob_grad
+from sft_files import save_sft_dataset
 
 SPEC = PolicySpec(
     feature_dim=3,

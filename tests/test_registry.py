@@ -5,20 +5,8 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from agentmesh.errors import (
-    DuplicateId,
-    EmptyActions,
-    MissingAttribute,
-    UnknownCard,
-    UnknownProtocol,
-)
-from agentmesh.registry import (
-    AgentCard,
-    AgentMetrics,
-    RawDescriptor,
-    Registry,
-    adapt_descriptor,
-)
+from agentmesh.errors import DuplicateId, EmptyActions, UnknownCard
+from agentmesh.registry import AgentCard, AgentMetrics, Registry
 
 
 def card(card_id="na-1", actions=("network_analysis",), protocol="native"):
@@ -49,45 +37,6 @@ class TestRegisterCard:
         reg = Registry()
         with pytest.raises(EmptyActions):
             reg.register_card(card(actions=()))
-
-
-class TestAdaptDescriptor:
-    def test_native_descriptor(self):
-        got = adapt_descriptor(RawDescriptor("native", {
-            "id": "pq-1", "actions": "protocol_query",
-        }))
-        assert got.card_id == "pq-1"
-        assert got.supported_actions == frozenset({"protocol_query"})
-
-    def test_unknown_protocol(self):
-        with pytest.raises(UnknownProtocol):
-            adapt_descriptor(RawDescriptor("unknown-x", {"id": "a"}))
-
-    def test_a2a_missing_capabilities(self):
-        with pytest.raises(MissingAttribute) as exc:
-            adapt_descriptor(RawDescriptor("a2a", {"agent_id": "a-1", "url": "x"}))
-        assert exc.value.name == "capabilities"
-
-    @pytest.mark.parametrize("protocol,attrs", [
-        ("a2a", {"agent_id": "x-1", "capabilities": ["slicing"], "url": "u"}),
-        ("acp", {"name": "x-1", "supported_ops": ["slicing"], "address": "u"}),
-        ("anp", {"identifier": "x-1", "action_types": ["slicing"], "locator": "u"}),
-    ])
-    def test_adapters_are_key_renames_with_identical_semantics(self, protocol, attrs):
-        got = adapt_descriptor(RawDescriptor(protocol, attrs))
-        assert got.card_id == "x-1"
-        assert got.supported_actions == frozenset({"slicing"})
-        assert got.endpoint == "u"
-
-    @pytest.mark.parametrize("cost", ["inf", "nan"])
-    def test_cost_must_be_finite(self, cost):
-        raw = RawDescriptor("native", {"id": "x-1", "actions": "slicing", "cost": cost})
-        with pytest.raises(ValueError, match="cost"):
-            adapt_descriptor(raw)
-
-    def test_deterministic_per_adapter(self):
-        raw = RawDescriptor("acp", {"name": "n", "supported_ops": "a,b"})
-        assert adapt_descriptor(raw) == adapt_descriptor(raw)
 
 
 class TestDiscover:
