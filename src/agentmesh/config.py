@@ -254,9 +254,13 @@ def _explicit_world(raw: dict) -> WorldConfig:
         key = ("agents", i)
         # an agent that names a card of the card file serves under that card
         cid = _object(entry, key).get("card_id")
-        card = known[cid] if isinstance(cid, str) and cid in known else _card(entry, key)
+        if isinstance(cid, str) and cid in known:
+            card, id_key = known[cid], "card_id"
+        else:
+            card = _card(entry, key)
+            id_key = CARD_SPELLINGS[card.protocol_tag].get("card_id", "card_id")
         if card.card_id in agents:
-            raise BadConfig(f"{_dotted((key, 'card_id'))}: duplicate card id {card.card_id!r}")
+            raise BadConfig(f"{_dotted((key, id_key))}: duplicate card id {card.card_id!r}")
         agents[card.card_id] = _build(SimAgentConfig, entry, key, card=card)
     if not agents:
         raise BadConfig("agents: explicit configuration needs at least one agent")

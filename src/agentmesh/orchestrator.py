@@ -149,12 +149,16 @@ def execute_episode(
         invocations += 1
         try:
             integrate(traj, response, card_id)
+            malformed = False
         except MalformedAgentResponse:
+            malformed = True
+        # a malformed reply is a failed call, so routing learns of it too
+        registry.update_metrics(card_id, response.latency_ms, response.succeeded and not malformed,
+                                load_now=env.loads.get(card_id, 0.0))
+        if malformed:
             failure = FailureReport(MALFORMED_AGENT_RESPONSE)
             traj.close(Terminal.failed(MALFORMED_AGENT_RESPONSE))
             break
-        registry.update_metrics(card_id, response.latency_ms, response.succeeded,
-                                load_now=env.loads[card_id])
         if response.succeeded:
             # the informative span is a single answer token by construction
             relay_source = traj.segments[-2].tokens[-1]

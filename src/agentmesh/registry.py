@@ -3,18 +3,28 @@
 Agents are described by unified cards regardless of which interoperability
 protocol they were announced on; the config loader reads each protocol's
 spelling of a card (``config.CARD_SPELLINGS``). Discovery is by action type,
-never by identity.
+never by identity, through an index per action type that is rebuilt after a
+card supporting it is registered or deregistered.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass, replace
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import DuplicateId, EmptyActions, UnknownCard
 
 DEFAULT_EWMA_ALPHA = 0.3
+# From this many candidates on, discover() also returns their metrics as
+# columns, which route() scores in one numpy pass. Below it, scoring each
+# card in Python is cheaper: the two cost the same at about 45 cards
+# (BENCH_7.json).
+WIDE_MIN_CARDS = 45
 
 
 @dataclass(frozen=True)
@@ -49,8 +59,57 @@ class AgentMetrics:
             raise ValueError("load must be in [0, 1]")
         if not 0.0 <= self.historical_accuracy <= 1.0:
             raise ValueError("historical_accuracy must be in [0, 1]")
-        if self.avg_latency_ms < 0 or self.sample_count < 0:
+        if not (self.avg_latency_ms >= 0 and self.sample_count >= 0):
             raise ValueError("latency and sample_count must be >= 0")
+
+
+class MetricColumns(NamedTuple):
+    """The routing inputs of a candidate set as float64 arrays, one element
+    per candidate in the candidates' order."""
+
+    load: np.ndarray
+    historical_accuracy: np.ndarray
+    avg_latency_ms: np.ndarray
+    cost: np.ndarray
+
+
+class Candidates(list):
+    """What ``discover`` returns: the ``(card, metrics)`` pairs, ascending by
+    card id, and for a set of at least ``WIDE_MIN_CARDS`` the same metrics
+    and costs as ``columns``."""
+
+    columns: MetricColumns | None = None
+
+
+def _card_id(entry: tuple[AgentCard, AgentMetrics]) -> str:
+    return entry[0].card_id
+
+
+class _ActionIndex:
+    """The entries of one action type's cards, ascending by card id; for a
+    wide set also their ``MetricColumns`` fields as the rows of one array."""
+
+    def __init__(self, entries: list[tuple[AgentCard, AgentMetrics]]):
+        entries.sort(key=_card_id)
+        self.entries = entries
+        self.columns = None
+        if len(entries) >= WIDE_MIN_CARDS:
+            self.columns = np.array([(m.load, m.historical_accuracy, m.avg_latency_ms, c.cost)
+                                     for c, m in entries], dtype=np.float64).T.copy()
+
+    def put(self, entry: tuple[AgentCard, AgentMetrics]) -> None:
+        """Replace the entry of a card the index holds."""
+        row = bisect_left(self.entries, entry[0].card_id, key=_card_id)
+        self.entries[row] = entry
+        if self.columns is not None:
+            m = entry[1]
+            self.columns[:3, row] = m.load, m.historical_accuracy, m.avg_latency_ms
+
+    def candidates(self) -> Candidates:
+        found = Candidates(self.entries)
+        if self.columns is not None:
+            found.columns = MetricColumns(*self.columns.copy())
+        return found
 
 
 class Registry:
@@ -58,6 +117,9 @@ class Registry:
 
     Every operation, reads included, holds one lock, so operations from
     several threads are serialized and no read sees a half-done mutation.
+    ``_entries`` owns each card's entry; ``_indexes`` holds an index of them
+    per action type, dropped when a card of that type comes or goes and
+    built again by the next ``discover`` of the type.
     """
 
     def __init__(self, ewma_alpha: float = DEFAULT_EWMA_ALPHA):
@@ -65,6 +127,7 @@ class Registry:
             raise ValueError("ewma_alpha must be in (0, 1]")
         self.ewma_alpha = ewma_alpha
         self._entries: dict[str, tuple[AgentCard, AgentMetrics]] = {}
+        self._indexes: dict[str, _ActionIndex] = {}
         self._lock = threading.Lock()
 
     def register_card(self, card: AgentCard, initial_metrics: AgentMetrics | None = None) -> str:
@@ -74,7 +137,12 @@ class Registry:
             if card.card_id in self._entries:
                 raise DuplicateId(f"card id {card.card_id!r} already registered")
             self._entries[card.card_id] = (card, initial_metrics or AgentMetrics())
+            self._drop_indexes(card)
         return card.card_id
+
+    def _drop_indexes(self, card: AgentCard) -> None:
+        for action_type in card.supported_actions:
+            self._indexes.pop(action_type, None)
 
     def _entry(self, card_id: str) -> tuple[AgentCard, AgentMetrics]:
         try:
@@ -86,15 +154,19 @@ class Registry:
         with self._lock:
             card, _ = self._entry(card_id)
             del self._entries[card_id]
+            self._drop_indexes(card)
         return card
 
-    def discover(self, action_type: str) -> list[tuple[AgentCard, AgentMetrics]]:
-        """All cards supporting ``action_type``, ascending by card_id."""
+    def discover(self, action_type: str) -> Candidates:
+        """All cards supporting ``action_type``, ascending by card_id; a
+        snapshot that later changes to the registry leave as it is."""
         with self._lock:
-            snapshot = [entry for entry in self._entries.values()
-                        if action_type in entry[0].supported_actions]
-        snapshot.sort(key=lambda pair: pair[0].card_id)
-        return snapshot
+            index = self._indexes.get(action_type)
+            if index is None:
+                index = self._indexes[action_type] = _ActionIndex(
+                    [entry for entry in self._entries.values()
+                     if action_type in entry[0].supported_actions])
+            return index.candidates()
 
     def get(self, card_id: str) -> tuple[AgentCard, AgentMetrics]:
         with self._lock:
@@ -120,4 +192,7 @@ class Registry:
                 sample_count=prev.sample_count + 1,
             )
             self._entries[card_id] = (card, updated)
+            for action_type in card.supported_actions:
+                if action_type in self._indexes:
+                    self._indexes[action_type].put((card, updated))
             return updated

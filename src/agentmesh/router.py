@@ -3,15 +3,19 @@
 Candidates are discovered by action type and ranked by a weighted combination
 of load headroom, historical accuracy, and normalized latency. Ties break on
 the lexicographically smallest card id, so identical inputs always select the
-same agent.
+same agent. A wide candidate set is scored in one numpy pass over its metric
+columns, with the same expression and so the same bits per candidate.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import NoAgentForAction
-from .registry import AgentMetrics, Registry
+from .registry import AgentMetrics, MetricColumns, Registry
 
 DEFAULT_LATENCY_REF_MS = 100.0
 
@@ -26,6 +30,10 @@ class RoutingWeights:
     w_cost: float = 0.0
 
     def __post_init__(self):
+        # a finite sum (so finite weights) keeps every score from being NaN
+        if not math.isfinite(self.w_load + self.w_accuracy + self.w_latency
+                             + self.w_cost + self.latency_ref_ms):
+            raise ValueError("routing weights and their sum must be finite")
         if min(self.w_load, self.w_accuracy, self.w_latency, self.w_cost) < 0:
             raise ValueError("routing weights must be nonnegative")
         if self.w_load + self.w_accuracy + self.w_latency <= 0:
@@ -34,8 +42,10 @@ class RoutingWeights:
             raise ValueError("latency_ref_ms must be positive")
 
 
-def score(metrics: AgentMetrics, weights: RoutingWeights, cost: float = 0.0) -> float:
-    """Candidate score; higher is better.
+def score(metrics: AgentMetrics | MetricColumns, weights: RoutingWeights,
+          cost: float | np.ndarray = 0.0) -> float | np.ndarray:
+    """Candidate score; higher is better. On ``MetricColumns`` and an array
+    of costs, the array of every candidate's score.
 
     Latency maps through ref/(ref + latency) so the term stays in (0, 1] and
     decreases monotonically without ever dividing by zero.
@@ -54,8 +64,14 @@ def route(action_type: str, registry: Registry, weights: RoutingWeights) -> str:
     candidates = registry.discover(action_type)
     if not candidates:
         raise NoAgentForAction(action_type)
-    # discover() is sorted ascending by card_id and max() keeps the first
-    # maximal candidate, so ties go to the lexicographically-smallest id.
-    card, _ = max(candidates, key=lambda entry: score(entry[1], weights, cost=entry[0].cost))
+    # discover() is sorted ascending by card_id, and both max() and argmax
+    # keep the first maximal candidate, so ties go to the smallest id.
+    columns = candidates.columns
+    if columns is None:
+        card, _ = max(candidates, key=lambda entry: score(entry[1], weights, cost=entry[0].cost))
+    else:
+        with np.errstate(over="ignore"):  # w_cost * cost may overflow to inf, as in Python
+            scores = score(columns, weights, cost=columns.cost)
+        card, _ = candidates[int(np.argmax(scores))]
     return card.card_id
 

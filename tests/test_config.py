@@ -70,6 +70,11 @@ FILE_CASES = {
     "two agents with one card id": (
         {"task_classes": [TASK], "agents": [AGENT, AGENT]},
         None, "agents[1].card_id: duplicate card id"),
+    "two a2a agents with one agent id": (
+        {"task_classes": [TASK],
+         "agents": [{"protocol_tag": "a2a", "agent_id": "c1", "capabilities": ["a"],
+                     "success_prob": {"a": 1.0}}] * 2},
+        None, "agents[1].agent_id: duplicate card id 'c1'"),
     "card entry without supported_actions": (
         {"task_classes": [TASK], "registry_cards": "cards.json",
          "agents": [{"card_id": "c1", "success_prob": {"a": 1.0}}]},

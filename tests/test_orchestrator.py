@@ -12,7 +12,8 @@ from agentmesh.orchestrator import (
     make_warmup_dataset,
 )
 from agentmesh.policy import ActionSpace, Decision, Observation, PolicySpec
-from agentmesh.router import RoutingWeights
+from agentmesh.registry import AgentCard
+from agentmesh.router import RoutingWeights, route
 from agentmesh.simenv import AgentResponse, preset_case_study, sample_task
 from agentmesh.trajectory import WELL_FORMED, Trajectory, validate
 from agentmesh.vocab import (
@@ -165,6 +166,26 @@ class TestExecuteEpisode:
         assert outcome.invocation_count == 1
         assert outcome.delegations == ("network_analysis",)
         assert not any(seg.source == "agent" for seg in traj.segments)
+
+    def test_malformed_reply_counts_as_a_failed_call(self, world, spec):
+        registry = world.build_registry()
+        _, prior = registry.get("na-agent")
+        # a twin that ties with na-agent and loses the tie on its id
+        registry.register_card(AgentCard("na-twin", "native", frozenset({"network_analysis"})),
+                               prior)
+        assert route("network_analysis", registry, WEIGHTS) == "na-agent"
+        task = task_of_class(world, "network_analysis")
+        idx = spec.actions.index_of(Decision.delegate("network_analysis"))
+        env = world.build_env([0, 0])
+        env.invoke_agent = lambda card_id, inv: AgentResponse(("no", "span"), 10.0, True)
+        _, outcome, _ = execute_episode(
+            task, forced(spec, idx), spec, registry, WEIGHTS, env,
+            np.random.default_rng(1), generator=world.generator)
+        assert outcome.failure.kind == "malformed_agent_response"
+        _, metrics = registry.get("na-agent")
+        assert metrics.sample_count == 1
+        assert metrics.historical_accuracy == 0.0
+        assert route("network_analysis", registry, WEIGHTS) == "na-twin"
 
     def test_always_delegate_truncates_at_cap(self, world, spec):
         task = task_of_class(world, "network_analysis")

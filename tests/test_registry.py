@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from agentmesh.errors import DuplicateId, EmptyActions, UnknownCard
-from agentmesh.registry import AgentCard, AgentMetrics, Registry
+from agentmesh.registry import WIDE_MIN_CARDS, AgentCard, AgentMetrics, Registry
 
 
 def card(card_id="na-1", actions=("network_analysis",), protocol="native"):
@@ -175,3 +175,59 @@ def test_discover_while_another_thread_registers_and_deregisters():
         sys.setswitchinterval(interval)
     assert not writer.is_alive()
     assert writer_errors == []
+
+
+def test_wide_discover_while_other_threads_churn_and_update_metrics():
+    # Each discover() result's columns must be a snapshot of its own pairs,
+    # whatever a registering and a metric-updating thread do meanwhile.
+    reg = Registry()
+    stable = [f"na-{i:03d}" for i in range(2 * WIDE_MIN_CARDS)]
+    for cid in stable:
+        reg.register_card(card(cid))
+    stop = threading.Event()
+    errors = []
+
+    def churn():
+        try:
+            for _ in range(20_000):
+                if stop.is_set():
+                    return
+                reg.register_card(card("temp"))
+                reg.deregister("temp")
+        except Exception as exc:
+            errors.append(exc)
+
+    def update():
+        try:
+            for i in range(20_000):
+                if stop.is_set():
+                    return
+                reg.update_metrics(stable[i % len(stable)], latency_ms=float(i % 97),
+                                   success=i % 3 > 0, load_now=(i % 11) / 10)
+        except Exception as exc:
+            errors.append(exc)
+
+    writers = [threading.Thread(target=churn), threading.Thread(target=update)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the threads often
+    try:
+        for writer in writers:
+            writer.start()
+        deadline = time.monotonic() + 60
+        while any(w.is_alive() for w in writers) and time.monotonic() < deadline:
+            found = reg.discover("network_analysis")
+            assert [c.card_id for c, _ in found] in (stable, stable + ["temp"])
+            metrics = [m for _, m in found]
+            assert found.columns is not None
+            assert found.columns.load.tolist() == [m.load for m in metrics]
+            assert found.columns.historical_accuracy.tolist() == [
+                m.historical_accuracy for m in metrics]
+            assert found.columns.avg_latency_ms.tolist() == [m.avg_latency_ms for m in metrics]
+            assert found.columns.cost.tolist() == [c.cost for c, _ in found]
+    finally:
+        stop.set()
+        for writer in writers:
+            writer.join(timeout=60)
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in writers)
+    assert errors == []

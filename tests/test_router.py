@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from agentmesh.errors import NoAgentForAction
-from agentmesh.registry import AgentCard, AgentMetrics, Registry
+from agentmesh.registry import WIDE_MIN_CARDS, AgentCard, AgentMetrics, Registry
 from agentmesh.router import RoutingWeights, route, score
 
 
@@ -132,9 +132,67 @@ class TestRouteProperties:
             assert route("act", reg, w) == winner
 
 
+def reference_route(action_type, registry, weights):
+    """route() as it was before wide candidate sets were scored in columns:
+    one Python score per (card, metrics) pair, the first maximum winning."""
+    candidates = registry.discover(action_type)
+    if not candidates:
+        raise NoAgentForAction(action_type)
+    card, _ = max(candidates, key=lambda entry: score(entry[1], weights, cost=entry[0].cost))
+    return card.card_id
+
+
+def test_route_matches_reference_while_the_registry_changes():
+    # Registries of 1 to 3N cards drawn from 1 to 3 metric rows, so that
+    # scores tie; route() must agree with the reference through interleaved
+    # metric updates, registrations and deregistrations.
+    rng = np.random.default_rng(11)
+    all_minus_inf = RoutingWeights(w_cost=1e308)  # every card below costs >= 2
+    wide_routes = 0
+    for trial in range(80):
+        rows = [AgentMetrics(load=float(rng.choice([0.0, 0.5, 1.0])),
+                             historical_accuracy=float(rng.choice([0.25, 1.0])),
+                             avg_latency_ms=float(rng.choice([0.0, 40.0])))
+                for _ in range(int(rng.integers(1, 4)))]
+        weights = [RoutingWeights(), RoutingWeights(w_cost=0.5), all_minus_inf][trial % 3]
+        reg = Registry()
+        serial = iter(range(10_000))
+
+        def register(n):
+            for _ in range(n):
+                cid = f"c{int(rng.integers(1000)):03d}-{next(serial)}"
+                cost = float(rng.choice([2.0, 3.0, 4.0]))
+                reg.register_card(AgentCard(cid, "native", frozenset({"act"}), cost=cost),
+                                  rows[int(rng.integers(len(rows)))])
+
+        register(int(rng.integers(1, 3 * WIDE_MIN_CARDS + 1)))
+        for _ in range(40):
+            chosen = route("act", reg, weights)
+            assert chosen == reference_route("act", reg, weights)
+            wide_routes += len(reg.discover("act")) >= WIDE_MIN_CARDS
+            if weights is all_minus_inf:
+                assert chosen == min(c.card_id for c, _ in reg.discover("act"))
+            ids = [c.card_id for c, _ in reg.discover("act")]
+            op = rng.integers(4)
+            if op < 2:
+                reg.update_metrics(ids[int(rng.integers(len(ids)))],
+                                   latency_ms=float(rng.choice([0.0, 40.0, 400.0])),
+                                   success=bool(rng.integers(2)),
+                                   load_now=float(rng.choice([0.0, 0.5])))
+            elif op == 2:
+                register(int(rng.integers(1, 3)))
+            elif len(ids) > 1:
+                reg.deregister(ids[int(rng.integers(len(ids)))])
+    assert wide_routes > 1000
+
+
 def test_invalid_weights_rejected():
     with pytest.raises(ValueError):
         RoutingWeights(w_load=0, w_accuracy=0, w_latency=0)
+    with pytest.raises(ValueError):
+        RoutingWeights(w_load=float("inf"))
+    with pytest.raises(ValueError):
+        RoutingWeights(w_load=1e308, w_accuracy=1e308)
     with pytest.raises(ValueError):
         RoutingWeights(latency_ref_ms=0)
     with pytest.raises(ValueError):
