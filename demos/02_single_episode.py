@@ -49,7 +49,8 @@ def main():
         origin = seg.source if seg.card_id is None else f"{seg.source}:{seg.card_id}"
         marker = " " if seg.loss_included else "*"
         print(f" {marker} [{origin:<18}] {' '.join(seg.tokens)}")
-    print(f"terminal: {traj.terminal.kind} answer={traj.terminal.answer!r}")
+    terminal = outcome.terminal
+    print(f"terminal: {terminal['kind']} answer={terminal.get('answer')!r}")
 
     included = sum(traj.loss_mask())
     total = len(traj.loss_mask())

@@ -22,7 +22,7 @@ from .policy import load_checkpoint, load_sft_dataset, save_checkpoint, sft_loss
 from .rewards import NoveltyLedger, episode_reward, scalarize
 from .simenv import GeneratorConfig, sample_task
 from .trainer import evaluate_policy, train
-from .trajectory import WELL_FORMED, to_log_record, validate
+from .trajectory import to_log_record
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -102,10 +102,11 @@ def cmd_run(args) -> int:
         generator=cfg.world.generator,
     )
     vector = episode_reward(traj, outcome, task, cfg.max_steps, NoveltyLedger())
+    scalar = scalarize(vector, cfg.reward_weights)
+    terminal = outcome.terminal
     record = to_log_record(
-        traj, episode_id=task.task_id,
-        reward_vector=vector.as_dict(),
-        scalar_reward=scalarize(vector, cfg.reward_weights),
+        traj, terminal, episode_id=task.task_id,
+        reward_vector=vector.as_dict(), scalar_reward=scalar,
     )
     out = _out_dir(cfg)
     with open(out / "episodes.jsonl", "a") as fh:
@@ -115,15 +116,15 @@ def cmd_run(args) -> int:
     for seg in traj.segments:
         origin = seg.source if seg.card_id is None else f"{seg.source}:{seg.card_id}"
         print(f"  [{origin}] {' '.join(seg.tokens)}")
-    print(f"terminal: {traj.terminal.kind}"
-          + (f" answer={traj.terminal.answer!r}" if traj.terminal.answer else "")
-          + (f" reason={traj.terminal.reason}" if traj.terminal.reason else ""))
+    print(f"terminal: {terminal['kind']}"
+          + (f" answer={terminal['answer']!r}" if "answer" in terminal else "")
+          + (f" reason={terminal['reason']}" if "reason" in terminal else ""))
     print(f"outcome: latency={outcome.total_latency_ms:.1f}ms "
           f"invocations={outcome.invocation_count} sla_met={outcome.sla_met}")
-    print(f"reward: {vector.as_dict()} scalar={scalarize(vector, cfg.reward_weights):.4f}")
+    print(f"reward: {vector.as_dict()} scalar={scalar:.4f}")
 
-    well_formed = validate(traj) == WELL_FORMED
-    if outcome.failure is not None or not well_formed:
+    # the format reward is 1 exactly when the trajectory is well formed
+    if outcome.failure is not None or vector.format != 1.0:
         return EXIT_EPISODE
     return EXIT_OK
 

@@ -29,17 +29,7 @@ class NoAgentForAction(AgentMeshError):
 
 # --- trajectory ---
 
-class EpisodeClosed(AgentMeshError):
-    pass
-
-
 class MalformedAgentResponse(AgentMeshError):
-    pass
-
-
-# --- environment ---
-
-class UnsupportedAction(AgentMeshError):
     pass
 
 

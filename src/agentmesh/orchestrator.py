@@ -33,9 +33,7 @@ from .simenv import AgentResponse, GeneratorConfig, SimEnv, TaskSpec, class_of_t
 from .trajectory import (
     MALFORMED_AGENT_RESPONSE,
     NO_AGENT_FOR_ACTION,
-    ActionInvocation,
     FailureReport,
-    Terminal,
     Trajectory,
 )
 from .vocab import ACTION_CLOSE, ACTION_OPEN, RELAY_ANSWER, SYS_AGENT_FAILURE, SYS_AGENT_SUCCESS, WRONG
@@ -50,6 +48,17 @@ class EpisodeOutcome:
     failure: Optional[FailureReport] = None
     # action type of every delegation span, in order, routed or not
     delegations: tuple[str, ...] = ()
+
+    @property
+    def terminal(self) -> dict[str, str]:
+        """How the episode ended: ``failed`` with the failure's kind as its
+        reason, else ``answered`` with the final answer, else ``truncated``
+        (the step budget ran out)."""
+        if self.failure is not None:
+            return {"kind": "failed", "reason": self.failure.kind}
+        if self.final_answer is not None:
+            return {"kind": "answered", "answer": self.final_answer}
+        return {"kind": "truncated"}
 
 
 @dataclass(frozen=True)
@@ -132,7 +141,6 @@ def execute_episode(
             if token == RELAY_ANSWER:
                 token = relay_source if relay_source is not None else WRONG
             traj.append_core([token])
-            traj.close(Terminal.answered(token))
             final_answer = token
             break
 
@@ -142,10 +150,9 @@ def execute_episode(
             card_id = route(decision.action_type, registry, weights)
         except NoAgentForAction:
             failure = FailureReport(NO_AGENT_FOR_ACTION)
-            traj.close(Terminal.failed(NO_AGENT_FOR_ACTION))
             break
 
-        response = env.invoke_agent(card_id, ActionInvocation(decision.action_type, (payload,)))
+        response = env.invoke_agent(card_id, decision.action_type)
         invocations += 1
         try:
             integrate(traj, response, card_id)
@@ -157,7 +164,6 @@ def execute_episode(
                                 load_now=env.loads.get(card_id, 0.0))
         if malformed:
             failure = FailureReport(MALFORMED_AGENT_RESPONSE)
-            traj.close(Terminal.failed(MALFORMED_AGENT_RESPONSE))
             break
         if response.succeeded:
             # the informative span is a single answer token by construction
@@ -165,8 +171,6 @@ def execute_episode(
             last_outcome = OUTCOME_AGENT_SUCCESS
         else:
             last_outcome = OUTCOME_AGENT_FAILURE
-    else:
-        traj.close(Terminal.truncated())
 
     total_latency = env.clock_ms - start_clock
     outcome = EpisodeOutcome(

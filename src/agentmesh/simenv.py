@@ -13,9 +13,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import BadConfig, UnknownCard, UnsupportedAction
+from .errors import BadConfig, UnknownCard
 from .registry import AgentCard, AgentMetrics, Registry
-from .trajectory import ActionInvocation
 from .vocab import ANS_CLOSE, ANS_OPEN, CONTROL_TAGS, NOISE, RESERVED_TOKENS, WRONG
 
 LOAD_DECAY = 0.9
@@ -104,9 +103,9 @@ class SimAgentConfig:
 
     def __post_init__(self):
         # A card may advertise more than the simulator serves (a stale or
-        # overclaiming descriptor); invoking such an action raises
-        # UnsupportedAction. The reverse, serving an unadvertised action,
-        # would be unreachable and is rejected.
+        # overclaiming descriptor); every call of such an action fails. The
+        # reverse, serving an unadvertised action, would be unreachable and
+        # is rejected.
         if not set(self.success_prob) <= set(self.card.supported_actions):
             raise ValueError("success_prob keys must be advertised on the card")
         if not self.success_prob:
@@ -148,22 +147,19 @@ class SimEnv:
         self.current_task = task
         return self.clock_ms
 
-    def invoke_agent(self, card_id: str, invocation: ActionInvocation) -> AgentResponse:
+    def invoke_agent(self, card_id: str, action_type: str) -> AgentResponse:
         """Simulate one delegation round-trip.
 
         The informative answer equals the bound task's ground truth only when
         the draw succeeds and the invoked action is the one the task actually
         requires; otherwise a dedicated wrong token is returned so accuracy
-        evaluation stays unambiguous. Latency grows with the agent's current
+        evaluation stays unambiguous. An action the agent does not serve
+        fails like a failed draw. Latency grows with the agent's current
         load; each call decays all loads then adds this agent's per-call load.
         """
         agent = self.agents.get(card_id)
         if agent is None:
             raise UnknownCard(f"no simulated agent for card {card_id!r}")
-        if invocation.action_type not in agent.success_prob:
-            raise UnsupportedAction(
-                f"agent {card_id!r} does not support {invocation.action_type!r}"
-            )
         if self.current_task is None:
             raise ValueError("begin_episode must be called before invoke_agent")
 
@@ -176,8 +172,8 @@ class SimEnv:
         self.loads[card_id] = min(1.0, load + agent.load_per_call)
         self.clock_ms += latency
 
-        succeeded = bool(self.rng.random() < agent.success_prob[invocation.action_type])
-        on_target = succeeded and invocation.action_type == self.current_task.required_action
+        succeeded = bool(self.rng.random() < agent.success_prob.get(action_type, 0.0))
+        on_target = succeeded and action_type == self.current_task.required_action
         answer = self.current_task.ground_truth if on_target else WRONG
         raw = (NOISE, ANS_OPEN, answer, ANS_CLOSE)
         return AgentResponse(raw_tokens=raw, latency_ms=latency, succeeded=succeeded)

@@ -12,17 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import EpisodeClosed, MalformedAgentResponse
+from .errors import MalformedAgentResponse
 from .vocab import ACTION_CLOSE, ACTION_OPEN, ANS_CLOSE, ANS_OPEN, CONTROL_TAGS
 
 SOURCE_CORE = "core"
 SOURCE_AGENT = "agent"
 SOURCE_SYSTEM = "system"
-
-TERMINAL_OPEN = "open"
-TERMINAL_ANSWERED = "answered"
-TERMINAL_TRUNCATED = "truncated"
-TERMINAL_FAILED = "failed"
 
 INDICATOR_DISORDER = "indicator_disorder"
 NO_AGENT_FOR_ACTION = "no_agent_for_action"
@@ -58,67 +53,25 @@ def system_segment(tokens) -> Segment:
 
 
 @dataclass(frozen=True)
-class Terminal:
-    kind: str
-    answer: Optional[str] = None
-    reason: Optional[str] = None
-
-    @staticmethod
-    def open() -> "Terminal":
-        return Terminal(TERMINAL_OPEN)
-
-    @staticmethod
-    def answered(token: str) -> "Terminal":
-        return Terminal(TERMINAL_ANSWERED, answer=token)
-
-    @staticmethod
-    def truncated() -> "Terminal":
-        return Terminal(TERMINAL_TRUNCATED)
-
-    @staticmethod
-    def failed(reason: str) -> "Terminal":
-        return Terminal(TERMINAL_FAILED, reason=reason)
-
-
-@dataclass(frozen=True)
 class FailureReport:
     kind: str
     position: Optional[tuple[int, int]] = None  # (segment index, token index)
 
 
-@dataclass(frozen=True)
-class ActionInvocation:
-    action_type: str
-    goal_tokens: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if not self.action_type:
-            raise ValueError("action_type must be nonempty")
-
-
 @dataclass
 class Trajectory:
+    """An episode's segments in order; ``EpisodeOutcome`` records how it ended."""
+
     segments: list[Segment] = field(default_factory=list)
-    terminal: Terminal = field(default_factory=Terminal.open)
-
-    @property
-    def is_open(self) -> bool:
-        return self.terminal.kind == TERMINAL_OPEN
-
-    def _require_open(self):
-        if not self.is_open:
-            raise EpisodeClosed(f"trajectory already terminal: {self.terminal.kind}")
 
     def append_core(self, tokens) -> "Trajectory":
         """Append a loss-included core segment; empty appends are dropped."""
-        self._require_open()
         tokens = tuple(tokens)
         if tokens:
             self.segments.append(core_segment(tokens))
         return self
 
     def append_system(self, tokens) -> "Trajectory":
-        self._require_open()
         tokens = tuple(tokens)
         if tokens:
             self.segments.append(system_segment(tokens))
@@ -131,14 +84,8 @@ class Trajectory:
         the answer tags; everything outside the delimiters is dropped and the
         delimiters themselves are consumed.
         """
-        self._require_open()
         span = extract_answer_span(raw_tokens)
         self.segments.append(agent_segment(card_id, span))
-        return self
-
-    def close(self, terminal: Terminal) -> "Trajectory":
-        self._require_open()
-        self.terminal = terminal
         return self
 
     def loss_mask(self) -> list[bool]:
@@ -203,9 +150,9 @@ def validate(traj: Trajectory):
     return WELL_FORMED
 
 
-def to_log_record(traj: Trajectory, episode_id: str,
+def to_log_record(traj: Trajectory, terminal: dict[str, str], episode_id: str,
                   reward_vector: dict[str, float], scalar_reward: float) -> dict:
-    """JSONL trajectory-log record for one episode."""
+    """JSONL trajectory-log record for one episode that ended as ``terminal``."""
     segs = []
     for seg in traj.segments:
         entry = {
@@ -216,10 +163,5 @@ def to_log_record(traj: Trajectory, episode_id: str,
         if seg.card_id is not None:
             entry["card_id"] = seg.card_id
         segs.append(entry)
-    terminal: dict = {"kind": traj.terminal.kind}
-    if traj.terminal.answer is not None:
-        terminal["answer"] = traj.terminal.answer
-    if traj.terminal.reason is not None:
-        terminal["reason"] = traj.terminal.reason
     return {"episode_id": episode_id, "segments": segs, "terminal": terminal,
             "reward_vector": reward_vector, "scalar_reward": scalar_reward}

@@ -4,9 +4,27 @@ import numpy as np
 
 from agentmesh.cli import main
 from agentmesh.config import load_config
-from agentmesh.policy import load_checkpoint, save_checkpoint
+from agentmesh.policy import Decision, load_checkpoint, save_checkpoint
 
 FAST = ["--set", "trainer.iterations=5", "--set", "trainer.group_size=4"]
+
+
+def one_class_config(tmp_path, action_type, agent):
+    """A world whose only class requires ``action_type``, served (or not) by
+    the one agent ``agent``, and a checkpoint that always delegates it."""
+    config = {
+        "task_classes": [{"name": "only_class", "probability": 1.0,
+                          "required_action": action_type, "answer_pool": ["x", "y"]}],
+        "agents": [agent],
+    }
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    spec = load_config(cfg_path).policy_spec
+    theta = spec.zero_params()
+    theta[spec.actions.index_of(Decision.delegate(action_type)), :] = 60.0
+    ckpt = tmp_path / "always_delegate.json"
+    save_checkpoint(theta, ckpt)
+    return cfg_path, ckpt
 
 
 def sft_checkpoint(tmp_path):
@@ -52,34 +70,38 @@ class TestRun:
         assert "error:" in capsys.readouterr().err
 
     def test_failed_episode_returns_episode_exit_code(self, tmp_path, capsys):
-        # the agent's card advertises the action but its simulator cannot
-        # serve it, so a forced delegation fails the episode
-        config = {
-            "task_classes": [{"name": "ghost_class", "probability": 1.0,
-                              "required_action": "ghost",
-                              "answer_pool": ["x", "y"]}],
-            "agents": [{"card_id": "g-1",
-                        "supported_actions": ["ghost", "real"],
-                        "success_prob": {"real": 1.0}}],
-        }
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps(config))
-        cfg = load_config(cfg_path)
-        theta = cfg.policy_spec.zero_params()
-        delegate_row = cfg.policy_spec.num_actions - 1
-        theta[delegate_row, :] = 60.0
-        ckpt = tmp_path / "force_delegate.json"
-        save_checkpoint(theta, ckpt)
+        # no card advertises "ghost", so a forced delegation fails the episode
+        cfg_path, ckpt = one_class_config(tmp_path, "ghost", {
+            "card_id": "g-1", "supported_actions": ["real"], "success_prob": {"real": 1.0}})
         code = main(["run", "--config", str(cfg_path), "--checkpoint", str(ckpt),
                      "--out", str(tmp_path / "run")])
         assert code == 2
-        assert "error:" in capsys.readouterr().err
+        assert "terminal: failed reason=no_agent_for_action" in capsys.readouterr().out
+        record = json.loads((tmp_path / "run" / "episodes.jsonl").read_text())
+        assert record["terminal"] == {"kind": "failed", "reason": "no_agent_for_action"}
 
     def test_invalid_reward_weights_rejected(self, tmp_path, capsys):
         code = main(["run", "--set", "rewards.lambda_fmt=1.0",
                      "--out", str(tmp_path / "run")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestStaleCard:
+    """c1's card advertises act_b, which its simulator does not serve."""
+
+    STALE = {"card_id": "c1", "supported_actions": ["act_a", "act_b"],
+             "success_prob": {"act_a": 0.9}}
+
+    def test_train_and_eval_complete(self, tmp_path, capsys):
+        cfg_path, ckpt = one_class_config(tmp_path, "act_b", self.STALE)
+        out = tmp_path / "train"
+        assert main(["train", "--config", str(cfg_path), "--out", str(out), *FAST]) == 0
+        capsys.readouterr()  # drop the training summary
+        assert main(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                     "--episodes", "5", "--out", str(tmp_path / "eval")]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert (summary["success_rate"], summary["mean_invocations"]) == (0.0, 4.0)
 
 
 class TestSft:

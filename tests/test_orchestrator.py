@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from agentmesh.orchestrator import (
 from agentmesh.policy import ActionSpace, Decision, Observation, PolicySpec
 from agentmesh.registry import AgentCard
 from agentmesh.router import RoutingWeights, route
-from agentmesh.simenv import AgentResponse, preset_case_study, sample_task
+from agentmesh.simenv import AgentResponse, SimAgentConfig, preset_case_study, sample_task
 from agentmesh.trajectory import WELL_FORMED, Trajectory, validate
 from agentmesh.vocab import (
     ACTION_OPEN,
@@ -147,18 +148,18 @@ class TestExecuteEpisode:
         )
         task = task_of_class(world, "direct")
         idx = wide.actions.index_of(Decision.delegate("slicing"))
-        traj, outcome, _ = self.run(world, wide, forced(wide, idx), task)
+        _, outcome, _ = self.run(world, wide, forced(wide, idx), task)
         assert outcome.failure is not None
         assert outcome.failure.kind == "no_agent_for_action"
         assert outcome.invocation_count == 0
         assert outcome.delegations == ("slicing",)
-        assert traj.terminal.kind == "failed"
+        assert outcome.terminal == {"kind": "failed", "reason": "no_agent_for_action"}
 
     def test_malformed_response_fails_after_one_invocation(self, world, spec):
         task = task_of_class(world, "network_analysis")
         idx = spec.actions.index_of(Decision.delegate("network_analysis"))
         env = world.build_env([0, 0])
-        env.invoke_agent = lambda card_id, inv: AgentResponse(("no", "span"), 10.0, True)
+        env.invoke_agent = lambda card_id, action_type: AgentResponse(("no", "span"), 10.0, True)
         traj, outcome, _ = execute_episode(
             task, forced(spec, idx), spec, world.build_registry(), WEIGHTS, env,
             np.random.default_rng(1), generator=world.generator)
@@ -177,7 +178,7 @@ class TestExecuteEpisode:
         task = task_of_class(world, "network_analysis")
         idx = spec.actions.index_of(Decision.delegate("network_analysis"))
         env = world.build_env([0, 0])
-        env.invoke_agent = lambda card_id, inv: AgentResponse(("no", "span"), 10.0, True)
+        env.invoke_agent = lambda card_id, action_type: AgentResponse(("no", "span"), 10.0, True)
         _, outcome, _ = execute_episode(
             task, forced(spec, idx), spec, registry, WEIGHTS, env,
             np.random.default_rng(1), generator=world.generator)
@@ -187,12 +188,31 @@ class TestExecuteEpisode:
         assert metrics.historical_accuracy == 0.0
         assert route("network_analysis", registry, WEIGHTS) == "na-twin"
 
+    def test_stale_card_fails_its_call_and_loses_the_next_route(self, world, spec):
+        # a-stale advertises network_analysis, which its simulator does not
+        # serve, and wins the tie with na-agent on its smaller id
+        card = AgentCard("a-stale", "native", frozenset({"network_analysis", "protocol_query"}))
+        world = replace(world, agents=(SimAgentConfig(card, {"protocol_query": 1.0}),
+                                       *world.agents))
+        registry = world.build_registry()
+        assert route("network_analysis", registry, WEIGHTS) == "a-stale"
+        task = task_of_class(world, "network_analysis")
+        idx = spec.actions.index_of(Decision.delegate("network_analysis"))
+        traj, outcome, _ = execute_episode(
+            task, forced(spec, idx), spec, registry, WEIGHTS, world.build_env([0, 0]),
+            np.random.default_rng(1), max_steps=2, generator=world.generator)
+        assert outcome.failure is None
+        assert outcome.invocation_count == 2
+        called = [seg.card_id for seg in traj.segments if seg.source == "agent"]
+        assert called == ["a-stale", "na-agent"]
+        assert traj.segments[2].tokens == (SYS_AGENT_FAILURE,)
+
     def test_always_delegate_truncates_at_cap(self, world, spec):
         task = task_of_class(world, "network_analysis")
         idx = spec.actions.index_of(Decision.delegate("network_analysis"))
-        traj, outcome, records = self.run(world, spec, forced(spec, idx), task,
-                                          max_steps=3)
-        assert traj.terminal.kind == "truncated"
+        _, outcome, records = self.run(world, spec, forced(spec, idx), task,
+                                       max_steps=3)
+        assert outcome.terminal == {"kind": "truncated"}
         assert outcome.invocation_count == 3
         assert len(records) == 3
         assert outcome.final_answer is None
@@ -226,7 +246,6 @@ class TestExecuteEpisode:
             traj, outcome, records = self.run(world, spec, theta, task, seed=33)
             results.append((
                 [(s.source, s.tokens) for s in traj.segments],
-                traj.terminal,
                 outcome,
                 [(r.action_index, r.entropy) for r in records],
             ))

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from agentmesh.errors import BadConfig, UnknownCard, UnsupportedAction
+from agentmesh.errors import BadConfig, UnknownCard
 from agentmesh.registry import AgentCard
 from agentmesh.simenv import (
     LOAD_DECAY,
@@ -12,7 +14,7 @@ from agentmesh.simenv import (
     preset_case_study,
     sample_task,
 )
-from agentmesh.trajectory import ActionInvocation, extract_answer_span
+from agentmesh.trajectory import extract_answer_span
 from agentmesh.vocab import WRONG
 
 
@@ -70,7 +72,7 @@ class TestInvokeAgent:
     def invoke(self, world, task, card_id="na-1", action="network_analysis", seed=0):
         env = world.build_env(seed)
         env.begin_episode(task)
-        return env, env.invoke_agent(card_id, ActionInvocation(action))
+        return env, env.invoke_agent(card_id, action)
 
     def na_task(self, world, seed=0):
         rng = np.random.default_rng(seed)
@@ -114,8 +116,8 @@ class TestInvokeAgent:
         task = self.na_task(world)
         env = world.build_env(0)
         env.begin_episode(task)
-        first = env.invoke_agent("na-1", ActionInvocation("network_analysis"))
-        second = env.invoke_agent("na-1", ActionInvocation("network_analysis"))
+        first = env.invoke_agent("na-1", "network_analysis")
+        second = env.invoke_agent("na-1", "network_analysis")
         # load after first call: 0.5, decayed to 0.45 before the second
         assert first.latency_ms == pytest.approx(50.0)
         assert second.latency_ms == pytest.approx(50.0 * 1.45)
@@ -126,15 +128,18 @@ class TestInvokeAgent:
         env = world.build_env(0)
         env.begin_episode(task)
         with pytest.raises(UnknownCard):
-            env.invoke_agent("ghost", ActionInvocation("network_analysis"))
+            env.invoke_agent("ghost", "network_analysis")
 
     def test_unsupported_action(self):
-        world = single_agent_world()
+        # the card advertises "slicing", but its simulator does not serve it
+        card = AgentCard("na-1", "native", frozenset({"network_analysis", "slicing"}))
+        stale = SimAgentConfig(card, {"network_analysis": 1.0})
+        world = replace(single_agent_world(), agents=(stale,))
         task = self.na_task(world)
-        env = world.build_env(0)
-        env.begin_episode(task)
-        with pytest.raises(UnsupportedAction):
-            env.invoke_agent("na-1", ActionInvocation("slicing"))
+        env, resp = self.invoke(world, task, action="slicing")
+        assert not resp.succeeded
+        assert extract_answer_span(resp.raw_tokens) == (WRONG,)
+        assert env.clock_ms == resp.latency_ms > 0
 
     def test_loads_stay_clamped(self):
         world = single_agent_world(load_per_call=0.9)
@@ -142,7 +147,7 @@ class TestInvokeAgent:
         env = world.build_env(0)
         env.begin_episode(task)
         for _ in range(10):
-            env.invoke_agent("na-1", ActionInvocation("network_analysis"))
+            env.invoke_agent("na-1", "network_analysis")
             assert 0.0 <= env.loads["na-1"] <= 1.0
 
     def test_seeded_reproducibility(self):
@@ -154,7 +159,7 @@ class TestInvokeAgent:
             env.begin_episode(task)
             return [
                 (r.succeeded, r.latency_ms, r.raw_tokens)
-                for r in (env.invoke_agent("na-1", ActionInvocation("network_analysis"))
+                for r in (env.invoke_agent("na-1", "network_analysis")
                           for _ in range(5))
             ]
 
@@ -169,7 +174,7 @@ class TestInvokeAgent:
         env.begin_episode(task)
         n = 2000
         hits = sum(
-            env.invoke_agent("na-1", ActionInvocation("network_analysis")).succeeded
+            env.invoke_agent("na-1", "network_analysis").succeeded
             for _ in range(n)
         )
         tolerance = 3 * (p * (1 - p) / n) ** 0.5
@@ -206,7 +211,7 @@ class TestLoads:
             latency = agents[cid].latency_base_ms * (1.0 + dense[cid])
             dense[cid] = min(1.0, dense[cid] + agents[cid].load_per_call)
             clock += latency
-            resp = env.invoke_agent(cid, ActionInvocation("network_analysis"))
+            resp = env.invoke_agent(cid, "network_analysis")
             assert resp.latency_ms == latency
             assert set(env.loads) == set("abac"[:called])
             assert {c: env.loads.get(c, 0.0) for c in dense} == dense

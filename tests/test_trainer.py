@@ -120,8 +120,8 @@ class TestStepBudget:
         train(world, spec, TrainerConfig(iterations=1), REWARDS, WEIGHTS, seed=0,
               initial_theta=always_delegate(spec))
         assert episodes
-        for traj, outcome, steps in episodes:
-            assert traj.terminal.kind == "truncated"
+        for _, outcome, steps in episodes:
+            assert outcome.terminal == {"kind": "truncated"}
             assert (outcome.invocation_count, len(steps)) == (3, 3)
 
     def test_evaluate_truncates_at_the_spec_budget(self, world):

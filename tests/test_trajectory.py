@@ -1,12 +1,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from agentmesh.errors import EpisodeClosed, MalformedAgentResponse
+from agentmesh.errors import MalformedAgentResponse
 from agentmesh.trajectory import (
     INDICATOR_DISORDER,
     WELL_FORMED,
     Segment,
-    Terminal,
     Trajectory,
     agent_segment,
     core_segment,
@@ -23,12 +22,6 @@ class TestAppendCore:
         assert len(traj.segments) == 1
         assert traj.segments[0].source == "core"
         assert traj.segments[0].loss_included is True
-
-    def test_append_to_closed_trajectory(self):
-        traj = Trajectory()
-        traj.close(Terminal.answered("ack"))
-        with pytest.raises(EpisodeClosed):
-            traj.append_core(["x"])
 
     def test_empty_append_is_dropped(self):
         traj = Trajectory()
