@@ -18,7 +18,8 @@ import numpy as np
 from .config import RunConfig, load_config
 from .errors import AgentMeshError, BadCheckpoint, BadConfig, BadDataset
 from .orchestrator import execute_episode, make_warmup_dataset
-from .policy import load_checkpoint, load_sft_dataset, save_checkpoint, sft_loss, sft_update
+from .policy import (diverged, load_checkpoint, load_sft_dataset, save_checkpoint, sft_loss,
+                     sft_update)
 from .rewards import NoveltyLedger, episode_reward, scalarize
 from .simenv import GeneratorConfig, sample_task
 from .trainer import evaluate_policy, train
@@ -139,8 +140,12 @@ def cmd_sft(args) -> int:
     if not samples:
         raise BadDataset(0, "dataset is empty")
     theta = _theta(cfg, args.checkpoint)
-    for _ in range(cfg.sft.steps):
-        theta = sft_update(theta, cfg.policy_spec, samples, cfg.sft.learning_rate)
+    for step in range(cfg.sft.steps):
+        with np.errstate(over="ignore"):  # reported just below, as an error
+            theta = sft_update(theta, cfg.policy_spec, samples, cfg.sft.learning_rate)
+        if diverged(theta):
+            raise BadConfig(f"sft.learning_rate: {cfg.sft.learning_rate!r} made the policy "
+                            f"parameters overflow at step {step}")
     loss = sft_loss(theta, cfg.policy_spec, samples)
     out = _out_dir(cfg)
     ckpt = out / "checkpoint.json"

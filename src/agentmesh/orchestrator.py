@@ -73,19 +73,68 @@ def interpret(task: TaskSpec) -> Observation:
     return Observation(features=task.feature_vector, step_index=0, last_outcome=OUTCOME_NONE)
 
 
-def decide(obs: Observation, theta: np.ndarray, spec: PolicySpec,
-           rng: np.random.Generator, greedy: bool = False) -> tuple[Decision, int, np.ndarray]:
-    """Sample one decision from the policy's action distribution; returns
-    the decision, its action index and the distribution it was drawn from.
+@dataclass(frozen=True, eq=False)  # rows compare by identity; arrays have no truth value
+class DecisionRow:
+    """One observation's action distribution under one parameter version."""
 
-    Greedy mode takes the argmax instead (first index on exact ties).
+    probs: np.ndarray
+    entropy: float
+    # Generator.choice's cumulative distribution; None when probs is not
+    # finite, which leaves nothing to draw from
+    cdf: Optional[np.ndarray]
+
+    @staticmethod
+    def of(probs: np.ndarray) -> "DecisionRow":
+        cdf = None
+        if np.all(np.isfinite(probs)):
+            cdf = probs.cumsum()
+            cdf /= cdf[-1]
+        return DecisionRow(probs, policy_entropy(probs), cdf)
+
+    def sample(self, rng: np.random.Generator) -> int:
+        """The index ``rng.choice(len(probs), p=probs)`` would draw, from the
+        same one double of ``rng``."""
+        if self.cdf is None:
+            raise ValueError("probabilities contain NaN")
+        return int(self.cdf.searchsorted(rng.random(), side="right"))
+
+
+class DecisionTable:
+    """The action distribution of each distinct observation under ``theta``,
+    computed on the first lookup and reused after it.
+
+    Rollouts and evaluations that share one ``theta`` share one table. Not
+    safe to share across threads, and ``theta`` must not change while the
+    table is in use.
     """
-    probs = action_distribution(theta, spec, obs)
-    if greedy:
-        index = int(np.argmax(probs))
-    else:
-        index = int(rng.choice(spec.num_actions, p=probs))
-    return spec.actions.decision_of(index), index, probs
+
+    def __init__(self, theta: np.ndarray, spec: PolicySpec):
+        self.theta = theta
+        self.spec = spec
+        self._rows: dict[Observation, DecisionRow] = {}
+
+    def row(self, obs: Observation) -> DecisionRow:
+        row = self._rows.get(obs)
+        if row is None:
+            row = self._rows[obs] = DecisionRow.of(action_distribution(self.theta, self.spec, obs))
+        return row
+
+
+def decide(obs: Observation, theta: np.ndarray, spec: PolicySpec,
+           rng: Optional[np.random.Generator], greedy: bool = False, *,
+           table: Optional[DecisionTable] = None) -> tuple[Decision, int, DecisionRow]:
+    """Sample one decision from the policy's action distribution; returns
+    the decision, its action index and the table row it was drawn from.
+
+    ``table`` keeps the rows of ``theta`` under ``spec`` across calls; a
+    one-call table is built without it. Greedy mode takes the argmax instead
+    (first index on exact ties) and never touches ``rng``.
+    """
+    if table is None:
+        table = DecisionTable(theta, spec)
+    row = table.row(obs)
+    index = int(np.argmax(row.probs)) if greedy else row.sample(rng)
+    return spec.actions.decision_of(index), index, row
 
 
 def integrate(traj: Trajectory, response: AgentResponse, card_id: str) -> Trajectory:
@@ -106,19 +155,27 @@ def execute_episode(
     registry: Registry,
     weights: RoutingWeights,
     env: SimEnv,
-    rng: np.random.Generator,
+    rng: Optional[np.random.Generator],
     max_steps: int | None = None,
     *,
     generator: GeneratorConfig,
     greedy: bool = False,
+    table: Optional[DecisionTable] = None,
 ) -> tuple[Trajectory, EpisodeOutcome, list[StepRecord]]:
     """Run one episode of at most ``max_steps`` decisions (by default the
     spec's step budget, which its step encoding is sized for); every
-    delegation carries the goal token of the task's class in ``generator``."""
+    delegation carries the goal token of the task's class in ``generator``.
+
+    ``table`` shares decision rows between episodes of the same ``theta``
+    and ``spec``; a greedy episode needs no ``rng``."""
     if max_steps is None:
         max_steps = spec.max_steps
     if not 1 <= max_steps <= spec.max_steps:
         raise ValueError(f"max_steps must be in [1, {spec.max_steps}]")
+    if table is None:
+        table = DecisionTable(theta, spec)
+    elif table.theta is not theta or table.spec != spec:
+        raise ValueError("the decision table was built for another theta or spec")
     traj = Trajectory()
     start_clock = env.begin_episode(task)
     records: list[StepRecord] = []
@@ -133,8 +190,8 @@ def execute_episode(
 
     for step in range(max_steps):
         obs = Observation(task.feature_vector, step_index=step, last_outcome=last_outcome)
-        decision, index, probs = decide(obs, theta, spec, rng, greedy=greedy)
-        records.append(StepRecord(obs=obs, action_index=index, entropy=policy_entropy(probs)))
+        decision, index, row = decide(obs, theta, spec, rng, greedy=greedy, table=table)
+        records.append(StepRecord(obs=obs, action_index=index, entropy=row.entropy))
 
         if decision.kind == KIND_ANSWER:
             token = decision.token

@@ -139,8 +139,18 @@ def log_prob_and_grad(theta: np.ndarray, spec: PolicySpec, obs: Observation,
 
 
 def entropy(probs: np.ndarray) -> float:
-    """Shannon entropy (nats) of an action distribution."""
-    return float(-np.sum(probs * np.log(probs)))
+    """Shannon entropy (nats) of an action distribution, with 0 log 0 = 0
+    for a probability that underflowed to 0."""
+    positive = probs[probs > 0]
+    return float(-np.sum(positive * np.log(positive)))
+
+
+def diverged(theta: np.ndarray) -> bool:
+    """Whether ``theta`` is unusable: an entry is not finite, or the
+    magnitudes overflow when summed, so that a logit can overflow and turn an
+    action distribution to NaN."""
+    with np.errstate(over="ignore"):
+        return not np.isfinite(np.abs(theta).sum())
 
 
 @dataclass(frozen=True)
@@ -157,8 +167,12 @@ def sft_update(theta: np.ndarray, spec: PolicySpec, batch: list[SftSample],
     if not batch:
         return theta
     grad = np.zeros_like(theta)
+    grads: dict[tuple[Observation, int], np.ndarray] = {}  # one per distinct demo
     for sample in batch:
-        _, g = log_prob_and_grad(theta, spec, sample.obs, sample.demo_action_index)
+        key = (sample.obs, sample.demo_action_index)
+        g = grads.get(key)
+        if g is None:
+            g = grads[key] = log_prob_and_grad(theta, spec, *key)[1]
         grad += g
     return theta + learning_rate * grad / len(batch)
 
@@ -166,8 +180,12 @@ def sft_update(theta: np.ndarray, spec: PolicySpec, batch: list[SftSample],
 def sft_loss(theta: np.ndarray, spec: PolicySpec, batch: list[SftSample]) -> float:
     """Negative mean log-likelihood of the demo actions."""
     total = 0.0
+    log_probs: dict[tuple[Observation, int], float] = {}  # one per distinct demo
     for sample in batch:
-        lp, _ = log_prob_and_grad(theta, spec, sample.obs, sample.demo_action_index)
+        key = (sample.obs, sample.demo_action_index)
+        lp = log_probs.get(key)
+        if lp is None:
+            lp = log_probs[key] = log_prob_and_grad(theta, spec, *key)[0]
         total += lp
     return -total / len(batch)
 
@@ -193,8 +211,8 @@ def load_checkpoint(path, spec: PolicySpec) -> np.ndarray:
             f"checkpoint shape {theta.shape} does not match policy "
             f"({spec.num_actions}, {spec.encoded_dim})"
         )
-    if not np.all(np.isfinite(theta)):
-        raise BadCheckpoint("checkpoint contains non-finite values")
+    if diverged(theta):
+        raise BadCheckpoint("checkpoint values are not finite, or so large that a logit overflows")
     return theta
 
 

@@ -17,8 +17,8 @@ from dataclasses import asdict, astuple, dataclass, field, fields
 import numpy as np
 
 from .errors import BadConfig
-from .orchestrator import EpisodeOutcome, StepRecord, execute_episode
-from .policy import PolicySpec, log_prob_and_grad
+from .orchestrator import DecisionTable, EpisodeOutcome, StepRecord, execute_episode
+from .policy import Observation, PolicySpec, diverged, log_prob_and_grad
 from .registry import Registry
 from .rewards import (NoveltyLedger, RewardVector, RewardWeights, accuracy_reward,
                       episode_reward, scalarize)
@@ -121,18 +121,20 @@ def rollout_group(
     """G independent episodes of one task over derived seed streams.
 
     Rollout i uses env stream (base_seed, i, 0) and policy stream
-    (base_seed, i, 1); ledger updates apply in rollout-index order.
+    (base_seed, i, 1); ledger updates apply in rollout-index order. The
+    rollouts share one decision table, since they share ``theta``.
     """
     if group_size < 2:
         raise BadConfig("group_size must be >= 2")
     base = list(base_seed) if isinstance(base_seed, (list, tuple)) else [base_seed]
+    table = DecisionTable(theta, spec)
     episodes = []
     for i in range(group_size):
         env = world.build_env(base + [i, 0])
         rng = np.random.default_rng(base + [i, 1])
         traj, outcome, steps = execute_episode(
             task, theta, spec, registry, router_weights, env, rng,
-            max_steps=max_steps, generator=world.generator,
+            max_steps=max_steps, generator=world.generator, table=table,
         )
         vector = episode_reward(traj, outcome, task, max_steps, ledger)
         episodes.append(EpisodeResult(
@@ -185,18 +187,23 @@ def masked_policy_update(
 
     The gradient depends only on recorded decision steps; agent and system
     trajectory content carries no log-prob terms, so the update is invariant
-    to any mutation of masked segments.
+    to any mutation of masked segments. Each distinct (observation, action)
+    gradient is computed once.
     """
     if learning_rate < 0:
         raise ValueError("learning_rate must be >= 0")
     if not episodes:
         return theta
     grad = np.zeros_like(theta)
+    grads: dict[tuple[Observation, int], np.ndarray] = {}
     for steps, advantages in episodes:
         for step, adv in zip(steps, advantages):
             if adv == 0.0:
                 continue
-            _, g = log_prob_and_grad(theta, spec, step.obs, step.action_index)
+            key = (step.obs, step.action_index)
+            g = grads.get(key)
+            if g is None:
+                g = grads[key] = log_prob_and_grad(theta, spec, *key)[1]
             grad += adv * g
     if not np.any(grad):
         return theta
@@ -254,7 +261,11 @@ def train(
             if group_triggered:
                 pending_tasks.append(task)
 
-        theta = masked_policy_update(theta, spec, updates, cfg.learning_rate)
+        with np.errstate(over="ignore"):  # reported just below, as an error
+            theta = masked_policy_update(theta, spec, updates, cfg.learning_rate)
+        if diverged(theta):
+            raise BadConfig(f"trainer.learning_rate: {cfg.learning_rate!r} made the policy "
+                            f"parameters overflow at iteration {iteration}")
 
         all_eps = [ep for g in groups for ep in g.episodes]
         all_steps = [s for ep in all_eps for s in ep.steps]
@@ -313,13 +324,15 @@ def evaluate_policy(
     sla_violations = 0
     invocations = 0
     failure_modes: dict[str, int] = {}
+    table = DecisionTable(theta, spec)
     for i in range(n_episodes):
         task = sample_task(world.generator, task_rng)
         env = world.build_env([seed, 3, i, 0])
-        rng = np.random.default_rng([seed, 3, i, 1])
+        # a greedy episode draws nothing from its policy stream
+        rng = None if greedy else np.random.default_rng([seed, 3, i, 1])
         traj, outcome, _ = execute_episode(
             task, theta, spec, registry, router_weights, env, rng,
-            max_steps=max_steps, generator=world.generator, greedy=greedy,
+            max_steps=max_steps, generator=world.generator, greedy=greedy, table=table,
         )
         correct += accuracy_reward(outcome, task)
         latencies.append(outcome.total_latency_ms)

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from agentmesh.cli import main
 from agentmesh.config import load_config
@@ -185,6 +186,26 @@ class TestTrain:
         assert "error:" in capsys.readouterr().err
 
 
+class TestDivergence:
+    @pytest.mark.filterwarnings("error")
+    def test_probabilities_that_underflow_to_zero_train_on(self, tmp_path):
+        # lr 1000 drives some probabilities to exactly 0 by iteration 3
+        assert main(["train", "--out", str(tmp_path), "--set", "trainer.learning_rate=1000",
+                     "--set", "trainer.iterations=300"]) == 0
+
+    @pytest.mark.parametrize("command, error", [
+        (["sft", "--set", "sft.learning_rate=1e308", "--set", "sft.steps=50"],
+         "sft.learning_rate: 1e+308 made the policy parameters overflow at step 0"),
+        (["train", "--set", "trainer.learning_rate=1e308", "--set", "trainer.iterations=100"],
+         "trainer.learning_rate: 1e+308 made the policy parameters overflow at iteration 0"),
+    ], ids=["sft", "train"])
+    @pytest.mark.filterwarnings("error")
+    def test_an_overflowing_update_is_a_config_error(self, tmp_path, capsys, command, error):
+        assert main([*command, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
+        assert list(tmp_path.iterdir()) == []  # no checkpoint
+
+
 class TestEval:
     def test_requires_checkpoint(self, tmp_path, capsys):
         code = main(["eval", "--out", str(tmp_path / "eval")])
@@ -205,6 +226,16 @@ class TestEval:
         code = main(["eval", "--checkpoint", str(bad), "--out", str(tmp_path / "eval")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_checkpoint_whose_logits_overflow_rejected(self, tmp_path, capsys):
+        spec = load_config().policy_spec
+        theta = spec.zero_params()
+        theta[0, :] = 1e308  # each value is finite; a logit of them is not
+        huge = tmp_path / "huge.json"
+        save_checkpoint(theta, huge)
+        for command in (["run"], ["train"], ["eval"]):
+            assert main([*command, "--checkpoint", str(huge), "--out", str(tmp_path)]) == 1
+            assert capsys.readouterr().err.startswith("error: checkpoint values are not finite")
 
     def test_summary_is_valid_json_and_deterministic(self, tmp_path, capsys):
         ckpt = sft_checkpoint(tmp_path)

@@ -2,10 +2,11 @@
 ``error:`` line that names its key, and no input escapes as a traceback."""
 
 import json
+import tempfile
 from dataclasses import replace
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from agentmesh.cli import main
@@ -301,6 +302,37 @@ def test_any_override_list_exits_cleanly(tmp_path, monkeypatch, capsys, pairs):
     assert code in (0, 1, 2)
     if code == 1:
         assert err.startswith("error: ")
+
+
+# Keys that scale the work of one train iteration; the pipeline fuzz keeps
+# their numbers small, and pins iterations and SFT steps after every override.
+WORK_KEYS = {"trainer.group_size", "trainer.branch_factor"}
+SMALL_WORK = ["--set", "trainer.iterations=2", "--set", "sft.steps=2"]
+
+
+def small_work(pair):
+    key, value = pair
+    return not (key in WORK_KEYS and type(value) in (int, float) and value > 16)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.tuples(st.sampled_from(CONFIG_KEYS), json_values).filter(small_work),
+                max_size=4))
+@example([("sft.learning_rate", 1e308)])
+@example([("trainer.learning_rate", 1e308)])
+def test_sft_train_eval_pipeline_exits_cleanly(tmp_path, monkeypatch, capsys, pairs):
+    monkeypatch.chdir(tempfile.mkdtemp(dir=tmp_path))
+    args = [arg for key, value in pairs for arg in ("--set", f"{key}={json.dumps(value)}")]
+    args += SMALL_WORK
+    for command in (["sft", "--out", "sft"],
+                    ["train", "--checkpoint", "sft/checkpoint.json", "--out", "train"],
+                    ["eval", "--checkpoint", "train/checkpoint.json", "--episodes", "5"]):
+        code = main([*command, *args])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert err.startswith("error: "), err
 
 
 # An explicit world whose second agent takes its card from the card file.

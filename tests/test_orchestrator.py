@@ -3,9 +3,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from agentmesh import orchestrator
+from agentmesh.config import default_policy_spec
 from agentmesh.errors import MalformedAgentResponse
 from agentmesh.orchestrator import (
+    DecisionRow,
+    DecisionTable,
     decide,
     execute_episode,
     integrate,
@@ -65,11 +71,11 @@ class TestInterpret:
 class TestDecide:
     def test_deterministic_policy(self, spec, rng):
         idx = spec.actions.index_of(Decision.delegate("network_analysis"))
-        decision, got_idx, probs = decide(
+        decision, got_idx, row = decide(
             Observation((0, 1.0, 0)), forced(spec, idx), spec, rng)
         assert decision == Decision.delegate("network_analysis")
         assert got_idx == idx
-        assert abs(np.log(probs[idx])) <= 1e-6
+        assert abs(np.log(row.probs[idx])) <= 1e-6
 
     def test_uniform_sampling_frequencies(self, spec):
         rng = np.random.default_rng(77)
@@ -88,9 +94,9 @@ class TestDecide:
         theta = np.random.default_rng(5).normal(size=(spec.num_actions, spec.encoded_dim))
         from agentmesh.policy import action_distribution, log_prob_and_grad
         obs = Observation((0, 0, 1.0), 2, "agent_failure")
-        _, idx, probs = decide(obs, theta, spec, rng)
-        assert np.array_equal(probs, action_distribution(theta, spec, obs))
-        assert float(np.log(probs[idx])) == log_prob_and_grad(theta, spec, obs, idx)[0]
+        _, idx, row = decide(obs, theta, spec, rng)
+        assert np.array_equal(row.probs, action_distribution(theta, spec, obs))
+        assert float(np.log(row.probs[idx])) == log_prob_and_grad(theta, spec, obs, idx)[0]
 
     def test_greedy_takes_argmax(self, spec, rng):
         theta = np.random.default_rng(6).normal(size=(spec.num_actions, spec.encoded_dim))
@@ -98,6 +104,75 @@ class TestDecide:
         obs = Observation((1.0, 0, 0))
         _, idx, _ = decide(obs, theta, spec, rng, greedy=True)
         assert idx == int(np.argmax(action_distribution(theta, spec, obs)))
+
+
+# Unnormalized action weights: exact zeros and exact ties are common.
+action_weights = st.lists(st.sampled_from([0.0, 1.0, 2.0]) | st.floats(0.0, 1e6),
+                          min_size=1, max_size=8).filter(lambda w: sum(w) > 0)
+
+
+class TestDecisionTable:
+    @settings(max_examples=300, deadline=None)
+    @given(action_weights, st.integers(0, 2**63))
+    def test_draw_equals_generator_choice(self, weights, seed):
+        probs = np.array(weights) / sum(weights)
+        row = DecisionRow.of(probs)
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(20):
+            assert row.sample(ours) == int(theirs.choice(len(probs), p=probs))
+        assert ours.random() == theirs.random()  # both streams at the same place
+
+    def test_a_zero_probability_action_is_never_drawn(self):
+        class Fixed:  # a stream whose next double is u, such as a cdf step
+            def __init__(self, u):
+                self.random = lambda: u
+
+        row = DecisionRow.of(np.array([0.0, 0.5, 0.0, 0.5, 0.0]))
+        assert [row.sample(Fixed(u)) for u in (0.0, 0.25, 0.5, np.nextafter(1.0, 0.0))] == [
+            1, 1, 3, 3]
+
+    def test_each_observation_is_computed_once(self, spec, monkeypatch):
+        calls = []
+        real = orchestrator.action_distribution
+        monkeypatch.setattr(orchestrator, "action_distribution",
+                            lambda *args: calls.append(args) or real(*args))
+        table = DecisionTable(spec.zero_params(), spec)
+        row = table.row(Observation((1.0, 0, 0)))
+        assert table.row(Observation((1.0, 0.0, 0.0))) is row
+        assert table.row(Observation((1.0, 0, 0), 1)) is not row
+        assert len(calls) == 2
+
+    def test_sampling_a_nan_distribution_raises(self, spec, rng):
+        theta = np.full((spec.num_actions, spec.encoded_dim), np.nan)
+        obs = Observation((1.0, 0, 0))
+        with pytest.raises(ValueError, match="NaN"):
+            decide(obs, theta, spec, rng)
+        # greedy decisions take np.argmax, NaN or not
+        assert decide(obs, theta, spec, None, greedy=True)[1] == 0
+
+    def test_shared_table_changes_no_episode(self, world, spec):
+        theta = np.random.default_rng(3).normal(size=(spec.num_actions, spec.encoded_dim))
+        table = DecisionTable(theta, spec)
+        registries = world.build_registry(), world.build_registry()
+        for seed in range(20):
+            task = sample_task(world.generator, np.random.default_rng(seed))
+            runs = [execute_episode(task, theta, spec, registry, WEIGHTS,
+                                    world.build_env([seed, 0]), np.random.default_rng([seed, 1]),
+                                    generator=world.generator, table=shared)
+                    for registry, shared in zip(registries, (None, table))]
+            (traj_a, outcome_a, steps_a), (traj_b, outcome_b, steps_b) = runs
+            assert traj_a.segments == traj_b.segments
+            assert (outcome_a, steps_a) == (outcome_b, steps_b)
+
+    def test_execute_episode_rejects_a_table_of_another_theta_or_spec(self, world, spec):
+        theta = spec.zero_params()
+        task = task_of_class(world, "direct")
+        for table in (DecisionTable(theta.copy(), spec),
+                      DecisionTable(theta, default_policy_spec(world, max_steps=3))):
+            with pytest.raises(ValueError, match="another theta or spec"):
+                execute_episode(task, theta, spec, world.build_registry(), WEIGHTS,
+                                world.build_env([0]), np.random.default_rng(0),
+                                generator=world.generator, table=table)
 
 
 class TestIntegrate:

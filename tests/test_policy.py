@@ -12,6 +12,7 @@ from agentmesh.policy import (
     PolicySpec,
     SftSample,
     action_distribution,
+    diverged,
     entropy,
     load_checkpoint,
     load_sft_dataset,
@@ -115,7 +116,43 @@ class TestEntropy:
             assert 0.0 <= h <= math.log(SPEC.num_actions) + 1e-12
 
 
+    def test_zero_probabilities_add_nothing(self):
+        with np.errstate(all="raise"):
+            assert entropy(np.array([1.0, 0.0, 0.0, 0.0])) == 0.0
+            assert entropy(np.array([0.5, 0.0, 0.5, 0.0])) == entropy(np.array([0.5, 0.5]))
+
+    def test_positive_probabilities_match_the_plain_formula(self):
+        rng = np.random.default_rng(10)
+        for _ in range(100):
+            theta, obs = random_instance(rng, scale=3.0)
+            probs = action_distribution(theta, SPEC, obs)
+            assert entropy(probs) == float(-np.sum(probs * np.log(probs)))
+
+
+def repeated_demos(rng, n=60):
+    """Demos over a few distinct (observation, action) pairs, in random order."""
+    distinct = []
+    for _ in range(5):
+        _, obs = random_instance(rng)
+        distinct.append(SftSample(obs, int(rng.integers(SPEC.num_actions))))
+    return [distinct[int(i)] for i in rng.integers(len(distinct), size=n)]
+
+
 class TestSftUpdate:
+    def test_equals_the_per_sample_gradient_sum(self):
+        rng = np.random.default_rng(13)
+        theta, _ = random_instance(rng)
+        batch = repeated_demos(rng)
+        grad = np.zeros_like(theta)
+        total = 0.0
+        for sample in batch:
+            lp, g = log_prob_and_grad(theta, SPEC, sample.obs, sample.demo_action_index)
+            grad += g
+            total += lp
+        assert np.array_equal(sft_update(theta, SPEC, batch, 0.3), theta + 0.3 * grad / len(batch))
+        assert sft_loss(theta, SPEC, batch) == -total / len(batch)
+
+
     def test_demo_probability_strictly_increases(self):
         sample = SftSample(Observation((1.0, 0, 0)), demo_action_index=2)
         theta = SPEC.zero_params()
@@ -157,6 +194,19 @@ class TestSftUpdate:
             theta = sft_update(theta, SPEC, batch, 0.1)
         probs = [action_distribution(theta, SPEC, o)[a] for o, a in demos]
         assert np.mean(probs) >= 0.9
+
+
+def test_diverged_flags_parameters_whose_logits_can_overflow():
+    theta = SPEC.zero_params()
+    assert not diverged(theta)
+    theta[0, 0] = 1e308
+    assert not diverged(theta)
+    theta[1, 0] = 1e308  # the magnitudes sum past the largest float
+    assert diverged(theta)
+    for bad in (np.inf, -np.inf, np.nan):
+        theta = SPEC.zero_params()
+        theta[2, 3] = bad
+        assert diverged(theta)
 
 
 class TestCheckpointIO:

@@ -98,6 +98,26 @@ class TestMaskedPolicyUpdate:
         _, grad = log_prob_and_grad(theta, spec, obs, 2)
         assert np.allclose(updated, theta + 0.05 * grad, atol=1e-12)
 
+    def test_equals_the_per_step_gradient_sum(self, world, spec):
+        theta = np.random.default_rng(4).normal(size=(spec.num_actions, spec.encoded_dim))
+        episodes = []
+        for seed in range(12):  # rollouts that revisit the same observations
+            task = sample_task(world.generator, np.random.default_rng(seed % 3))
+            _, _, steps = execute_episode(task, theta, spec, world.build_registry(), WEIGHTS,
+                                          world.build_env([seed, 0]),
+                                          np.random.default_rng([seed, 1]),
+                                          generator=world.generator)
+            advantages = np.random.default_rng(seed).normal(size=len(steps))
+            advantages[::3] = 0.0
+            episodes.append((steps, advantages))
+        grad = np.zeros_like(theta)
+        for steps, advantages in episodes:
+            for step, adv in zip(steps, advantages):
+                if adv != 0.0:
+                    grad += adv * log_prob_and_grad(theta, spec, step.obs, step.action_index)[1]
+        assert np.array_equal(masked_policy_update(theta, spec, episodes, 0.05),
+                              theta + 0.05 * grad / len(episodes))
+
 
 def always_delegate(spec):
     theta = spec.zero_params()
