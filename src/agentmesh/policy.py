@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadCheckpoint, BadDataset
+from .errors import BadCheckpoint, BadConfig, BadDataset
+from .schema import _build, _read_json
 from .vocab import CONTROL_TAGS, RELAY_ANSWER, RESERVED_TOKENS
 
 OUTCOME_NONE = "none"
@@ -61,8 +62,9 @@ class ActionSpace:
     action_types: tuple[str, ...]
 
     def __post_init__(self):
-        if not self.answer_tokens and not self.action_types:
-            raise ValueError("the action space needs at least one action")
+        # with one action there is nothing to decide, and no entropy to control
+        if len(self.answer_tokens) + len(self.action_types) < 2:
+            raise ValueError("the action space needs at least two actions")
         answers, actions = set(self.answer_tokens), set(self.action_types)
         if len(answers) < len(self.answer_tokens) or len(actions) < len(self.action_types):
             raise ValueError("answer tokens and action types must not repeat")
@@ -135,6 +137,10 @@ def log_prob_and_grad(theta: np.ndarray, spec: PolicySpec, obs: Observation,
     indicator = np.zeros(spec.num_actions)
     indicator[action_index] = 1.0
     grad = np.outer(indicator - probs, x)
+    if probs[action_index] == 0:  # underflowed; the log-softmax is still finite
+        logits = theta @ x
+        logits -= logits.max()
+        return float(logits[action_index] - np.log(np.exp(logits).sum())), grad
     return float(np.log(probs[action_index])), grad
 
 
@@ -198,22 +204,41 @@ def save_checkpoint(theta: np.ndarray, path) -> None:
         json.dump(payload, fh)
 
 
+def _checkpoint(shape: tuple[int, ...], values: tuple[float, ...], spec: PolicySpec) -> np.ndarray:
+    """The checkpoint format: ``shape`` and the row-major ``values`` of the
+    policy parameters."""
+    expected = (spec.num_actions, spec.encoded_dim)
+    if shape != expected:
+        raise ValueError(f"shape {shape} does not match the policy's {expected}")
+    if len(values) != spec.num_actions * spec.encoded_dim:
+        raise ValueError(f"{len(values)} values do not fill shape {shape}")
+    return np.array(values).reshape(shape)
+
+
 def load_checkpoint(path, spec: PolicySpec) -> np.ndarray:
     try:
-        with open(path) as fh:
-            payload = json.load(fh)
-        shape = tuple(payload["shape"])
-        theta = np.array(payload["values"], dtype=float).reshape(shape)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise BadCheckpoint(f"cannot read checkpoint {path}: {exc}") from None
-    if theta.shape != (spec.num_actions, spec.encoded_dim):
-        raise BadCheckpoint(
-            f"checkpoint shape {theta.shape} does not match policy "
-            f"({spec.num_actions}, {spec.encoded_dim})"
-        )
+        theta = _build(_checkpoint, _read_json(path, "checkpoint"), "checkpoint", spec=spec)
+    except BadConfig as exc:
+        raise BadCheckpoint(str(exc)) from None
     if diverged(theta):
         raise BadCheckpoint("checkpoint values are not finite, or so large that a logit overflows")
     return theta
+
+
+def _demo(features: tuple[float, ...], step: int, last_outcome: str, demo_action: int,
+          spec: PolicySpec) -> SftSample:
+    """The dataset format: one demonstration per line."""
+    # A task's features are one-hot, like the rest of the encoding; with every
+    # entry in [-1, 1], no logit of a parameter matrix that has not diverged
+    # can overflow.
+    for i, f in enumerate(features):
+        if abs(f) > 1:
+            raise ValueError(f"features[{i}]: must be in [-1, 1]")
+    obs = Observation(features=features, step_index=step, last_outcome=last_outcome)
+    spec.encode(obs)  # the feature dimension and the step budget
+    if not 0 <= demo_action < spec.num_actions:
+        raise ValueError(f"demo_action: {demo_action} is out of range [0, {spec.num_actions})")
+    return SftSample(obs=obs, demo_action_index=demo_action)
 
 
 def load_sft_dataset(path, spec: PolicySpec) -> list[SftSample]:
@@ -227,17 +252,7 @@ def load_sft_dataset(path, spec: PolicySpec) -> list[SftSample]:
             if not line.strip():
                 continue
             try:
-                rec = json.loads(line)
-                obs = Observation(
-                    features=tuple(float(v) for v in rec["features"]),
-                    step_index=int(rec["step"]),
-                    last_outcome=rec["last_outcome"],
-                )
-                idx = int(rec["demo_action"])
-                if not 0 <= idx < spec.num_actions:
-                    raise ValueError(f"demo_action {idx} out of range")
-                spec.encode(obs)  # dimension check
-            except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+                samples.append(_build(_demo, json.loads(line), "", spec=spec))
+            except (BadConfig, ValueError) as exc:  # a bad value, or malformed JSON
                 raise BadDataset(line_no, str(exc)) from None
-            samples.append(SftSample(obs=obs, demo_action_index=idx))
     return samples

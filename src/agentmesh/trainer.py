@@ -113,7 +113,7 @@ def rollout_group(
     router_weights: RoutingWeights,
     group_size: int,
     world: WorldConfig,
-    base_seed,
+    base_seed: list[int],
     reward_weights: RewardWeights,
     max_steps: int,
     ledger: NoveltyLedger,
@@ -126,12 +126,11 @@ def rollout_group(
     """
     if group_size < 2:
         raise BadConfig("group_size must be >= 2")
-    base = list(base_seed) if isinstance(base_seed, (list, tuple)) else [base_seed]
     table = DecisionTable(theta, spec)
     episodes = []
     for i in range(group_size):
-        env = world.build_env(base + [i, 0])
-        rng = np.random.default_rng(base + [i, 1])
+        env = world.build_env(base_seed + [i, 0])
+        rng = np.random.default_rng(base_seed + [i, 1])
         traj, outcome, steps = execute_episode(
             task, theta, spec, registry, router_weights, env, rng,
             max_steps=max_steps, generator=world.generator, table=table,

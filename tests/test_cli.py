@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -26,6 +27,11 @@ def one_class_config(tmp_path, action_type, agent):
     ckpt = tmp_path / "always_delegate.json"
     save_checkpoint(theta, ckpt)
     return cfg_path, ckpt
+
+
+# No card advertises "ghost", so every forced delegation of it fails its episode.
+NO_GHOST_AGENT = {"card_id": "g-1", "supported_actions": ["real"],
+                  "success_prob": {"real": 1.0}}
 
 
 def sft_checkpoint(tmp_path):
@@ -71,9 +77,7 @@ class TestRun:
         assert "error:" in capsys.readouterr().err
 
     def test_failed_episode_returns_episode_exit_code(self, tmp_path, capsys):
-        # no card advertises "ghost", so a forced delegation fails the episode
-        cfg_path, ckpt = one_class_config(tmp_path, "ghost", {
-            "card_id": "g-1", "supported_actions": ["real"], "success_prob": {"real": 1.0}})
+        cfg_path, ckpt = one_class_config(tmp_path, "ghost", NO_GHOST_AGENT)
         code = main(["run", "--config", str(cfg_path), "--checkpoint", str(ckpt),
                      "--out", str(tmp_path / "run")])
         assert code == 2
@@ -193,6 +197,17 @@ class TestDivergence:
         assert main(["train", "--out", str(tmp_path), "--set", "trainer.learning_rate=1000",
                      "--set", "trainer.iterations=300"]) == 0
 
+    @pytest.mark.filterwarnings("error")
+    def test_a_demo_probability_that_underflows_keeps_the_loss_finite(self, tmp_path, capsys):
+        # conflicting demos of one observation: lr 1e10 drives pi(1|o) to 0
+        demo = {"features": [1, 0, 0], "step": 0, "last_outcome": "none"}
+        data = tmp_path / "conflict.jsonl"
+        data.write_text("".join(json.dumps({**demo, "demo_action": a}) + "\n" for a in (0, 0, 1)))
+        assert main(["sft", str(data), "--out", str(tmp_path / "sft"),
+                     "--set", "sft.learning_rate=1e10", "--set", "sft.steps=5"]) == 0
+        loss = capsys.readouterr().out.split("final_loss: ")[1].split()[0]
+        assert math.isfinite(float(loss))
+
     @pytest.mark.parametrize("command, error", [
         (["sft", "--set", "sft.learning_rate=1e308", "--set", "sft.steps=50"],
          "sft.learning_rate: 1e+308 made the policy parameters overflow at step 0"),
@@ -252,6 +267,13 @@ class TestEval:
         assert 0.0 <= summary["success_rate"] <= 1.0
         assert summary["sla_violation_rate"] >= 0.0
         assert all(isinstance(v, int) for v in summary["failure_modes"].values())
+
+    def test_failure_modes_count_every_failed_episode(self, tmp_path, capsys):
+        cfg_path, ckpt = one_class_config(tmp_path, "ghost", NO_GHOST_AGENT)
+        assert main(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                     "--episodes", "7", "--out", str(tmp_path / "eval")]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["failure_modes"] == {"no_agent_for_action": 7}
 
     def test_zero_episodes_rejected(self, tmp_path, capsys):
         ckpt = sft_checkpoint(tmp_path)

@@ -1,5 +1,6 @@
-"""Config loading through the CLI: every bad input exits 1 with one
-``error:`` line that names its key, and no input escapes as a traceback."""
+"""Input files through the CLI: every bad config, ``--set``, card-file,
+dataset or checkpoint input exits 1 with one ``error:`` line that names its
+key, and no input escapes as a traceback."""
 
 import json
 import tempfile
@@ -51,13 +52,21 @@ OVERRIDE_CASES = {
                                "policy: answer tokens and action types must not repeat"),
     "reserved marker as answer token": ('policy.answer_tokens=["ack","noise"]',
                                         "policy: reserved tokens cannot be actions"),
+    # a direct class and an agent that serves no class leave one action
+    "one-action policy": (('task_classes=[{"name":"d","probability":1.0,"answer_pool":["ack"]}]',
+                           'agents=[{"card_id":"a","supported_actions":["x"],'
+                           '"success_prob":{"x":0.9}}]',
+                           'policy.answer_tokens=["ack"]'),
+                          "policy: the action space needs at least two actions"),
 }
 
 
 @pytest.mark.parametrize("override,message", OVERRIDE_CASES.values(), ids=OVERRIDE_CASES.keys())
 def test_bad_override_names_its_key(override, message, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    assert_config_error(*run_cli(["--set", override], capsys), message)
+    overrides = (override,) if type(override) is str else override
+    args = [arg for item in overrides for arg in ("--set", item)]
+    assert_config_error(*run_cli(args, capsys), message)
 
 
 FILE_CASES = {
@@ -158,6 +167,74 @@ def test_bad_config_file_names_its_key(config, cards, message, tmp_path, monkeyp
     if cards is not None:
         (tmp_path / "cards.json").write_text(json.dumps(cards))
     assert_config_error(*run_cli(["--config", "config.json"], capsys), message)
+
+
+# The preset policy reads 3 features, 4 steps and 4 actions: its parameter
+# matrix is 4 x (3 + 4 + 3).
+DEMO = {"features": [1.0, 0.0, 0.0], "step": 0, "last_outcome": "none", "demo_action": 0}
+DEMOS = [DEMO, {"features": [0.0, 0.5, 0.0], "step": 3, "last_outcome": "agent_failure",
+                "demo_action": 3}]
+CHECKPOINT = {"shape": [4, 10], "values": [round(0.1 * (i % 7) - 0.3, 1) for i in range(40)]}
+SFT = ["sft", "data.jsonl", "--set", "sft.steps=2"]
+EVAL = ["eval", "--checkpoint", "ckpt.json", "--episodes", "5"]
+
+
+def dataset(lines) -> str:
+    return "".join(json.dumps(line) + "\n" for line in lines)
+
+
+def bad_demo(**values) -> dict[str, str]:
+    """A dataset whose second line holds ``values``."""
+    return {"data.jsonl": dataset([DEMO, {**DEMO, **values}])}
+
+
+def bad_checkpoint(**values) -> dict[str, str]:
+    return {"ckpt.json": json.dumps({**CHECKPOINT, **values})}
+
+
+INPUT_CASES = {
+    "string features": (SFT, bad_demo(features="100"), "bad dataset line 2: features: must be a list"),
+    "string NaN feature": (SFT, bad_demo(features=["nan", 0, 0]),
+                           "bad dataset line 2: features[0]: must be a number"),
+    "numeric string feature": (SFT, bad_demo(features=[0, "1", 0]),
+                               "bad dataset line 2: features[1]: must be a number"),
+    "boolean feature": (SFT, bad_demo(features=[True, 0, 0]),
+                        "bad dataset line 2: features[0]: must be a number"),
+    "infinite feature": (SFT, bad_demo(features=[float("inf"), 0, 0]),
+                         "bad dataset line 2: features[0]: must be finite"),
+    "huge features": (SFT, bad_demo(features=[1e308, 1e308, 0]),
+                      "bad dataset line 2: features[0]: must be in [-1, 1]"),
+    "fractional step": (SFT, bad_demo(step=1.7), "bad dataset line 2: step: must be an integer"),
+    "boolean step": (SFT, bad_demo(step=True), "bad dataset line 2: step: must be a number"),
+    "fractional demo_action": (SFT, bad_demo(demo_action=2.9),
+                               "bad dataset line 2: demo_action: must be an integer"),
+    "string demo_action": (SFT, bad_demo(demo_action="2"),
+                           "bad dataset line 2: demo_action: must be a number"),
+    "line not an object": (SFT, {"data.jsonl": dataset([DEMO, [1, 2]])},
+                           "bad dataset line 2: must be an object"),
+    "empty dataset": (SFT, {"data.jsonl": ""}, "bad dataset line 0: dataset is empty"),
+    "string checkpoint values": (EVAL, bad_checkpoint(values=["0.5"] * 40),
+                                 "checkpoint.values[0]: must be a number"),
+    "boolean checkpoint values": (EVAL, bad_checkpoint(values=[True] * 40),
+                                  "checkpoint.values[0]: must be a number"),
+    "inferred checkpoint dimension": (EVAL, bad_checkpoint(shape=[-1, 10]),
+                                      "checkpoint: shape (-1, 10) does not match the policy's"),
+    "config not JSON": (["run", "--config", "config.json"], {"config.json": "{"},
+                        "config: config.json is not valid JSON"),
+    "override without =": (["run", "--set", "foo"], {},
+                           "override 'foo' is not of the form key=value"),
+    "out_dir inside a file": (["run", "--out", "file/out"], {"file": ""},
+                              "out_dir: cannot create file/out"),
+}
+
+
+@pytest.mark.parametrize("argv,files,message", INPUT_CASES.values(), ids=INPUT_CASES.keys())
+@pytest.mark.filterwarnings("error")
+def test_bad_input_file_names_its_key(argv, files, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert_config_error(main(argv), capsys.readouterr().err, message)
 
 
 # Weights that are each finite but whose scalar reward, or the spread of a
@@ -362,6 +439,19 @@ WORLD_PATHS = [(name, path) for name, doc in WORLD.items() for path in paths(doc
 DROP = object()
 
 
+def replaced(doc, path, value):
+    """A copy of ``doc`` whose value at ``path`` is ``value``, or is gone for DROP."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value is DROP:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return doc
+
+
 def test_card_file_path_is_relative_to_the_config_file(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "sub").mkdir()
@@ -376,18 +466,42 @@ def test_card_file_path_is_relative_to_the_config_file(tmp_path, monkeypatch, ca
 @given(st.sampled_from(WORLD_PATHS), st.just(DROP) | json_values)
 def test_world_with_one_bad_value_exits_cleanly(tmp_path, monkeypatch, capsys, where, value):
     monkeypatch.chdir(tmp_path)
-    docs = json.loads(json.dumps(WORLD))
     name, path = where
-    node = docs[name]
-    for key in path[:-1]:
-        node = node[key]
-    if value is DROP:
-        del node[path[-1]]
-    else:
-        node[path[-1]] = value
+    docs = {**WORLD, name: replaced(WORLD[name], path, value)}
     for file, doc in docs.items():
         (tmp_path / file).write_text(json.dumps(doc))
     code, err = run_cli(["--config", "config.json"], capsys)
     assert code in (0, 1, 2)
     if code == 1:
         assert err.startswith("error: ")
+
+
+INPUT_DOCS = {"data.jsonl": DEMOS, "ckpt.json": CHECKPOINT}
+# each file as often as the other, though the checkpoint holds more values
+input_paths = st.one_of(*(st.sampled_from([(name, path) for path in paths(doc) if path])
+                          for name, doc in INPUT_DOCS.items()))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(input_paths, st.just(DROP) | json_values)
+@example(("data.jsonl", (1, "features", 0)), 1e308)
+@example(("ckpt.json", ("values", 0)), 1e308)
+@pytest.mark.filterwarnings("error")
+def test_input_file_with_one_bad_value_exits_cleanly(tmp_path, monkeypatch, capsys, where, value):
+    monkeypatch.chdir(tmp_path)
+    name, path = where
+    doc = replaced(INPUT_DOCS[name], path, value)
+    if name == "data.jsonl":
+        (tmp_path / name).write_text(dataset(doc))
+        code = main(SFT)
+    else:
+        (tmp_path / name).write_text(json.dumps(doc))
+        code = main(EVAL)
+    err = capsys.readouterr().err
+    assert code in (0, 1)
+    if code == 1:
+        assert err.splitlines() == [err.strip()], err
+        # only the changed line can be at fault
+        expected = f"error: bad dataset line {path[0] + 1}: " if name == "data.jsonl" else "error: "
+        assert err.startswith(expected), err

@@ -97,6 +97,13 @@ class TestLogProbAndGrad:
         lp, _ = log_prob_and_grad(theta, SPEC, obs, 2)
         assert lp == float(np.log(probs[2]))
 
+    def test_underflowed_probability_gives_the_log_softmax(self):
+        theta = SPEC.zero_params()
+        theta[0, 0] = 800.0  # exp(-800) underflows, so pi(a|o) = 0 for a != 0
+        obs = Observation((1.0, 0, 0))
+        assert action_distribution(theta, SPEC, obs)[1] == 0.0
+        assert log_prob_and_grad(theta, SPEC, obs, 1)[0] == -800.0
+
 
 class TestEntropy:
     def test_uniform_is_log_k(self):
