@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import MalformedAgentResponse, NoAgentForAction
+from .errors import BadConfig, MalformedAgentResponse, NoAgentForAction
 from .policy import (
     KIND_ANSWER,
     OUTCOME_AGENT_FAILURE,
@@ -29,7 +29,8 @@ from .policy import (
 )
 from .registry import Registry
 from .router import RoutingWeights, route
-from .simenv import AgentResponse, GeneratorConfig, SimEnv, TaskSpec, class_of_task, goal_token, sample_task
+from .simenv import (AgentResponse, GeneratorConfig, SimEnv, TaskSpec, choice_cdf, class_of_task,
+                     goal_token, sample_task)
 from .trajectory import (
     MALFORMED_AGENT_RESPONSE,
     NO_AGENT_FOR_ACTION,
@@ -82,14 +83,13 @@ class DecisionRow:
     # Generator.choice's cumulative distribution; None when probs is not
     # finite, which leaves nothing to draw from
     cdf: Optional[np.ndarray]
+    # np.argmax: the first index on exact ties, or the first NaN
+    greedy: int
 
     @staticmethod
     def of(probs: np.ndarray) -> "DecisionRow":
-        cdf = None
-        if np.all(np.isfinite(probs)):
-            cdf = probs.cumsum()
-            cdf /= cdf[-1]
-        return DecisionRow(probs, policy_entropy(probs), cdf)
+        cdf = choice_cdf(probs) if np.all(np.isfinite(probs)) else None
+        return DecisionRow(probs, policy_entropy(probs), cdf, int(np.argmax(probs)))
 
     def sample(self, rng: np.random.Generator) -> int:
         """The index ``rng.choice(len(probs), p=probs)`` would draw, from the
@@ -133,7 +133,7 @@ def decide(obs: Observation, theta: np.ndarray, spec: PolicySpec,
     if table is None:
         table = DecisionTable(theta, spec)
     row = table.row(obs)
-    index = int(np.argmax(row.probs)) if greedy else row.sample(rng)
+    index = row.greedy if greedy else row.sample(rng)
     return spec.actions.decision_of(index), index, row
 
 
@@ -254,6 +254,9 @@ def make_warmup_dataset(generator: GeneratorConfig, spec: PolicySpec, n: int,
         task = sample_task(generator, rng)
         obs = interpret(task)
         if task.required_action is None:
+            if task.ground_truth not in spec.actions.answer_tokens:
+                raise BadConfig(f"policy.answer_tokens: the warm-up demonstrates the answer "
+                                f"{task.ground_truth!r}, which is not among them")
             demo = Decision.answer(task.ground_truth)
         else:
             demo = Decision.delegate(task.required_action)

@@ -231,11 +231,16 @@ def _demo(features: tuple[float, ...], step: int, last_outcome: str, demo_action
     # A task's features are one-hot, like the rest of the encoding; with every
     # entry in [-1, 1], no logit of a parameter matrix that has not diverged
     # can overflow.
+    if len(features) != spec.feature_dim:
+        raise ValueError(f"features: {len(features)} values, the policy reads {spec.feature_dim}")
     for i, f in enumerate(features):
         if abs(f) > 1:
             raise ValueError(f"features[{i}]: must be in [-1, 1]")
+    if not 0 <= step < spec.max_steps:
+        raise ValueError(f"step: {step} is out of range [0, {spec.max_steps})")
+    if last_outcome not in OUTCOMES:
+        raise ValueError(f"last_outcome: {last_outcome!r} is not one of {', '.join(OUTCOMES)}")
     obs = Observation(features=features, step_index=step, last_outcome=last_outcome)
-    spec.encode(obs)  # the feature dimension and the step budget
     if not 0 <= demo_action < spec.num_actions:
         raise ValueError(f"demo_action: {demo_action} is out of range [0, {spec.num_actions})")
     return SftSample(obs=obs, demo_action_index=demo_action)

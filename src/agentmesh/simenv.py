@@ -22,6 +22,27 @@ LOAD_DECAY = 0.9
 ACTION_NETWORK_ANALYSIS = "network_analysis"
 ACTION_PROTOCOL_QUERY = "protocol_query"
 
+Seed = int | Sequence[int]
+
+
+def stream(seed: Seed) -> np.random.Generator:
+    """``np.random.default_rng(seed)``, built faster from a list of words in
+    [0, 2**32): ``SeedSequence`` makes each such int into that one uint32
+    word, so the array of them seeds the same stream without the per-int
+    conversion."""
+    if type(seed) is list and all(type(w) is int and 0 <= w <= 0xFFFFFFFF for w in seed):
+        seed = np.array(seed, dtype=np.uint32)
+    return np.random.default_rng(seed)
+
+
+def choice_cdf(probs: np.ndarray) -> np.ndarray:
+    """The cumulative distribution ``Generator.choice(n, p=probs)`` draws
+    from: the index it returns for the double ``u`` it takes from its stream
+    is ``cdf.searchsorted(u, side="right")``."""
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
 
 @dataclass(frozen=True)
 class TaskSpec:
@@ -75,18 +96,27 @@ class GeneratorConfig:
     def feature_dim(self) -> int:
         return len(self.classes)
 
+    @cached_property
+    def class_cdf(self) -> np.ndarray:
+        return choice_cdf(np.array([c.probability for c in self.classes]))
+
+    @cached_property
+    def one_hots(self) -> tuple[tuple[float, ...], ...]:
+        """The feature vector of each class: its one-hot."""
+        n = len(self.classes)
+        return tuple(tuple(1.0 if i == j else 0.0 for i in range(n)) for j in range(n))
+
 
 def sample_task(config: GeneratorConfig, rng: np.random.Generator) -> TaskSpec:
-    """Draw one task; features are the one-hot of the drawn class."""
-    probs = np.array([c.probability for c in config.classes])
-    idx = int(rng.choice(len(config.classes), p=probs))
+    """Draw one task; features are the one-hot of the drawn class. The class
+    is the one ``rng.choice(len(classes), p=probabilities)`` would draw."""
+    idx = int(config.class_cdf.searchsorted(rng.random(), side="right"))
     cls = config.classes[idx]
     answer = cls.answer_pool[int(rng.integers(len(cls.answer_pool)))]
-    features = tuple(1.0 if i == idx else 0.0 for i in range(len(config.classes)))
     serial = int(rng.integers(1 << 30))
     return TaskSpec(
         task_id=f"{cls.name}-{serial}",
-        feature_vector=features,
+        feature_vector=config.one_hots[idx],
         required_action=cls.required_action,
         ground_truth=answer,
         sla_deadline_ms=cls.sla_deadline_ms,
@@ -131,16 +161,22 @@ class SimEnv:
     """One episode-scoped environment instance.
 
     Holds the load of every agent called so far (any other agent's load is
-    0), a simulated clock, and a private RNG stream. ``agents`` is the
-    world's map, shared by every instance and never mutated. Parallel
-    rollouts use independent instances with derived seeds.
+    0), a simulated clock, and a private RNG stream seeded by ``seed``,
+    built on the first agent call, since only calls draw from it. ``agents``
+    is the world's map, shared by every instance and never mutated. Each
+    rollout runs in its own instance, one after another, with a seed derived
+    from its place in the run.
     """
 
     agents: Mapping[str, SimAgentConfig]
-    rng: np.random.Generator
+    seed: Seed
     loads: dict[str, float] = field(default_factory=dict)
     clock_ms: float = 0.0
     current_task: Optional[TaskSpec] = None
+
+    @cached_property
+    def rng(self) -> np.random.Generator:
+        return stream(self.seed)
 
     def begin_episode(self, task: TaskSpec) -> float:
         """Bind the episode's task; returns the clock at episode start."""
@@ -198,8 +234,8 @@ class WorldConfig:
     def agents_by_card(self) -> Mapping[str, SimAgentConfig]:
         return {a.card.card_id: a for a in self.agents}
 
-    def build_env(self, seed) -> SimEnv:
-        return SimEnv(agents=self.agents_by_card, rng=np.random.default_rng(seed))
+    def build_env(self, seed: Seed) -> SimEnv:
+        return SimEnv(agents=self.agents_by_card, seed=seed)
 
     @property
     def action_types(self) -> tuple[str, ...]:

@@ -12,7 +12,7 @@ collapse-warning counter.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, astuple, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .registry import Registry
 from .rewards import (NoveltyLedger, RewardVector, RewardWeights, accuracy_reward,
                       episode_reward, scalarize)
 from .router import RoutingWeights
-from .simenv import TaskSpec, WorldConfig, sample_task
+from .simenv import TaskSpec, WorldConfig, sample_task, stream
 from .trajectory import Trajectory
 
 ADVANTAGE_EPS = 1e-8
@@ -100,8 +100,9 @@ class TrainingReport:
     collapse_warnings: int = 0
 
     def to_csv(self) -> str:
-        lines = [",".join(f.name for f in fields(IterationStats))]
-        lines += [",".join(map(repr, astuple(r))) for r in self.rows]
+        names = [f.name for f in fields(IterationStats)]
+        lines = [",".join(names)]
+        lines += [",".join(repr(getattr(r, name)) for name in names) for r in self.rows]
         return "\n".join(lines) + "\n"
 
 
@@ -130,7 +131,7 @@ def rollout_group(
     episodes = []
     for i in range(group_size):
         env = world.build_env(base_seed + [i, 0])
-        rng = np.random.default_rng(base_seed + [i, 1])
+        rng = stream(base_seed + [i, 1])
         traj, outcome, steps = execute_episode(
             task, theta, spec, registry, router_weights, env, rng,
             max_steps=max_steps, generator=world.generator, table=table,
@@ -328,7 +329,7 @@ def evaluate_policy(
         task = sample_task(world.generator, task_rng)
         env = world.build_env([seed, 3, i, 0])
         # a greedy episode draws nothing from its policy stream
-        rng = None if greedy else np.random.default_rng([seed, 3, i, 1])
+        rng = None if greedy else stream([seed, 3, i, 1])
         traj, outcome, _ = execute_episode(
             task, theta, spec, registry, router_weights, env, rng,
             max_steps=max_steps, generator=world.generator, greedy=greedy, table=table,

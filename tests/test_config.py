@@ -210,6 +210,14 @@ INPUT_CASES = {
                                "bad dataset line 2: demo_action: must be an integer"),
     "string demo_action": (SFT, bad_demo(demo_action="2"),
                            "bad dataset line 2: demo_action: must be a number"),
+    "step past the budget": (SFT, {"data.jsonl": dataset([{**DEMO, "step": 9}])},
+                             "bad dataset line 1: step: 9 is out of range [0, 4)"),
+    "negative step": (SFT, {"data.jsonl": dataset([{**DEMO, "step": -1}])},
+                      "bad dataset line 1: step: -1 is out of range [0, 4)"),
+    "two features": (SFT, {"data.jsonl": dataset([{**DEMO, "features": [1.0, 0.0]}])},
+                     "bad dataset line 1: features: 2 values, the policy reads 3"),
+    "unknown last_outcome": (SFT, {"data.jsonl": dataset([{**DEMO, "last_outcome": "x"}])},
+                             "bad dataset line 1: last_outcome: 'x' is not one of"),
     "line not an object": (SFT, {"data.jsonl": dataset([DEMO, [1, 2]])},
                            "bad dataset line 2: must be an object"),
     "empty dataset": (SFT, {"data.jsonl": ""}, "bad dataset line 0: dataset is empty"),
@@ -219,6 +227,8 @@ INPUT_CASES = {
                                   "checkpoint.values[0]: must be a number"),
     "inferred checkpoint dimension": (EVAL, bad_checkpoint(shape=[-1, 10]),
                                       "checkpoint: shape (-1, 10) does not match the policy's"),
+    "policy without the warm-up answer": (["sft", "--set", "policy.answer_tokens=[]"], {},
+                                          "policy.answer_tokens: the warm-up demonstrates the answer 'ack'"),
     "config not JSON": (["run", "--config", "config.json"], {"config.json": "{"},
                         "config: config.json is not valid JSON"),
     "override without =": (["run", "--set", "foo"], {},

@@ -142,6 +142,17 @@ class TestDecisionTable:
         assert table.row(Observation((1.0, 0, 0), 1)) is not row
         assert len(calls) == 2
 
+    @given(action_weights)
+    def test_greedy_is_the_argmax(self, weights):
+        probs = np.array(weights) / sum(weights)
+        assert DecisionRow.of(probs).greedy == np.argmax(probs)
+
+    @pytest.mark.parametrize("probs", [[0.5, 0.5], [0.2, 0.4, 0.4], [np.nan] * 4,
+                                       [0.2, np.nan, 0.9, np.nan]])
+    def test_greedy_is_the_argmax_on_ties_and_nan(self, probs):
+        # np.argmax takes the first of tied entries, and the first NaN
+        assert DecisionRow.of(np.array(probs)).greedy == np.argmax(probs)
+
     def test_sampling_a_nan_distribution_raises(self, spec, rng):
         theta = np.full((spec.num_actions, spec.encoded_dim), np.nan)
         obs = Observation((1.0, 0, 0))
@@ -214,6 +225,16 @@ class TestExecuteEpisode:
         assert outcome.failure is None
         assert len(records) == 1
         assert not any(t in CONTROL_TAGS for s in traj.segments for t in s.tokens)
+
+    def test_only_an_agent_call_builds_the_env_stream(self, world, spec):
+        task = task_of_class(world, "network_analysis")
+        answer = spec.actions.index_of(Decision.answer("ack"))
+        delegate = spec.actions.index_of(Decision.delegate("network_analysis"))
+        for index, called in ((answer, False), (delegate, True)):
+            env = world.build_env([0, 0])
+            execute_episode(task, forced(spec, index), spec, world.build_registry(), WEIGHTS,
+                            env, np.random.default_rng(1), generator=world.generator)
+            assert ("rng" in env.__dict__) is called
 
     def test_unroutable_delegation_fails_without_invocations(self, world):
         wide = PolicySpec(

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agentmesh.errors import BadConfig, UnknownCard
 from agentmesh.registry import AgentCard
@@ -10,9 +12,11 @@ from agentmesh.simenv import (
     GeneratorConfig,
     SimAgentConfig,
     TaskClass,
+    TaskSpec,
     WorldConfig,
     preset_case_study,
     sample_task,
+    stream,
 )
 from agentmesh.trajectory import extract_answer_span
 from agentmesh.vocab import WRONG
@@ -66,6 +70,60 @@ class TestSampleTask:
         a = [sample_task(gen, np.random.default_rng(5)).task_id for _ in range(1)]
         b = [sample_task(gen, np.random.default_rng(5)).task_id for _ in range(1)]
         assert a == b
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, 1.0, 2.0]) | st.floats(0.0, 1e6), min_size=1,
+                    max_size=6).filter(lambda w: sum(w) > 0),
+           st.integers(0, 2**63))
+    def test_draws_what_generator_choice_draws(self, weights, seed):
+        # zero-probability classes and tied probabilities are common
+        total = sum(weights)
+        config = GeneratorConfig(tuple(
+            TaskClass(f"c{i}", w / total, None, tuple(f"t{j}" for j in range(1 + i % 3)))
+            for i, w in enumerate(weights)))
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(20):
+            assert sample_task(config, ours) == choice_sample_task(config, theirs)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def choice_sample_task(config: GeneratorConfig, rng: np.random.Generator) -> TaskSpec:
+    """``sample_task`` with the class drawn by ``Generator.choice``."""
+    probs = np.array([c.probability for c in config.classes])
+    idx = int(rng.choice(len(config.classes), p=probs))
+    cls = config.classes[idx]
+    answer = cls.answer_pool[int(rng.integers(len(cls.answer_pool)))]
+    features = tuple(1.0 if i == idx else 0.0 for i in range(len(config.classes)))
+    serial = int(rng.integers(1 << 30))
+    return TaskSpec(f"{cls.name}-{serial}", features, cls.required_action, answer,
+                    cls.sla_deadline_ms)
+
+
+# Seed words that SeedSequence takes as one uint32 word, the largest such, and
+# two that it splits into several.
+seed_words = st.sampled_from([0, 2**32 - 1, 2**32, 2**64]) | st.integers(0, 2**70)
+
+
+class TestStream:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(seed_words, max_size=6) | seed_words)
+    def test_is_the_stream_of_default_rng(self, seed):
+        ours, theirs = stream(seed), np.random.default_rng(seed)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        assert np.array_equal(ours.random(8), theirs.random(8))
+
+    def test_rejects_what_default_rng_rejects(self):
+        for seed in ([1, -1], -1, [1.5]):
+            with pytest.raises((TypeError, ValueError)):
+                np.random.default_rng(seed)
+            with pytest.raises((TypeError, ValueError)):
+                stream(seed)
+
+    def test_an_env_builds_its_stream_on_first_use(self):
+        env = preset_case_study().build_env([3, 1, 0])
+        assert "rng" not in env.__dict__
+        assert env.rng.bit_generator.state == np.random.default_rng([3, 1, 0]).bit_generator.state
+        assert env.rng is env.rng
 
 
 class TestInvokeAgent:

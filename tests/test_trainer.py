@@ -172,6 +172,15 @@ class TestStepBudget:
         assert all(registry.get(a.card.card_id)[1].sample_count == 0 for a in world.agents)
 
 
+def test_sampled_evaluation_keeps_its_streams(world, spec):
+    # the task, env and policy streams of a sampled evaluation, pinned
+    summary = evaluate_policy(world, spec, spec.zero_params(), WEIGHTS, n_episodes=200,
+                              seed=606, greedy=False)
+    assert summary.as_dict() == {
+        "n_episodes": 200, "success_rate": 0.255, "mean_latency_ms": 52.485593352707326,
+        "sla_violation_rate": 0.055, "mean_invocations": 0.86, "failure_modes": {}}
+
+
 class TestRolloutGroup:
     def test_deterministic_policy_identical_trajectories(self, world, spec):
         sure = preset_case_study(agent_success=1.0, latency_jitter_ms=0.0)
