@@ -107,12 +107,15 @@ def load_cards(path) -> list[tuple[AgentCard, AgentMetrics]]:
 # --- the file layout ---
 
 def _explicit_world(raw: dict) -> WorldConfig:
-    classes = []
+    classes: dict[str, TaskClass] = {}
     for i, entry in enumerate(_list(raw["task_classes"], "task_classes")):
         key = ("task_classes", i)
         # a class without required_action is answered directly
-        classes.append(_build(TaskClass, {"required_action": None, **_object(entry, key)}, key))
-    generator = GeneratorConfig(classes=tuple(classes))
+        cls = _build(TaskClass, {"required_action": None, **_object(entry, key)}, key)
+        if cls.name in classes:
+            raise BadConfig(f"{_dotted((key, 'name'))}: duplicate class name {cls.name!r}")
+        classes[cls.name] = cls
+    generator = GeneratorConfig(classes=tuple(classes.values()))
 
     cards = []
     if "registry_cards" in raw:

@@ -4,7 +4,7 @@ Agents are described by unified cards regardless of which interoperability
 protocol they were announced on; the config loader reads each protocol's
 spelling of a card (``config.CARD_SPELLINGS``). Discovery is by action type,
 never by identity, through an index per action type that is rebuilt after a
-card supporting it is registered or deregistered.
+card supporting it is registered.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DuplicateId, EmptyActions, UnknownCard
 
-DEFAULT_EWMA_ALPHA = 0.3
+EWMA_ALPHA = 0.3
 # From this many candidates on, discover() also returns their metrics as
 # columns, which route() scores in one numpy pass. Below it, scoring each
 # card in Python is cheaper: the two cost the same at about 45 cards
@@ -118,14 +118,11 @@ class Registry:
     Every operation, reads included, holds one lock, so operations from
     several threads are serialized and no read sees a half-done mutation.
     ``_entries`` owns each card's entry; ``_indexes`` holds an index of them
-    per action type, dropped when a card of that type comes or goes and
+    per action type, dropped when a card of that type is registered and
     built again by the next ``discover`` of the type.
     """
 
-    def __init__(self, ewma_alpha: float = DEFAULT_EWMA_ALPHA):
-        if not 0.0 < ewma_alpha <= 1.0:
-            raise ValueError("ewma_alpha must be in (0, 1]")
-        self.ewma_alpha = ewma_alpha
+    def __init__(self):
         self._entries: dict[str, tuple[AgentCard, AgentMetrics]] = {}
         self._indexes: dict[str, _ActionIndex] = {}
         self._lock = threading.Lock()
@@ -137,25 +134,9 @@ class Registry:
             if card.card_id in self._entries:
                 raise DuplicateId(f"card id {card.card_id!r} already registered")
             self._entries[card.card_id] = (card, initial_metrics or AgentMetrics())
-            self._drop_indexes(card)
+            for action_type in card.supported_actions:
+                self._indexes.pop(action_type, None)
         return card.card_id
-
-    def _drop_indexes(self, card: AgentCard) -> None:
-        for action_type in card.supported_actions:
-            self._indexes.pop(action_type, None)
-
-    def _entry(self, card_id: str) -> tuple[AgentCard, AgentMetrics]:
-        try:
-            return self._entries[card_id]
-        except KeyError:
-            raise UnknownCard(f"card id {card_id!r} is not registered") from None
-
-    def deregister(self, card_id: str) -> AgentCard:
-        with self._lock:
-            card, _ = self._entry(card_id)
-            del self._entries[card_id]
-            self._drop_indexes(card)
-        return card
 
     def discover(self, action_type: str) -> Candidates:
         """All cards supporting ``action_type``, ascending by card_id; a
@@ -168,21 +149,20 @@ class Registry:
                      if action_type in entry[0].supported_actions])
             return index.candidates()
 
-    def get(self, card_id: str) -> tuple[AgentCard, AgentMetrics]:
-        with self._lock:
-            return self._entry(card_id)
-
     def update_metrics(self, card_id: str, latency_ms: float, success: bool,
                        load_now: float) -> AgentMetrics:
         """Fold one observation into the card's metrics.
 
-        Latency and accuracy follow an EWMA with factor alpha; the first
-        observation overwrites the configured prior entirely. Load is a point
-        measurement and is replaced, not smoothed.
+        Latency and accuracy follow an EWMA with factor ``EWMA_ALPHA``; the
+        first observation overwrites the configured prior entirely. Load is a
+        point measurement and is replaced, not smoothed.
         """
         with self._lock:
-            card, prev = self._entry(card_id)
-            a = 1.0 if prev.sample_count == 0 else self.ewma_alpha
+            try:
+                card, prev = self._entries[card_id]
+            except KeyError:
+                raise UnknownCard(f"card id {card_id!r} is not registered") from None
+            a = 1.0 if prev.sample_count == 0 else EWMA_ALPHA
             observed_acc = 1.0 if success else 0.0
             updated = replace(
                 prev,

@@ -64,9 +64,6 @@ class NoveltyLedger:
     def __init__(self):
         self._counts: dict[tuple[str, ...], int] = {}
 
-    def count(self, signature: tuple[str, ...]) -> int:
-        return self._counts.get(signature, 0)
-
     def record(self, signature: tuple[str, ...]) -> int:
         """Increment and return the count prior to this visit."""
         prior = self._counts.get(signature, 0)

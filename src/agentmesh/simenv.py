@@ -69,6 +69,8 @@ class TaskClass:
     sla_deadline_ms: float = 500.0
 
     def __post_init__(self):
+        if not self.name:
+            raise ValueError("name must be nonempty")
         if not 0.0 <= self.probability <= 1.0:
             raise ValueError("probability must be in [0, 1]")
         if self.sla_deadline_ms <= 0:
@@ -252,8 +254,10 @@ def goal_token(class_name: str) -> str:
 
 
 def class_of_task(config: GeneratorConfig, task: TaskSpec) -> TaskClass:
-    idx = int(np.argmax(task.feature_vector))
-    return config.classes[idx]
+    """The class at the task's first largest feature, as ``np.argmax``
+    finds it for finite features."""
+    features = task.feature_vector
+    return config.classes[features.index(max(features))]
 
 
 # Default answer pools for the two-agent case study. Pools for the delegated

@@ -83,6 +83,8 @@ class TrainerConfig:
             raise BadConfig("learning_rate must be >= 0")
         if self.iterations < 1:
             raise BadConfig("iterations must be >= 1")
+        if self.checkpoint_every < 0:
+            raise BadConfig("checkpoint_every must be >= 0")
 
 
 @dataclass

@@ -46,6 +46,8 @@ OVERRIDE_CASES = {
                                   "trainer.entropy_bonus: must be finite"),
     "negative class probability": ("env.class_probs=[2,-1,0]", "env: probability"),
     "negative seed": ("seed=-1", "seed must be >= 0"),
+    "negative checkpoint_every": ("trainer.checkpoint_every=-3",
+                                  "trainer: checkpoint_every must be >= 0"),
     "huge max_steps": ("max_steps=1e30", "max_steps: must be in"),
     "control tag as answer token": ('policy.answer_tokens=["<action>"]', "policy: control tags"),
     "duplicate answer token": ('policy.answer_tokens=["ack","ack"]',
@@ -74,6 +76,13 @@ FILE_CASES = {
     "task class without name": (
         {"task_classes": [{k: v for k, v in TASK.items() if k != "name"}], "agents": [AGENT]},
         None, "task_classes[0].name: required"),
+    # --task-class would force both to probability 1
+    "two task classes with one name": (
+        {"task_classes": [{**TASK, "probability": 0.5}] * 2, "agents": [AGENT]},
+        None, "task_classes[1].name: duplicate class name 't'"),
+    "empty task class name": (
+        {"task_classes": [{**TASK, "name": ""}], "agents": [AGENT]},
+        None, "task_classes[0]: name must be nonempty"),
     "agent success_prob not an object": (
         {"task_classes": [TASK], "agents": [{**AGENT, "success_prob": [1.0]}]},
         None, "agents[0].success_prob: must be an object"),
@@ -291,7 +300,7 @@ def test_card_file_supplies_cards_and_metric_priors(tmp_path):
     world = load_config(tmp_path / "config.json").world
     (agent,) = world.agents
     assert (agent.card.protocol_tag, agent.card.cost, agent.latency_base_ms) == ("a2a", 0.5, 50.0)
-    _, metrics = world.build_registry().get("c1")
+    ((_, metrics),) = world.build_registry().discover("a")
     assert (metrics.load, metrics.historical_accuracy, metrics.sample_count) == (0.3, 0.7, 0)
 
 

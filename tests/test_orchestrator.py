@@ -266,7 +266,7 @@ class TestExecuteEpisode:
 
     def test_malformed_reply_counts_as_a_failed_call(self, world, spec):
         registry = world.build_registry()
-        _, prior = registry.get("na-agent")
+        ((_, prior),) = registry.discover("network_analysis")
         # a twin that ties with na-agent and loses the tie on its id
         registry.register_card(AgentCard("na-twin", "native", frozenset({"network_analysis"})),
                                prior)
@@ -279,7 +279,7 @@ class TestExecuteEpisode:
             task, forced(spec, idx), spec, registry, WEIGHTS, env,
             np.random.default_rng(1), generator=world.generator)
         assert outcome.failure.kind == "malformed_agent_response"
-        _, metrics = registry.get("na-agent")
+        metrics = {c.card_id: m for c, m in registry.discover("network_analysis")}["na-agent"]
         assert metrics.sample_count == 1
         assert metrics.historical_accuracy == 0.0
         assert route("network_analysis", registry, WEIGHTS) == "na-twin"

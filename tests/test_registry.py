@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from agentmesh.errors import DuplicateId, EmptyActions, UnknownCard
-from agentmesh.registry import WIDE_MIN_CARDS, AgentCard, AgentMetrics, Registry
+from agentmesh.registry import EWMA_ALPHA, WIDE_MIN_CARDS, AgentCard, AgentMetrics, Registry
 
 
 def card(card_id="na-1", actions=("network_analysis",), protocol="native"):
@@ -54,22 +54,41 @@ class TestDiscover:
         reg.register_card(card("pq-1", actions=("protocol_query",)))
         assert reg.discover("network_analysis") == []
 
+    @pytest.mark.parametrize("n_cards", [2, WIDE_MIN_CARDS])
+    def test_card_registered_after_discover_is_in_the_next_discover(self, n_cards):
+        reg = Registry()
+        for i in range(n_cards):
+            reg.register_card(card(f"na-{i:03d}"))
+        reg.register_card(card("pq-1", actions=("protocol_query",)))
+        for action in ("network_analysis", "protocol_query"):
+            reg.discover(action)
+        # an id in the middle of the order, for both action types
+        reg.register_card(card("na-000x", actions=("network_analysis", "protocol_query")),
+                          AgentMetrics(load=0.5, avg_latency_ms=7.0))
+        assert [c.card_id for c, _ in reg.discover("protocol_query")] == ["na-000x", "pq-1"]
+        found = reg.discover("network_analysis")
+        ids = [f"na-{i:03d}" for i in range(n_cards)]
+        assert [c.card_id for c, _ in found] == [ids[0], "na-000x", *ids[1:]]
+        if n_cards >= WIDE_MIN_CARDS:
+            assert found.columns.load.tolist() == [m.load for _, m in found]
+            assert found.columns.avg_latency_ms.tolist() == [m.avg_latency_ms for _, m in found]
+
 
 class TestUpdateMetrics:
     def test_latency_ewma(self):
-        reg = Registry(ewma_alpha=0.5)
+        reg = Registry()
         reg.register_card(card(), AgentMetrics(avg_latency_ms=100.0, sample_count=1))
         got = reg.update_metrics("na-1", latency_ms=200.0, success=True, load_now=0.0)
-        assert got.avg_latency_ms == pytest.approx(150.0)
+        assert got.avg_latency_ms == pytest.approx(130.0)
 
     def test_accuracy_ewma_on_failure(self):
-        reg = Registry(ewma_alpha=0.5)
+        reg = Registry()
         reg.register_card(card(), AgentMetrics(historical_accuracy=1.0, sample_count=1))
         got = reg.update_metrics("na-1", latency_ms=10.0, success=False, load_now=0.0)
-        assert got.historical_accuracy == pytest.approx(0.5)
+        assert got.historical_accuracy == pytest.approx(0.7)
 
     def test_first_observation_overwrites_prior(self):
-        reg = Registry(ewma_alpha=0.3)
+        reg = Registry()
         reg.register_card(card(), AgentMetrics(avg_latency_ms=999.0, historical_accuracy=0.0))
         got = reg.update_metrics("na-1", latency_ms=40.0, success=True, load_now=0.2)
         assert got.avg_latency_ms == pytest.approx(40.0)
@@ -84,49 +103,14 @@ class TestUpdateMetrics:
         initial=st.floats(0, 1000),
         target=st.floats(0, 1000),
         k=st.integers(1, 30),
-        alpha=st.floats(0.05, 1.0),
     )
-    def test_ewma_geometric_convergence(self, initial, target, k, alpha):
-        reg = Registry(ewma_alpha=alpha)
+    def test_ewma_geometric_convergence(self, initial, target, k):
+        reg = Registry()
         reg.register_card(card(), AgentMetrics(avg_latency_ms=initial, sample_count=1))
         for _ in range(k):
             got = reg.update_metrics("na-1", latency_ms=target, success=True, load_now=0.0)
-        bound = (1 - alpha) ** k * abs(initial - target)
+        bound = (1 - EWMA_ALPHA) ** k * abs(initial - target)
         assert abs(got.avg_latency_ms - target) <= bound + 1e-9
-
-
-class TestDeregister:
-    def test_removed_card_not_discoverable(self):
-        reg = Registry()
-        reg.register_card(card())
-        removed = reg.deregister("na-1")
-        assert removed.card_id == "na-1"
-        assert reg.discover("network_analysis") == []
-
-    def test_double_deregister(self):
-        reg = Registry()
-        reg.register_card(card())
-        reg.deregister("na-1")
-        with pytest.raises(UnknownCard):
-            reg.deregister("na-1")
-
-    def test_other_cards_unaffected(self):
-        reg = Registry()
-        reg.register_card(card("na-1"))
-        reg.register_card(card("na-2"))
-        reg.deregister("na-1")
-        assert [c.card_id for c, _ in reg.discover("network_analysis")] == ["na-2"]
-
-    def test_register_then_deregister_restores_discovery(self):
-        reg = Registry()
-        reg.register_card(card("na-1"))
-        before = {a: [c.card_id for c, _ in reg.discover(a)]
-                  for a in ("network_analysis", "protocol_query")}
-        reg.register_card(card("tmp", actions=("network_analysis", "protocol_query")))
-        reg.deregister("tmp")
-        after = {a: [c.card_id for c, _ in reg.discover(a)]
-                 for a in ("network_analysis", "protocol_query")}
-        assert before == after
 
 
 @given(st.lists(st.tuples(st.text(min_size=1, max_size=4),
@@ -142,39 +126,50 @@ def test_discover_always_sorted_without_duplicates(entries):
         assert len(ids) == len(set(ids))
 
 
-def test_discover_while_another_thread_registers_and_deregisters():
+# Fresh ids that a writer thread registers in this order; they sort after
+# the "na-" ids that a test registers first.
+TEMPS = [f"temp-{i:05d}" for i in range(1000)]
+
+
+def register_temps(reg, stop, errors):
+    try:
+        for cid in TEMPS:
+            if stop.is_set():
+                return
+            reg.register_card(card(cid))
+    except Exception as exc:
+        errors.append(exc)
+
+
+def assert_stable_then_temps(found, stable):
+    """``found`` holds the ``stable`` ids and then an in-order prefix of TEMPS."""
+    ids = [c.card_id for c, _ in found]
+    assert ids[:len(stable)] == stable
+    assert ids[len(stable):] == TEMPS[:len(ids) - len(stable)]
+
+
+def test_discover_while_another_thread_registers():
     reg = Registry()
     stable = [f"na-{i:02d}" for i in range(20)]
     for cid in stable:
         reg.register_card(card(cid))
     stop = threading.Event()
     writer_errors = []
-
-    def churn():
-        try:
-            for _ in range(20_000):
-                if stop.is_set():
-                    return
-                reg.register_card(card("temp"))
-                reg.deregister("temp")
-        except Exception as exc:
-            writer_errors.append(exc)
-
-    writer = threading.Thread(target=churn)
+    writer = threading.Thread(target=register_temps, args=(reg, stop, writer_errors))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # interleave the threads often
     try:
         writer.start()
         deadline = time.monotonic() + 60
         while writer.is_alive() and time.monotonic() < deadline:
-            found = [c.card_id for c, _ in reg.discover("network_analysis")]
-            assert found in (stable, stable + ["temp"])
+            assert_stable_then_temps(reg.discover("network_analysis"), stable)
     finally:
         stop.set()
         writer.join(timeout=60)
         sys.setswitchinterval(interval)
     assert not writer.is_alive()
     assert writer_errors == []
+    assert [c.card_id for c, _ in reg.discover("network_analysis")] == stable + TEMPS
 
 
 def test_wide_discover_while_other_threads_churn_and_update_metrics():
@@ -187,16 +182,6 @@ def test_wide_discover_while_other_threads_churn_and_update_metrics():
     stop = threading.Event()
     errors = []
 
-    def churn():
-        try:
-            for _ in range(20_000):
-                if stop.is_set():
-                    return
-                reg.register_card(card("temp"))
-                reg.deregister("temp")
-        except Exception as exc:
-            errors.append(exc)
-
     def update():
         try:
             for i in range(20_000):
@@ -207,7 +192,8 @@ def test_wide_discover_while_other_threads_churn_and_update_metrics():
         except Exception as exc:
             errors.append(exc)
 
-    writers = [threading.Thread(target=churn), threading.Thread(target=update)]
+    writers = [threading.Thread(target=register_temps, args=(reg, stop, errors)),
+               threading.Thread(target=update)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # interleave the threads often
     try:
@@ -216,7 +202,7 @@ def test_wide_discover_while_other_threads_churn_and_update_metrics():
         deadline = time.monotonic() + 60
         while any(w.is_alive() for w in writers) and time.monotonic() < deadline:
             found = reg.discover("network_analysis")
-            assert [c.card_id for c, _ in found] in (stable, stable + ["temp"])
+            assert_stable_then_temps(found, stable)
             metrics = [m for _, m in found]
             assert found.columns is not None
             assert found.columns.load.tolist() == [m.load for m in metrics]
@@ -231,3 +217,4 @@ def test_wide_discover_while_other_threads_churn_and_update_metrics():
         sys.setswitchinterval(interval)
     assert not any(w.is_alive() for w in writers)
     assert errors == []
+    assert [c.card_id for c, _ in reg.discover("network_analysis")] == stable + TEMPS

@@ -14,6 +14,7 @@ from agentmesh.simenv import (
     TaskClass,
     TaskSpec,
     WorldConfig,
+    class_of_task,
     preset_case_study,
     sample_task,
     stream,
@@ -85,6 +86,16 @@ class TestSampleTask:
         for _ in range(20):
             assert sample_task(config, ours) == choice_sample_task(config, theirs)
         assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @given(st.lists(st.sampled_from([-1.0, 0.0, 1.0]) | st.floats(-1e6, 1e6), min_size=1,
+                    max_size=6))
+    def test_class_of_task_is_the_argmax_class(self, features):
+        # ties between the largest features are common
+        config = GeneratorConfig(tuple(
+            TaskClass(f"c{i}", 1.0 if i == 0 else 0.0, None, ("ack",))
+            for i in range(len(features))))
+        task = TaskSpec("t", tuple(features), None, "ack", 100.0)
+        assert class_of_task(config, task) is config.classes[int(np.argmax(features))]
 
 
 def choice_sample_task(config: GeneratorConfig, rng: np.random.Generator) -> TaskSpec:

@@ -169,7 +169,8 @@ class TestStepBudget:
                             np.random.default_rng(1), max_steps=max_steps,
                             generator=world.generator)
         assert (env.clock_ms, env.current_task, env.loads) == (0.0, None, {})
-        assert all(registry.get(a.card.card_id)[1].sample_count == 0 for a in world.agents)
+        assert all(m.sample_count == 0
+                   for action in world.action_types for _, m in registry.discover(action))
 
 
 def test_sampled_evaluation_keeps_its_streams(world, spec):
