@@ -21,7 +21,7 @@ from .orchestrator import execute_episode, make_warmup_dataset
 from .policy import (diverged, load_checkpoint, load_sft_dataset, save_checkpoint, sft_loss,
                      sft_update)
 from .rewards import NoveltyLedger, episode_reward, scalarize
-from .simenv import GeneratorConfig, sample_task
+from .simenv import GeneratorConfig, sample_task, stream
 from .trainer import evaluate_policy, train
 from .trajectory import to_log_record
 
@@ -94,10 +94,10 @@ def cmd_run(args) -> int:
                        for c in generator.classes)
         generator = GeneratorConfig(classes=forced)
 
-    task = sample_task(generator, np.random.default_rng([cfg.seed, 2]))
+    task = sample_task(generator, stream([cfg.seed, 2]))
     registry = cfg.world.build_registry()
     env = cfg.world.build_env([cfg.seed, 3, 0])
-    rng = np.random.default_rng([cfg.seed, 3, 1])
+    rng = stream([cfg.seed, 3, 1])
     traj, outcome, _ = execute_episode(
         task, theta, cfg.policy_spec, registry, cfg.router_weights, env, rng,
         generator=cfg.world.generator,
@@ -136,7 +136,7 @@ def cmd_sft(args) -> int:
         samples = load_sft_dataset(args.dataset, cfg.policy_spec)
     else:
         samples = make_warmup_dataset(cfg.world.generator, cfg.policy_spec, 200,
-                                      np.random.default_rng([cfg.seed, 4]))
+                                      stream([cfg.seed, 4]))
     if not samples:
         raise BadDataset(0, "dataset is empty")
     theta = _theta(cfg, args.checkpoint)
@@ -181,6 +181,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.episodes < 1:
+        raise BadConfig("--episodes: must be >= 1")
     cfg = _load(args)
     if args.checkpoint is None:
         raise BadCheckpoint("eval requires --checkpoint")

@@ -1,10 +1,12 @@
-"""Episode loop: interpret the task, decide, route, invoke, integrate.
+"""Episode loop: observe, decide, route, invoke, record.
 
 Each step the policy either answers directly or delegates to an action type;
 delegations are routed to a concrete agent, the agent's filtered response is
 inserted into the trajectory, and a system marker feeds the success flag back
-to the next observation. Failures never raise out of the loop; they terminate
-the episode with a failure report in the outcome.
+to the next observation. The loop records everything about the episode (its
+trajectory, latency and calls); the env only answers agent calls. Failures
+never raise out of the loop; they terminate the episode with a failure report
+in the outcome.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from .policy import (
 )
 from .registry import Registry
 from .router import RoutingWeights, route
-from .simenv import (AgentResponse, GeneratorConfig, SimEnv, TaskSpec, choice_cdf, class_of_task,
-                     goal_token, sample_task)
+from .simenv import (GeneratorConfig, SimEnv, TaskSpec, choice_cdf, class_of_task, goal_token,
+                     sample_task)
 from .trajectory import (
     MALFORMED_AGENT_RESPONSE,
     NO_AGENT_FOR_ACTION,
@@ -67,11 +69,6 @@ class StepRecord:
     obs: Observation
     action_index: int
     entropy: float
-
-
-def interpret(task: TaskSpec) -> Observation:
-    """Initial observation: task features, step 0, no prior agent outcome."""
-    return Observation(features=task.feature_vector, step_index=0, last_outcome=OUTCOME_NONE)
 
 
 @dataclass(frozen=True, eq=False)  # rows compare by identity; arrays have no truth value
@@ -137,17 +134,6 @@ def decide(obs: Observation, theta: np.ndarray, spec: PolicySpec,
     return spec.actions.decision_of(index), index, row
 
 
-def integrate(traj: Trajectory, response: AgentResponse, card_id: str) -> Trajectory:
-    """Insert the filtered agent answer plus a system success marker.
-
-    Atomic: a malformed response leaves the trajectory unchanged.
-    """
-    traj.insert_agent_response(card_id, response.raw_tokens)
-    flag = SYS_AGENT_SUCCESS if response.succeeded else SYS_AGENT_FAILURE
-    traj.append_system([flag])
-    return traj
-
-
 def execute_episode(
     task: TaskSpec,
     theta: np.ndarray,
@@ -177,13 +163,13 @@ def execute_episode(
     elif table.theta is not theta or table.spec != spec:
         raise ValueError("the decision table was built for another theta or spec")
     traj = Trajectory()
-    start_clock = env.begin_episode(task)
     records: list[StepRecord] = []
     delegations: list[str] = []
     relay_source: Optional[str] = None  # informative token of last successful response
     failure: Optional[FailureReport] = None
     final_answer: Optional[str] = None
     invocations = 0
+    total_latency = 0.0
     last_outcome = OUTCOME_NONE
 
     payload = goal_token(class_of_task(generator, task).name)
@@ -209,10 +195,13 @@ def execute_episode(
             failure = FailureReport(NO_AGENT_FOR_ACTION)
             break
 
-        response = env.invoke_agent(card_id, decision.action_type)
+        response = env.invoke_agent(card_id, decision.action_type, task)
         invocations += 1
+        total_latency += response.latency_ms
         try:
-            integrate(traj, response, card_id)
+            # a malformed reply raises here and leaves the trajectory unchanged
+            traj.insert_agent_response(card_id, response.raw_tokens)
+            traj.append_system([SYS_AGENT_SUCCESS if response.succeeded else SYS_AGENT_FAILURE])
             malformed = False
         except MalformedAgentResponse:
             malformed = True
@@ -229,7 +218,6 @@ def execute_episode(
         else:
             last_outcome = OUTCOME_AGENT_FAILURE
 
-    total_latency = env.clock_ms - start_clock
     outcome = EpisodeOutcome(
         final_answer=final_answer,
         total_latency_ms=total_latency,
@@ -252,7 +240,7 @@ def make_warmup_dataset(generator: GeneratorConfig, spec: PolicySpec, n: int,
     samples = []
     for _ in range(n):
         task = sample_task(generator, rng)
-        obs = interpret(task)
+        obs = Observation(task.feature_vector)  # step 0, no prior agent outcome
         if task.required_action is None:
             if task.ground_truth not in spec.actions.answer_tokens:
                 raise BadConfig(f"policy.answer_tokens: the warm-up demonstrates the answer "

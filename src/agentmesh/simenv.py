@@ -1,7 +1,8 @@
 """Simulated network environment: task generation and stochastic agents.
 
-Everything runs on a simulated clock with seeded randomness so that a
-(seed, config) pair reproduces every task and agent response bit-for-bit.
+Agent latencies are simulated, not measured, and all randomness is seeded,
+so a (seed, config) pair reproduces every task and agent response
+bit-for-bit.
 """
 
 from __future__ import annotations
@@ -160,36 +161,29 @@ class AgentResponse:
 
 @dataclass
 class SimEnv:
-    """One episode-scoped environment instance.
+    """One episode-scoped environment instance: it answers agent calls.
 
     Holds the load of every agent called so far (any other agent's load is
-    0), a simulated clock, and a private RNG stream seeded by ``seed``,
-    built on the first agent call, since only calls draw from it. ``agents``
-    is the world's map, shared by every instance and never mutated. Each
-    rollout runs in its own instance, one after another, with a seed derived
-    from its place in the run.
+    0) and a private RNG stream seeded by ``seed``, built on the first agent
+    call, since only calls draw from it. ``agents`` is the world's map,
+    shared by every instance and never mutated. Each rollout runs in its own
+    instance, one after another, with a seed derived from its place in the
+    run.
     """
 
     agents: Mapping[str, SimAgentConfig]
     seed: Seed
     loads: dict[str, float] = field(default_factory=dict)
-    clock_ms: float = 0.0
-    current_task: Optional[TaskSpec] = None
 
     @cached_property
     def rng(self) -> np.random.Generator:
         return stream(self.seed)
 
-    def begin_episode(self, task: TaskSpec) -> float:
-        """Bind the episode's task; returns the clock at episode start."""
-        self.current_task = task
-        return self.clock_ms
+    def invoke_agent(self, card_id: str, action_type: str, task: TaskSpec) -> AgentResponse:
+        """Simulate one delegation round-trip for ``task``.
 
-    def invoke_agent(self, card_id: str, action_type: str) -> AgentResponse:
-        """Simulate one delegation round-trip.
-
-        The informative answer equals the bound task's ground truth only when
-        the draw succeeds and the invoked action is the one the task actually
+        The informative answer equals the task's ground truth only when the
+        draw succeeds and the invoked action is the one the task actually
         requires; otherwise a dedicated wrong token is returned so accuracy
         evaluation stays unambiguous. An action the agent does not serve
         fails like a failed draw. Latency grows with the agent's current
@@ -198,8 +192,6 @@ class SimEnv:
         agent = self.agents.get(card_id)
         if agent is None:
             raise UnknownCard(f"no simulated agent for card {card_id!r}")
-        if self.current_task is None:
-            raise ValueError("begin_episode must be called before invoke_agent")
 
         for cid in self.loads:
             self.loads[cid] *= LOAD_DECAY
@@ -208,11 +200,10 @@ class SimEnv:
         if agent.latency_jitter_ms > 0:
             latency += float(self.rng.uniform(0.0, agent.latency_jitter_ms))
         self.loads[card_id] = min(1.0, load + agent.load_per_call)
-        self.clock_ms += latency
 
         succeeded = bool(self.rng.random() < agent.success_prob.get(action_type, 0.0))
-        on_target = succeeded and action_type == self.current_task.required_action
-        answer = self.current_task.ground_truth if on_target else WRONG
+        on_target = succeeded and action_type == task.required_action
+        answer = task.ground_truth if on_target else WRONG
         raw = (NOISE, ANS_OPEN, answer, ANS_CLOSE)
         return AgentResponse(raw_tokens=raw, latency_ms=latency, succeeded=succeeded)
 

@@ -232,7 +232,7 @@ def train(
     theta = spec.zero_params() if initial_theta is None else np.array(initial_theta, dtype=float)
     registry = world.build_registry()
     ledger = NoveltyLedger()
-    task_rng = np.random.default_rng([seed, 0])
+    task_rng = stream([seed, 0])
     report = TrainingReport()
     pending_tasks: list[TaskSpec] = []
 
@@ -320,7 +320,7 @@ def evaluate_policy(
     if n_episodes < 1:
         raise BadConfig("n_episodes must be >= 1")
     registry = world.build_registry()
-    task_rng = np.random.default_rng([seed, 2])
+    task_rng = stream([seed, 2])
     correct = 0
     latencies = []
     sla_violations = 0

@@ -281,3 +281,11 @@ class TestEval:
                      "--out", str(tmp_path / "eval")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("episodes", ["0", "-2"])
+    def test_bad_episode_count_names_the_flag(self, tmp_path, capsys, episodes):
+        ckpt = sft_checkpoint(tmp_path)
+        code = main(["eval", "--checkpoint", str(ckpt), "--episodes", episodes,
+                     "--out", str(tmp_path / "eval")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: --episodes: must be >= 1\n"

@@ -8,22 +8,21 @@ from hypothesis import strategies as st
 
 from agentmesh import orchestrator
 from agentmesh.config import default_policy_spec
-from agentmesh.errors import MalformedAgentResponse
 from agentmesh.orchestrator import (
     DecisionRow,
     DecisionTable,
     decide,
     execute_episode,
-    integrate,
-    interpret,
     make_warmup_dataset,
 )
 from agentmesh.policy import ActionSpace, Decision, Observation, PolicySpec
 from agentmesh.registry import AgentCard
 from agentmesh.router import RoutingWeights, route
-from agentmesh.simenv import AgentResponse, SimAgentConfig, preset_case_study, sample_task
-from agentmesh.trajectory import WELL_FORMED, Trajectory, validate
+from agentmesh.simenv import (AgentResponse, SimAgentConfig, goal_token, preset_case_study,
+                              sample_task)
+from agentmesh.trajectory import WELL_FORMED, validate
 from agentmesh.vocab import (
+    ACTION_CLOSE,
     ACTION_OPEN,
     ANS_CLOSE,
     ANS_OPEN,
@@ -52,20 +51,22 @@ def task_of_class(world, name, seed=0):
             return task
 
 
-class TestInterpret:
-    def test_step_zero(self, world):
-        task = sample_task(world.generator, np.random.default_rng(0))
-        obs = interpret(task)
-        assert obs.step_index == 0
-        assert obs.last_outcome == "none"
+def stubbed_episode(world, spec, replies, max_steps=4, registry=None):
+    """An always-delegate network-analysis episode whose agent calls return
+    ``replies`` in order."""
+    task = task_of_class(world, "network_analysis")
+    idx = spec.actions.index_of(Decision.delegate("network_analysis"))
+    env = world.build_env([0, 0])
+    pending = iter(replies)
+    env.invoke_agent = lambda card_id, action_type, task: next(pending)
+    return execute_episode(
+        task, forced(spec, idx), spec, registry or world.build_registry(), WEIGHTS, env,
+        np.random.default_rng(1), max_steps=max_steps, generator=world.generator)
 
-    def test_features_pass_through(self, world):
-        task = sample_task(world.generator, np.random.default_rng(1))
-        assert interpret(task).features == task.feature_vector
 
-    def test_pure(self, world):
-        task = sample_task(world.generator, np.random.default_rng(2))
-        assert interpret(task) == interpret(task)
+NA_DELEGATION = ("core", (ACTION_OPEN, "network_analysis", goal_token("network_analysis"),
+                          ACTION_CLOSE))
+MALFORMED = AgentResponse(("no", "span"), 10.0, True)
 
 
 class TestDecide:
@@ -187,25 +188,27 @@ class TestDecisionTable:
 
 
 class TestIntegrate:
-    def test_well_formed_adds_agent_and_system_segments(self):
-        traj = Trajectory()
-        resp = AgentResponse(("x", ANS_OPEN, "congestion", ANS_CLOSE), 10.0, True)
-        integrate(traj, resp, "na-agent")
-        assert [s.source for s in traj.segments] == ["agent", "system"]
-        assert traj.segments[0].tokens == ("congestion",)
-        assert traj.segments[1].tokens == (SYS_AGENT_SUCCESS,)
+    """How the episode loop integrates an agent's reply into the trajectory."""
 
-    def test_failure_flag_token(self):
-        traj = Trajectory()
-        resp = AgentResponse((ANS_OPEN, "wrong", ANS_CLOSE), 10.0, False)
-        integrate(traj, resp, "na-agent")
-        assert traj.segments[1].tokens == (SYS_AGENT_FAILURE,)
+    def test_well_formed_adds_agent_and_system_segments(self, world, spec):
+        reply = AgentResponse(("x", ANS_OPEN, "congestion", ANS_CLOSE), 10.0, True)
+        traj, _, _ = stubbed_episode(world, spec, [reply], max_steps=1)
+        assert [(s.source, s.tokens) for s in traj.segments] == [
+            NA_DELEGATION, ("agent", ("congestion",)), ("system", (SYS_AGENT_SUCCESS,))]
+        assert traj.segments[1].card_id == "na-agent"
 
-    def test_malformed_is_atomic(self):
-        traj = Trajectory()
-        with pytest.raises(MalformedAgentResponse):
-            integrate(traj, AgentResponse(("no", "span"), 10.0, True), "na-agent")
-        assert traj.segments == []
+    def test_failure_flag_token(self, world, spec):
+        reply = AgentResponse((ANS_OPEN, "wrong", ANS_CLOSE), 10.0, False)
+        traj, _, _ = stubbed_episode(world, spec, [reply], max_steps=1)
+        assert traj.segments[2].tokens == (SYS_AGENT_FAILURE,)
+
+    def test_malformed_is_atomic(self, world, spec):
+        # a malformed second reply adds nothing after its delegation
+        good = AgentResponse((ANS_OPEN, "congestion", ANS_CLOSE), 10.0, True)
+        traj, _, _ = stubbed_episode(world, spec, [good, MALFORMED])
+        assert [(s.source, s.tokens) for s in traj.segments] == [
+            NA_DELEGATION, ("agent", ("congestion",)), ("system", (SYS_AGENT_SUCCESS,)),
+            NA_DELEGATION]
 
 
 class TestExecuteEpisode:
@@ -252,17 +255,12 @@ class TestExecuteEpisode:
         assert outcome.terminal == {"kind": "failed", "reason": "no_agent_for_action"}
 
     def test_malformed_response_fails_after_one_invocation(self, world, spec):
-        task = task_of_class(world, "network_analysis")
-        idx = spec.actions.index_of(Decision.delegate("network_analysis"))
-        env = world.build_env([0, 0])
-        env.invoke_agent = lambda card_id, action_type: AgentResponse(("no", "span"), 10.0, True)
-        traj, outcome, _ = execute_episode(
-            task, forced(spec, idx), spec, world.build_registry(), WEIGHTS, env,
-            np.random.default_rng(1), generator=world.generator)
+        traj, outcome, _ = stubbed_episode(world, spec, [MALFORMED])
         assert outcome.failure.kind == "malformed_agent_response"
         assert outcome.invocation_count == 1
         assert outcome.delegations == ("network_analysis",)
-        assert not any(seg.source == "agent" for seg in traj.segments)
+        # the one core delegation span: no agent segment, no system segment
+        assert [(s.source, s.tokens) for s in traj.segments] == [NA_DELEGATION]
 
     def test_malformed_reply_counts_as_a_failed_call(self, world, spec):
         registry = world.build_registry()
@@ -271,13 +269,7 @@ class TestExecuteEpisode:
         registry.register_card(AgentCard("na-twin", "native", frozenset({"network_analysis"})),
                                prior)
         assert route("network_analysis", registry, WEIGHTS) == "na-agent"
-        task = task_of_class(world, "network_analysis")
-        idx = spec.actions.index_of(Decision.delegate("network_analysis"))
-        env = world.build_env([0, 0])
-        env.invoke_agent = lambda card_id, action_type: AgentResponse(("no", "span"), 10.0, True)
-        _, outcome, _ = execute_episode(
-            task, forced(spec, idx), spec, registry, WEIGHTS, env,
-            np.random.default_rng(1), generator=world.generator)
+        _, outcome, _ = stubbed_episode(world, spec, [MALFORMED], registry=registry)
         assert outcome.failure.kind == "malformed_agent_response"
         metrics = {c.card_id: m for c, m in registry.discover("network_analysis")}["na-agent"]
         assert metrics.sample_count == 1
@@ -352,6 +344,31 @@ class TestExecuteEpisode:
         theta = np.random.default_rng(10).normal(size=(spec.num_actions, spec.encoded_dim))
         _, outcome, _ = self.run(world, spec, theta, task)
         assert outcome.sla_met == (outcome.total_latency_ms <= task.sla_deadline_ms)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_latency_is_the_sum_of_the_call_latencies(self, seed):
+        # jittered calls to one agent whose load grows with each of 4 calls
+        world = preset_case_study(latency_jitter_ms=5.0, load_per_call=0.2)
+        spec = default_policy_spec(world, max_steps=4)
+        task = sample_task(world.generator, np.random.default_rng([seed, 2]))
+        env = world.build_env([seed, 0])
+        latencies = []
+        invoke = env.invoke_agent
+
+        def recording(*args):
+            response = invoke(*args)
+            latencies.append(response.latency_ms)
+            return response
+
+        env.invoke_agent = recording
+        theta = forced(spec, spec.actions.index_of(Decision.delegate("network_analysis")))
+        _, outcome, _ = execute_episode(task, theta, spec, world.build_registry(), WEIGHTS, env,
+                                        np.random.default_rng([seed, 1]),
+                                        generator=world.generator)
+        assert outcome.invocation_count == len(latencies) == 4
+        assert outcome.total_latency_ms == sum(latencies)
+        assert outcome.sla_met == (sum(latencies) <= task.sla_deadline_ms)
 
     def test_trajectories_always_well_formed_under_random_policies(self, world, spec):
         rng = np.random.default_rng(11)

@@ -140,8 +140,7 @@ class TestStream:
 class TestInvokeAgent:
     def invoke(self, world, task, card_id="na-1", action="network_analysis", seed=0):
         env = world.build_env(seed)
-        env.begin_episode(task)
-        return env, env.invoke_agent(card_id, action)
+        return env, env.invoke_agent(card_id, action, task)
 
     def na_task(self, world, seed=0):
         rng = np.random.default_rng(seed)
@@ -176,17 +175,15 @@ class TestInvokeAgent:
     def test_latency_formula_without_jitter_or_load(self):
         world = single_agent_world(base=50.0, jitter=0.0)
         task = self.na_task(world)
-        env, resp = self.invoke(world, task)
+        _, resp = self.invoke(world, task)
         assert resp.latency_ms == pytest.approx(50.0)
-        assert env.clock_ms == pytest.approx(50.0)
 
     def test_latency_grows_with_load(self):
         world = single_agent_world(base=50.0, jitter=0.0, load_per_call=0.5)
         task = self.na_task(world)
         env = world.build_env(0)
-        env.begin_episode(task)
-        first = env.invoke_agent("na-1", "network_analysis")
-        second = env.invoke_agent("na-1", "network_analysis")
+        first = env.invoke_agent("na-1", "network_analysis", task)
+        second = env.invoke_agent("na-1", "network_analysis", task)
         # load after first call: 0.5, decayed to 0.45 before the second
         assert first.latency_ms == pytest.approx(50.0)
         assert second.latency_ms == pytest.approx(50.0 * 1.45)
@@ -195,9 +192,8 @@ class TestInvokeAgent:
         world = single_agent_world()
         task = self.na_task(world)
         env = world.build_env(0)
-        env.begin_episode(task)
         with pytest.raises(UnknownCard):
-            env.invoke_agent("ghost", "network_analysis")
+            env.invoke_agent("ghost", "network_analysis", task)
 
     def test_unsupported_action(self):
         # the card advertises "slicing", but its simulator does not serve it
@@ -208,15 +204,15 @@ class TestInvokeAgent:
         env, resp = self.invoke(world, task, action="slicing")
         assert not resp.succeeded
         assert extract_answer_span(resp.raw_tokens) == (WRONG,)
-        assert env.clock_ms == resp.latency_ms > 0
+        assert resp.latency_ms > 0
+        assert env.loads == {"na-1": stale.load_per_call}
 
     def test_loads_stay_clamped(self):
         world = single_agent_world(load_per_call=0.9)
         task = self.na_task(world)
         env = world.build_env(0)
-        env.begin_episode(task)
         for _ in range(10):
-            env.invoke_agent("na-1", "network_analysis")
+            env.invoke_agent("na-1", "network_analysis", task)
             assert 0.0 <= env.loads["na-1"] <= 1.0
 
     def test_seeded_reproducibility(self):
@@ -225,10 +221,9 @@ class TestInvokeAgent:
 
         def run(seed):
             env = world.build_env(seed)
-            env.begin_episode(task)
             return [
                 (r.succeeded, r.latency_ms, r.raw_tokens)
-                for r in (env.invoke_agent("na-1", "network_analysis")
+                for r in (env.invoke_agent("na-1", "network_analysis", task)
                           for _ in range(5))
             ]
 
@@ -240,10 +235,9 @@ class TestInvokeAgent:
         world = single_agent_world(success=p)
         task = self.na_task(world)
         env = world.build_env(123)
-        env.begin_episode(task)
         n = 2000
         hits = sum(
-            env.invoke_agent("na-1", "network_analysis").succeeded
+            env.invoke_agent("na-1", "network_analysis", task).succeeded
             for _ in range(n)
         )
         tolerance = 3 * (p * (1 - p) / n) ** 0.5
@@ -270,21 +264,22 @@ class TestLoads:
     def test_matches_decaying_every_load_on_every_call(self):
         world = three_agent_world()
         env = world.build_env(0)
-        env.begin_episode(sample_task(world.generator, np.random.default_rng(0)))
+        task = sample_task(world.generator, np.random.default_rng(0))
         agents = {a.card.card_id: a for a in world.agents}
         dense = dict.fromkeys(agents, 0.0)
-        clock = 0.0
+        expected_total, total = 0.0, 0.0
         for called, cid in enumerate("abac", start=1):
             for other in dense:
                 dense[other] *= LOAD_DECAY
             latency = agents[cid].latency_base_ms * (1.0 + dense[cid])
             dense[cid] = min(1.0, dense[cid] + agents[cid].load_per_call)
-            clock += latency
-            resp = env.invoke_agent(cid, "network_analysis")
+            expected_total += latency
+            resp = env.invoke_agent(cid, "network_analysis", task)
+            total += resp.latency_ms
             assert resp.latency_ms == latency
             assert set(env.loads) == set("abac"[:called])
             assert {c: env.loads.get(c, 0.0) for c in dense} == dense
-            assert env.clock_ms == clock
+        assert total == expected_total
 
     def test_fresh_envs_have_no_loads_and_share_the_agent_map(self):
         world = three_agent_world()
