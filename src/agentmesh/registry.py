@@ -4,26 +4,31 @@ Agents are described by unified cards regardless of which interoperability
 protocol they were announced on; the config loader reads each protocol's
 spelling of a card (``config.CARD_SPELLINGS``). Discovery is by action type,
 never by identity, through an index per action type that is rebuilt after a
-card supporting it is registered.
+card supporting it is registered. A wide index also keeps every card's
+routing score for the weights it was last routed with.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import threading
 from bisect import bisect_left
-from dataclasses import dataclass, replace
-from typing import NamedTuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .errors import DuplicateId, EmptyActions, UnknownCard
 
+if TYPE_CHECKING:
+    from .router import RoutingWeights
+
 EWMA_ALPHA = 0.3
 # From this many candidates on, discover() also returns their metrics as
-# columns, which route() scores in one numpy pass. Below it, scoring each
-# card in Python is cheaper: the two cost the same at about 45 cards
-# (BENCH_7.json).
+# columns, and with weights their scores, computed in one numpy pass and
+# then kept current card by card. Below it, scoring each card in Python is
+# cheaper: the two cost the same at about 45 cards (BENCH_7.json).
 WIDE_MIN_CARDS = 45
 
 
@@ -63,6 +68,10 @@ class AgentMetrics:
             raise ValueError("latency and sample_count must be >= 0")
 
 
+# The metrics of a card registered without priors; frozen, so shared.
+_NO_METRICS = AgentMetrics()
+
+
 class MetricColumns(NamedTuple):
     """The routing inputs of a candidate set as float64 arrays, one element
     per candidate in the candidates' order."""
@@ -73,12 +82,32 @@ class MetricColumns(NamedTuple):
     cost: np.ndarray
 
 
+def score(metrics: AgentMetrics | MetricColumns, weights: RoutingWeights,
+          cost: float | np.ndarray = 0.0) -> float | np.ndarray:
+    """Candidate score; higher is better. On ``MetricColumns`` and an array
+    of costs, the array of every candidate's score, each with the bits of
+    the Python score of its candidate: elementwise float64 operations are
+    the same IEEE operations in the same order.
+
+    Latency maps through ref/(ref + latency) so the term stays in (0, 1] and
+    decreases monotonically without ever dividing by zero.
+    """
+    latency_term = weights.latency_ref_ms / (weights.latency_ref_ms + metrics.avg_latency_ms)
+    return (
+        weights.w_load * (1.0 - metrics.load)
+        + weights.w_accuracy * metrics.historical_accuracy
+        + weights.w_latency * latency_term
+        - weights.w_cost * cost
+    )
+
+
 class Candidates(list):
     """What ``discover`` returns: the ``(card, metrics)`` pairs, ascending by
     card id, and for a set of at least ``WIDE_MIN_CARDS`` the same metrics
-    and costs as ``columns``."""
+    and costs as ``columns`` and, when asked with weights, their ``scores``."""
 
     columns: MetricColumns | None = None
+    scores: np.ndarray | None = None
 
 
 def _card_id(entry: tuple[AgentCard, AgentMetrics]) -> str:
@@ -87,28 +116,48 @@ def _card_id(entry: tuple[AgentCard, AgentMetrics]) -> str:
 
 class _ActionIndex:
     """The entries of one action type's cards, ascending by card id; for a
-    wide set also their ``MetricColumns`` fields as the rows of one array."""
+    wide set also their ``MetricColumns`` fields as the rows of one array,
+    and the score of each card under ``weights``, the weights of the last
+    scoring (one slot: other weights score the set afresh)."""
 
     def __init__(self, entries: list[tuple[AgentCard, AgentMetrics]]):
         entries.sort(key=_card_id)
         self.entries = entries
         self.columns = None
+        self.weights = self.scores = None
         if len(entries) >= WIDE_MIN_CARDS:
             self.columns = np.array([(m.load, m.historical_accuracy, m.avg_latency_ms, c.cost)
                                      for c, m in entries], dtype=np.float64).T.copy()
+
+    def copy(self) -> _ActionIndex:
+        twin = copy.copy(self)
+        twin.entries = self.entries.copy()
+        if self.columns is not None:
+            twin.columns = self.columns.copy()
+        if self.scores is not None:
+            twin.scores = self.scores.copy()
+        return twin
 
     def put(self, entry: tuple[AgentCard, AgentMetrics]) -> None:
         """Replace the entry of a card the index holds."""
         row = bisect_left(self.entries, entry[0].card_id, key=_card_id)
         self.entries[row] = entry
         if self.columns is not None:
-            m = entry[1]
+            card, m = entry
             self.columns[:3, row] = m.load, m.historical_accuracy, m.avg_latency_ms
+            if self.scores is not None:
+                self.scores[row] = score(m, self.weights, cost=card.cost)
 
-    def candidates(self) -> Candidates:
+    def candidates(self, weights: RoutingWeights | None) -> Candidates:
         found = Candidates(self.entries)
         if self.columns is not None:
             found.columns = MetricColumns(*self.columns.copy())
+            if weights is not None:
+                if weights != self.weights:
+                    with np.errstate(over="ignore"):  # w_cost * cost may overflow, as in Python
+                        self.scores = score(found.columns, weights, cost=found.columns.cost)
+                    self.weights = weights
+                found.scores = self.scores.copy()
         return found
 
 
@@ -119,7 +168,10 @@ class Registry:
     several threads are serialized and no read sees a half-done mutation.
     ``_entries`` owns each card's entry; ``_indexes`` holds an index of them
     per action type, dropped when a card of that type is registered and
-    built again by the next ``discover`` of the type.
+    built again by the next ``discover`` of the type. A wide index keeps
+    its cards' scores under the weights of its last scored ``discover``,
+    and ``update_metrics`` rescores just the card it changed. ``copy`` makes
+    an independent registry that shares only the frozen cards and metrics.
     """
 
     def __init__(self):
@@ -133,21 +185,31 @@ class Registry:
         with self._lock:
             if card.card_id in self._entries:
                 raise DuplicateId(f"card id {card.card_id!r} already registered")
-            self._entries[card.card_id] = (card, initial_metrics or AgentMetrics())
+            self._entries[card.card_id] = (card, initial_metrics or _NO_METRICS)
             for action_type in card.supported_actions:
                 self._indexes.pop(action_type, None)
         return card.card_id
 
-    def discover(self, action_type: str) -> Candidates:
+    def copy(self) -> Registry:
+        """A registry with the same entries and indexes that no later change
+        to either registry reaches."""
+        twin = Registry()
+        with self._lock:
+            twin._entries = self._entries.copy()
+            twin._indexes = {action: index.copy() for action, index in self._indexes.items()}
+        return twin
+
+    def discover(self, action_type: str, weights: RoutingWeights | None = None) -> Candidates:
         """All cards supporting ``action_type``, ascending by card_id; a
-        snapshot that later changes to the registry leave as it is."""
+        snapshot that later changes to the registry leave as it is. Given
+        ``weights``, a wide set also carries every card's ``score``."""
         with self._lock:
             index = self._indexes.get(action_type)
             if index is None:
                 index = self._indexes[action_type] = _ActionIndex(
                     [entry for entry in self._entries.values()
                      if action_type in entry[0].supported_actions])
-            return index.candidates()
+            return index.candidates(weights)
 
     def update_metrics(self, card_id: str, latency_ms: float, success: bool,
                        load_now: float) -> AgentMetrics:
@@ -164,8 +226,7 @@ class Registry:
                 raise UnknownCard(f"card id {card_id!r} is not registered") from None
             a = 1.0 if prev.sample_count == 0 else EWMA_ALPHA
             observed_acc = 1.0 if success else 0.0
-            updated = replace(
-                prev,
+            updated = AgentMetrics(
                 load=min(max(load_now, 0.0), 1.0),
                 historical_accuracy=(1 - a) * prev.historical_accuracy + a * observed_acc,
                 avg_latency_ms=(1 - a) * prev.avg_latency_ms + a * latency_ms,

@@ -193,3 +193,63 @@ def test_invalid_weights_rejected():
         RoutingWeights(latency_ref_ms=0)
     with pytest.raises(ValueError):
         RoutingWeights(w_load=-1)
+
+
+def test_kept_scores_equal_a_fresh_scoring_while_the_registry_changes():
+    # A wide index keeps its scores between routes and rescores only the card
+    # whose metrics changed; the kept array must hold the bits of scoring the
+    # current columns afresh (ties and -inf included), and of scoring each
+    # pair in Python, through interleaved metric updates and registrations.
+    rng = np.random.default_rng(12)
+    all_minus_inf = RoutingWeights(w_cost=1e308)  # every card below costs >= 2
+    for trial in range(30):
+        rows = [AgentMetrics(load=float(rng.choice([0.0, 0.5, 1.0])),
+                             historical_accuracy=float(rng.choice([0.25, 1.0])),
+                             avg_latency_ms=float(rng.choice([0.0, 40.0])))
+                for _ in range(int(rng.integers(1, 4)))]
+        weights = [RoutingWeights(), RoutingWeights(w_cost=0.5), all_minus_inf][trial % 3]
+        reg = Registry()
+        serial = iter(range(10_000))
+
+        def register(n):
+            for _ in range(n):
+                cid = f"c{int(rng.integers(1000)):03d}-{next(serial)}"
+                cost = float(rng.choice([2.0, 3.0, 4.0]))
+                reg.register_card(AgentCard(cid, "native", frozenset({"act"}), cost=cost),
+                                  rows[int(rng.integers(len(rows)))])
+
+        register(int(rng.integers(WIDE_MIN_CARDS, 3 * WIDE_MIN_CARDS)))
+        for _ in range(40):
+            found = reg.discover("act", weights)
+            with np.errstate(over="ignore"):
+                fresh = score(found.columns, weights, cost=found.columns.cost)
+            one_by_one = np.array([score(m, weights, cost=c.cost) for c, m in found])
+            assert np.array_equal(found.scores.view(np.uint64), fresh.view(np.uint64))
+            assert np.array_equal(found.scores.view(np.uint64), one_by_one.view(np.uint64))
+            if weights is all_minus_inf:
+                assert np.all(found.scores == -np.inf)
+            if rng.integers(4) < 3:
+                card, _ = found[int(rng.integers(len(found)))]
+                reg.update_metrics(card.card_id, latency_ms=float(rng.choice([0.0, 40.0, 400.0])),
+                                   success=bool(rng.integers(2)),
+                                   load_now=float(rng.choice([0.0, 0.5])))
+            else:
+                register(1)
+
+
+def test_route_matches_reference_when_the_weights_alternate():
+    # One score slot per action type: routing with other weights must score
+    # the set afresh, not reuse the scores of the weights before.
+    rng = np.random.default_rng(13)
+    reg = random_registry(rng, 2 * WIDE_MIN_CARDS)
+    ids = [c.card_id for c, _ in reg.discover("act")]
+    pair = (RoutingWeights(w_load=1.0, w_accuracy=0.01, w_latency=0.01),
+            RoutingWeights(w_load=0.01, w_accuracy=1.0, w_latency=0.01))
+    disagreements = 0
+    for _ in range(200):
+        chosen = [route("act", reg, w) for w in pair]
+        assert chosen == [reference_route("act", reg, w) for w in pair]
+        disagreements += chosen[0] != chosen[1]
+        reg.update_metrics(ids[int(rng.integers(len(ids)))], latency_ms=float(rng.uniform(0, 500)),
+                           success=bool(rng.integers(2)), load_now=float(rng.uniform(0, 1)))
+    assert disagreements > 100
