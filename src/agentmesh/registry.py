@@ -10,7 +10,6 @@ routing score for the weights it was last routed with.
 
 from __future__ import annotations
 
-import copy
 import math
 import threading
 from bisect import bisect_left
@@ -26,8 +25,8 @@ if TYPE_CHECKING:
 
 EWMA_ALPHA = 0.3
 # From this many candidates on, discover() also returns their metrics as
-# columns, and with weights their scores, computed in one numpy pass and
-# then kept current card by card. Below it, scoring each card in Python is
+# columns, or with weights their scores, computed in one numpy pass and then
+# kept current card by card. Below it, scoring each card in Python is
 # cheaper: the two cost the same at about 45 cards (BENCH_7.json).
 WIDE_MIN_CARDS = 45
 
@@ -104,7 +103,7 @@ def score(metrics: AgentMetrics | MetricColumns, weights: RoutingWeights,
 class Candidates(list):
     """What ``discover`` returns: the ``(card, metrics)`` pairs, ascending by
     card id, and for a set of at least ``WIDE_MIN_CARDS`` the same metrics
-    and costs as ``columns`` and, when asked with weights, their ``scores``."""
+    and costs as ``columns`` or, when asked with weights, their ``scores``."""
 
     columns: MetricColumns | None = None
     scores: np.ndarray | None = None
@@ -129,15 +128,6 @@ class _ActionIndex:
             self.columns = np.array([(m.load, m.historical_accuracy, m.avg_latency_ms, c.cost)
                                      for c, m in entries], dtype=np.float64).T.copy()
 
-    def copy(self) -> _ActionIndex:
-        twin = copy.copy(self)
-        twin.entries = self.entries.copy()
-        if self.columns is not None:
-            twin.columns = self.columns.copy()
-        if self.scores is not None:
-            twin.scores = self.scores.copy()
-        return twin
-
     def put(self, entry: tuple[AgentCard, AgentMetrics]) -> None:
         """Replace the entry of a card the index holds."""
         row = bisect_left(self.entries, entry[0].card_id, key=_card_id)
@@ -150,14 +140,17 @@ class _ActionIndex:
 
     def candidates(self, weights: RoutingWeights | None) -> Candidates:
         found = Candidates(self.entries)
-        if self.columns is not None:
+        if self.columns is None:
+            return found
+        if weights is None:
             found.columns = MetricColumns(*self.columns.copy())
-            if weights is not None:
-                if weights != self.weights:
-                    with np.errstate(over="ignore"):  # w_cost * cost may overflow, as in Python
-                        self.scores = score(found.columns, weights, cost=found.columns.cost)
-                    self.weights = weights
-                found.scores = self.scores.copy()
+        else:
+            if weights != self.weights:
+                columns = MetricColumns(*self.columns)
+                with np.errstate(over="ignore"):  # w_cost * cost may overflow, as in Python
+                    self.scores = score(columns, weights, cost=columns.cost)
+                self.weights = weights
+            found.scores = self.scores.copy()
         return found
 
 
@@ -170,8 +163,7 @@ class Registry:
     per action type, dropped when a card of that type is registered and
     built again by the next ``discover`` of the type. A wide index keeps
     its cards' scores under the weights of its last scored ``discover``,
-    and ``update_metrics`` rescores just the card it changed. ``copy`` makes
-    an independent registry that shares only the frozen cards and metrics.
+    and ``update_metrics`` rescores just the card it changed.
     """
 
     def __init__(self):
@@ -190,19 +182,11 @@ class Registry:
                 self._indexes.pop(action_type, None)
         return card.card_id
 
-    def copy(self) -> Registry:
-        """A registry with the same entries and indexes that no later change
-        to either registry reaches."""
-        twin = Registry()
-        with self._lock:
-            twin._entries = self._entries.copy()
-            twin._indexes = {action: index.copy() for action, index in self._indexes.items()}
-        return twin
-
     def discover(self, action_type: str, weights: RoutingWeights | None = None) -> Candidates:
         """All cards supporting ``action_type``, ascending by card_id; a
         snapshot that later changes to the registry leave as it is. Given
-        ``weights``, a wide set also carries every card's ``score``."""
+        ``weights``, a wide set carries every card's ``score`` instead of
+        its columns."""
         with self._lock:
             index = self._indexes.get(action_type)
             if index is None:

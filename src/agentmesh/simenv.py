@@ -10,7 +10,6 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from types import MappingProxyType
 from typing import Optional, Sequence
 
 import numpy as np
@@ -212,31 +211,17 @@ class SimEnv:
 @dataclass(frozen=True)
 class WorldConfig:
     """Registry contents plus generator config: everything needed to build
-    a fresh registry and per-rollout environment instances. The priors in
-    ``initial_metrics`` are read-only, as the registry built from them is
-    built once."""
+    a fresh registry and per-rollout environment instances."""
 
     agents: tuple[SimAgentConfig, ...]
     generator: GeneratorConfig
-    initial_metrics: Mapping[str, AgentMetrics] = field(default_factory=dict)
+    initial_metrics: dict[str, AgentMetrics] = field(default_factory=dict)
 
-    def __post_init__(self):
-        object.__setattr__(self, "initial_metrics", MappingProxyType(dict(self.initial_metrics)))
-
-    @cached_property
-    def _registry(self) -> Registry:
+    def build_registry(self) -> Registry:
         reg = Registry()
         for agent in self.agents:
             reg.register_card(agent.card, self.initial_metrics.get(agent.card.card_id))
-        for action_type in {a for agent in self.agents for a in agent.card.supported_actions}:
-            reg.discover(action_type)
         return reg
-
-    def build_registry(self) -> Registry:
-        """A fresh registry of every agent's card under its prior metrics
-        (or none): a copy of one built, with every action's index, on the
-        first call, so no change to one registry reaches another."""
-        return self._registry.copy()
 
     @cached_property
     def agents_by_card(self) -> Mapping[str, SimAgentConfig]:

@@ -220,9 +220,10 @@ def test_kept_scores_equal_a_fresh_scoring_while_the_registry_changes():
 
         register(int(rng.integers(WIDE_MIN_CARDS, 3 * WIDE_MIN_CARDS)))
         for _ in range(40):
-            found = reg.discover("act", weights)
+            found, columns = reg.discover("act", weights), reg.discover("act").columns
+            assert found.columns is None
             with np.errstate(over="ignore"):
-                fresh = score(found.columns, weights, cost=found.columns.cost)
+                fresh = score(columns, weights, cost=columns.cost)
             one_by_one = np.array([score(m, weights, cost=c.cost) for c, m in found])
             assert np.array_equal(found.scores.view(np.uint64), fresh.view(np.uint64))
             assert np.array_equal(found.scores.view(np.uint64), one_by_one.view(np.uint64))

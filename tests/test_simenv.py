@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agentmesh.errors import BadConfig, UnknownCard
-from agentmesh.registry import WIDE_MIN_CARDS, AgentCard, AgentMetrics
-from agentmesh.router import RoutingWeights, route
+from agentmesh.registry import AgentCard
 from agentmesh.simenv import (
     LOAD_DECAY,
     GeneratorConfig,
@@ -287,66 +286,6 @@ class TestLoads:
         first, second = world.build_env(0), world.build_env(1)
         assert first.loads == {} and second.loads == {}
         assert first.agents is second.agents
-
-
-def wide_world():
-    """A wide set of cards, every other one with a prior, and a narrow one."""
-    agents = [SimAgentConfig(AgentCard(f"na-{i:03d}", "native", frozenset({"network_analysis"}),
-                                       cost=float(i % 3)), {"network_analysis": 1.0})
-              for i in range(WIDE_MIN_CARDS + 5)]
-    agents.append(SimAgentConfig(AgentCard("pq-1", "native", frozenset({"protocol_query"})),
-                                 {"protocol_query": 1.0}))
-    priors = {f"na-{i:03d}": AgentMetrics(load=0.5, historical_accuracy=(i % 7) / 7,
-                                          avg_latency_ms=float(i))
-              for i in range(0, WIDE_MIN_CARDS + 5, 2)}
-    generator = GeneratorConfig(classes=(
-        TaskClass("network_analysis", 1.0, "network_analysis", ("congestion",)),
-    ))
-    return WorldConfig(agents=tuple(agents), generator=generator, initial_metrics=priors)
-
-
-class TestBuildRegistry:
-    """Every ``build_registry`` copies one registry built once per world."""
-
-    def test_changes_to_one_registry_reach_no_other(self):
-        world = wide_world()
-        priors = dict(world.initial_metrics)
-        first = world.build_registry()
-        order = [c.card_id for c, _ in first.discover("network_analysis")]
-        winner = route("network_analysis", first, RoutingWeights())
-        first.update_metrics(winner, latency_ms=400.0, success=False, load_now=1.0)
-        first.register_card(AgentCard("na-000x", "native", frozenset({"network_analysis"})))
-        assert route("network_analysis", first, RoutingWeights()) != winner
-
-        second = world.build_registry()
-        assert route("network_analysis", second, RoutingWeights()) == winner
-        found = second.discover("network_analysis")
-        assert [c.card_id for c, _ in found] == order
-        assert [m for c, m in found] == [priors.get(c.card_id, AgentMetrics()) for c, _ in found]
-        assert found.columns.load.tolist() == [m.load for _, m in found]
-        assert [c.card_id for c, _ in second.discover("protocol_query")] == ["pq-1"]
-
-    def test_copies_share_no_array(self):
-        world = wide_world()
-        first, second = world.build_registry(), world.build_registry()
-        for reg in (first, second):
-            route("network_analysis", reg, RoutingWeights())
-        arrays = [(index.columns, index.scores) for index in (
-            first._indexes["network_analysis"], second._indexes["network_analysis"])]
-        for a, b in zip(*arrays):
-            assert a is not None and not np.shares_memory(a, b)
-        for a in arrays[0]:
-            assert not np.shares_memory(a, world._registry._indexes["network_analysis"].columns)
-
-    def test_priors_are_read_only(self):
-        priors = {"na-000": AgentMetrics(load=0.5)}
-        world = replace(wide_world(), initial_metrics=priors)
-        with pytest.raises(TypeError):
-            world.initial_metrics["na-001"] = AgentMetrics()
-        priors["na-000"] = AgentMetrics(load=1.0)  # the caller's dict is not the world's
-        assert world.initial_metrics == {"na-000": AgentMetrics(load=0.5)}
-        (card, metrics), *_ = world.build_registry().discover("network_analysis")
-        assert (card.card_id, metrics) == ("na-000", AgentMetrics(load=0.5))
 
 
 class TestPresetCaseStudy:
