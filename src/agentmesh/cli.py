@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -82,6 +83,15 @@ def _out_dir(cfg: RunConfig) -> Path:
     return cfg.out_dir
 
 
+@contextmanager
+def _writing(path: Path):
+    """Report a failure to write the artifact at ``path`` as a config error."""
+    try:
+        yield path
+    except OSError as exc:
+        raise BadConfig(f"out_dir: cannot write {path}: {exc}") from None
+
+
 def cmd_run(args) -> int:
     cfg = _load(args)
     theta = _theta(cfg, args.checkpoint)
@@ -110,7 +120,7 @@ def cmd_run(args) -> int:
         reward_vector=vector.as_dict(), scalar_reward=scalar,
     )
     out = _out_dir(cfg)
-    with open(out / "episodes.jsonl", "a") as fh:
+    with _writing(out / "episodes.jsonl") as path, open(path, "a") as fh:
         fh.write(json.dumps(record) + "\n")
 
     print(f"task: {task.task_id} (ground truth {task.ground_truth!r})")
@@ -148,8 +158,8 @@ def cmd_sft(args) -> int:
                             f"parameters overflow at step {step}")
     loss = sft_loss(theta, cfg.policy_spec, samples)
     out = _out_dir(cfg)
-    ckpt = out / "checkpoint.json"
-    save_checkpoint(theta, ckpt)
+    with _writing(out / "checkpoint.json") as ckpt:
+        save_checkpoint(theta, ckpt)
     print(f"samples: {len(samples)}  steps: {cfg.sft.steps}  final_loss: {loss:.6f}")
     print(f"checkpoint: {ckpt}")
     return EXIT_OK
@@ -161,15 +171,18 @@ def cmd_train(args) -> int:
     out = _out_dir(cfg)
 
     def checkpoint_callback(iteration: int, theta: np.ndarray) -> None:
-        save_checkpoint(theta, out / f"checkpoint_{iteration:05d}.json")
+        with _writing(out / f"checkpoint_{iteration:05d}.json") as path:
+            save_checkpoint(theta, path)
 
     theta, report = train(
         cfg.world, cfg.policy_spec, cfg.trainer, cfg.reward_weights,
         cfg.router_weights, cfg.seed, initial_theta=initial,
         checkpoint_callback=checkpoint_callback,
     )
-    (out / "report.csv").write_text(report.to_csv())
-    save_checkpoint(theta, out / "checkpoint.json")
+    with _writing(out / "report.csv") as path:
+        path.write_text(report.to_csv())
+    with _writing(out / "checkpoint.json") as path:
+        save_checkpoint(theta, path)
     last = report.rows[-1]
     print(f"iterations: {len(report.rows)}  "
           f"final mean_reward: {last.mean_reward:.4f}  "

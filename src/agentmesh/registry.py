@@ -4,8 +4,8 @@ Agents are described by unified cards regardless of which interoperability
 protocol they were announced on; the config loader reads each protocol's
 spelling of a card (``config.CARD_SPELLINGS``). Discovery is by action type,
 never by identity, through an index per action type that is rebuilt after a
-card supporting it is registered. A wide index also keeps every card's
-routing score for the weights it was last routed with.
+card supporting it is registered. Once routed, an index also keeps every
+card's routing score for the weights it was last routed with.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -24,11 +24,6 @@ if TYPE_CHECKING:
     from .router import RoutingWeights
 
 EWMA_ALPHA = 0.3
-# From this many candidates on, discover() also returns their metrics as
-# columns, or with weights their scores, computed in one numpy pass and then
-# kept current card by card. Below it, scoring each card in Python is
-# cheaper: the two cost the same at about 45 cards (BENCH_7.json).
-WIDE_MIN_CARDS = 45
 
 
 @dataclass(frozen=True)
@@ -71,25 +66,12 @@ class AgentMetrics:
 _NO_METRICS = AgentMetrics()
 
 
-class MetricColumns(NamedTuple):
-    """The routing inputs of a candidate set as float64 arrays, one element
-    per candidate in the candidates' order."""
-
-    load: np.ndarray
-    historical_accuracy: np.ndarray
-    avg_latency_ms: np.ndarray
-    cost: np.ndarray
-
-
-def score(metrics: AgentMetrics | MetricColumns, weights: RoutingWeights,
-          cost: float | np.ndarray = 0.0) -> float | np.ndarray:
-    """Candidate score; higher is better. On ``MetricColumns`` and an array
-    of costs, the array of every candidate's score, each with the bits of
-    the Python score of its candidate: elementwise float64 operations are
-    the same IEEE operations in the same order.
+def score(metrics: AgentMetrics, weights: RoutingWeights, cost: float = 0.0) -> float:
+    """Candidate score; higher is better.
 
     Latency maps through ref/(ref + latency) so the term stays in (0, 1] and
-    decreases monotonically without ever dividing by zero.
+    decreases monotonically without ever dividing by zero. A float product
+    that overflows is ``inf``, so a huge ``w_cost`` scores ``-inf``.
     """
     latency_term = weights.latency_ref_ms / (weights.latency_ref_ms + metrics.avg_latency_ms)
     return (
@@ -102,10 +84,9 @@ def score(metrics: AgentMetrics | MetricColumns, weights: RoutingWeights,
 
 class Candidates(list):
     """What ``discover`` returns: the ``(card, metrics)`` pairs, ascending by
-    card id, and for a set of at least ``WIDE_MIN_CARDS`` the same metrics
-    and costs as ``columns`` or, when asked with weights, their ``scores``."""
+    card id, and when asked with weights each pair's ``score`` as ``scores``,
+    a float64 array in the same order."""
 
-    columns: MetricColumns | None = None
     scores: np.ndarray | None = None
 
 
@@ -114,41 +95,28 @@ def _card_id(entry: tuple[AgentCard, AgentMetrics]) -> str:
 
 
 class _ActionIndex:
-    """The entries of one action type's cards, ascending by card id; for a
-    wide set also their ``MetricColumns`` fields as the rows of one array,
-    and the score of each card under ``weights``, the weights of the last
-    scoring (one slot: other weights score the set afresh)."""
+    """The entries of one action type's cards, ascending by card id, and
+    once routed the score of each card under ``weights``, the weights of the
+    last scored ``discover`` (one slot: other weights score the set afresh)."""
 
     def __init__(self, entries: list[tuple[AgentCard, AgentMetrics]]):
         entries.sort(key=_card_id)
         self.entries = entries
-        self.columns = None
         self.weights = self.scores = None
-        if len(entries) >= WIDE_MIN_CARDS:
-            self.columns = np.array([(m.load, m.historical_accuracy, m.avg_latency_ms, c.cost)
-                                     for c, m in entries], dtype=np.float64).T.copy()
 
     def put(self, entry: tuple[AgentCard, AgentMetrics]) -> None:
-        """Replace the entry of a card the index holds."""
+        """Replace the entry of a card the index holds, and its score."""
         row = bisect_left(self.entries, entry[0].card_id, key=_card_id)
         self.entries[row] = entry
-        if self.columns is not None:
+        if self.scores is not None:
             card, m = entry
-            self.columns[:3, row] = m.load, m.historical_accuracy, m.avg_latency_ms
-            if self.scores is not None:
-                self.scores[row] = score(m, self.weights, cost=card.cost)
+            self.scores[row] = score(m, self.weights, cost=card.cost)
 
     def candidates(self, weights: RoutingWeights | None) -> Candidates:
         found = Candidates(self.entries)
-        if self.columns is None:
-            return found
-        if weights is None:
-            found.columns = MetricColumns(*self.columns.copy())
-        else:
+        if weights is not None:
             if weights != self.weights:
-                columns = MetricColumns(*self.columns)
-                with np.errstate(over="ignore"):  # w_cost * cost may overflow, as in Python
-                    self.scores = score(columns, weights, cost=columns.cost)
+                self.scores = np.array([score(m, weights, cost=c.cost) for c, m in self.entries])
                 self.weights = weights
             found.scores = self.scores.copy()
         return found
@@ -161,9 +129,9 @@ class Registry:
     several threads are serialized and no read sees a half-done mutation.
     ``_entries`` owns each card's entry; ``_indexes`` holds an index of them
     per action type, dropped when a card of that type is registered and
-    built again by the next ``discover`` of the type. A wide index keeps
-    its cards' scores under the weights of its last scored ``discover``,
-    and ``update_metrics`` rescores just the card it changed.
+    built again by the next ``discover`` of the type. An index keeps its
+    cards' scores under the weights of its last scored ``discover``, and
+    ``update_metrics`` rescores just the card it changed.
     """
 
     def __init__(self):
@@ -185,8 +153,7 @@ class Registry:
     def discover(self, action_type: str, weights: RoutingWeights | None = None) -> Candidates:
         """All cards supporting ``action_type``, ascending by card_id; a
         snapshot that later changes to the registry leave as it is. Given
-        ``weights``, a wide set carries every card's ``score`` instead of
-        its columns."""
+        ``weights``, it also carries every card's ``score``."""
         with self._lock:
             index = self._indexes.get(action_type)
             if index is None:

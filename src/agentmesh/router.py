@@ -3,10 +3,9 @@
 Candidates are discovered by action type and ranked by a weighted combination
 of load headroom, historical accuracy, and normalized latency. Ties break on
 the lexicographically smallest card id, so identical inputs always select the
-same agent. A wide candidate set comes with its scores, which the registry
-computes in one numpy pass over its metric columns the first time it is
-asked with these weights and then rescores card by card as metrics change,
-with the same expression and so the same bits per candidate.
+same agent. The candidates come with their scores, which the registry
+computes the first time it is asked with these weights and then rescores
+card by card as metrics change.
 """
 
 from __future__ import annotations
@@ -14,9 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import NoAgentForAction
+# score lives with the scores the registry keeps; callers import it from here
 from .registry import Registry, score
 
 DEFAULT_LATENCY_REF_MS = 100.0
@@ -49,11 +47,6 @@ def route(action_type: str, registry: Registry, weights: RoutingWeights) -> str:
     candidates = registry.discover(action_type, weights)
     if not candidates:
         raise NoAgentForAction(action_type)
-    # discover() is sorted ascending by card_id, and both max() and argmax
-    # keep the first maximal candidate, so ties go to the smallest id.
-    if candidates.scores is None:
-        card, _ = max(candidates, key=lambda entry: score(entry[1], weights, cost=entry[0].cost))
-    else:
-        card, _ = candidates[int(np.argmax(candidates.scores))]
-    return card.card_id
-
+    # discover() is sorted ascending by card_id and argmax keeps the first
+    # maximum, so ties go to the smallest id.
+    return candidates[int(candidates.scores.argmax())][0].card_id

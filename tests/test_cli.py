@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -289,3 +293,21 @@ class TestEval:
                      "--out", str(tmp_path / "eval")])
         assert code == 1
         assert capsys.readouterr().err == "error: --episodes: must be >= 1\n"
+
+
+@pytest.mark.parametrize("command, artifact", [
+    (["run", "--seed", "3"], "episodes.jsonl"),
+    (["sft", "--set", "sft.steps=2"], "checkpoint.json"),
+    (["train", *FAST], "report.csv"),
+], ids=["run", "sft", "train"])
+def test_an_artifact_that_cannot_be_written_is_a_config_error(tmp_path, command, artifact):
+    # a directory where the artifact goes; run in a fresh interpreter so that
+    # an uncaught exception shows as the traceback a user would see
+    out = tmp_path / "out"
+    (out / artifact).mkdir(parents=True)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    result = subprocess.run([sys.executable, "-m", "agentmesh.cli", *command, "--out", str(out)],
+                            env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"error: out_dir: cannot write {out / artifact}: ")
+    assert "Traceback" not in result.stderr

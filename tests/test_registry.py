@@ -2,11 +2,13 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from agentmesh.errors import DuplicateId, EmptyActions, UnknownCard
-from agentmesh.registry import EWMA_ALPHA, WIDE_MIN_CARDS, AgentCard, AgentMetrics, Registry
+from agentmesh.registry import EWMA_ALPHA, AgentCard, AgentMetrics, Registry, score
+from agentmesh.router import RoutingWeights
 
 
 def card(card_id="na-1", actions=("network_analysis",), protocol="native"):
@@ -54,7 +56,7 @@ class TestDiscover:
         reg.register_card(card("pq-1", actions=("protocol_query",)))
         assert reg.discover("network_analysis") == []
 
-    @pytest.mark.parametrize("n_cards", [2, WIDE_MIN_CARDS])
+    @pytest.mark.parametrize("n_cards", [2, 45])
     def test_card_registered_after_discover_is_in_the_next_discover(self, n_cards):
         reg = Registry()
         for i in range(n_cards):
@@ -69,9 +71,24 @@ class TestDiscover:
         found = reg.discover("network_analysis")
         ids = [f"na-{i:03d}" for i in range(n_cards)]
         assert [c.card_id for c, _ in found] == [ids[0], "na-000x", *ids[1:]]
-        if n_cards >= WIDE_MIN_CARDS:
-            assert found.columns.load.tolist() == [m.load for _, m in found]
-            assert found.columns.avg_latency_ms.tolist() == [m.avg_latency_ms for _, m in found]
+        weights = RoutingWeights()
+        scored = reg.discover("network_analysis", weights)
+        assert scored == found
+        assert scored.scores.tolist() == [score(m, weights, cost=c.cost) for c, m in found]
+
+    @pytest.mark.parametrize("n_cards", [1, 100])
+    def test_scores_are_a_snapshot(self, n_cards):
+        reg = Registry()
+        for i in range(n_cards):
+            reg.register_card(card(f"na-{i:03d}"))
+        weights = RoutingWeights()
+        found = reg.discover("network_analysis", weights)
+        kept = found.scores.copy()
+        reg.update_metrics("na-000", latency_ms=300.0, success=False, load_now=0.9)
+        reg.register_card(card("na-000x"))
+        assert np.array_equal(found.scores.view(np.uint64), kept.view(np.uint64))
+        # the update did move the registry's score of na-000
+        assert reg.discover("network_analysis", weights).scores[0] < kept[0]
 
 
 class TestUpdateMetrics:
@@ -173,10 +190,11 @@ def test_discover_while_another_thread_registers():
 
 
 def test_wide_discover_while_other_threads_churn_and_update_metrics():
-    # Each discover() result's columns must be a snapshot of its own pairs,
+    # Each scored discover() result's scores must be those of its own pairs,
     # whatever a registering and a metric-updating thread do meanwhile.
     reg = Registry()
-    stable = [f"na-{i:03d}" for i in range(2 * WIDE_MIN_CARDS)]
+    weights = RoutingWeights()
+    stable = [f"na-{i:03d}" for i in range(90)]
     for cid in stable:
         reg.register_card(card(cid))
     stop = threading.Event()
@@ -201,15 +219,9 @@ def test_wide_discover_while_other_threads_churn_and_update_metrics():
             writer.start()
         deadline = time.monotonic() + 60
         while any(w.is_alive() for w in writers) and time.monotonic() < deadline:
-            found = reg.discover("network_analysis")
+            found = reg.discover("network_analysis", weights)
             assert_stable_then_temps(found, stable)
-            metrics = [m for _, m in found]
-            assert found.columns is not None
-            assert found.columns.load.tolist() == [m.load for m in metrics]
-            assert found.columns.historical_accuracy.tolist() == [
-                m.historical_accuracy for m in metrics]
-            assert found.columns.avg_latency_ms.tolist() == [m.avg_latency_ms for m in metrics]
-            assert found.columns.cost.tolist() == [c.cost for c, _ in found]
+            assert found.scores.tolist() == [score(m, weights, cost=c.cost) for c, m in found]
     finally:
         stop.set()
         for writer in writers:
