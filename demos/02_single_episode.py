@@ -33,16 +33,15 @@ def main():
 
     rng = np.random.default_rng(7)
     task = sample_task(world.generator, rng)
-    while task.required_action != "network_analysis":
+    while task.task_class.required_action != "network_analysis":
         task = sample_task(world.generator, rng)
-    print(f"task {task.task_id}: requires {task.required_action!r}, "
+    print(f"task {task.task_id}: requires {task.task_class.required_action!r}, "
           f"ground truth {task.ground_truth!r}, "
-          f"SLA {task.sla_deadline_ms:.0f}ms")
+          f"SLA {task.task_class.sla_deadline_ms:.0f}ms")
 
     traj, outcome, steps = execute_episode(
         task, delegate_then_relay(spec), spec, world.build_registry(),
-        RoutingWeights(), world.build_env([7, 0]), np.random.default_rng([7, 1]),
-        generator=world.generator)
+        RoutingWeights(), world.build_env([7, 0]), np.random.default_rng([7, 1]))
 
     print("\ntrajectory (loss-masked segments marked with *):")
     for seg in traj.segments:

@@ -109,9 +109,7 @@ def cmd_run(args) -> int:
     env = cfg.world.build_env([cfg.seed, 3, 0])
     rng = stream([cfg.seed, 3, 1])
     traj, outcome, _ = execute_episode(
-        task, theta, cfg.policy_spec, registry, cfg.router_weights, env, rng,
-        generator=cfg.world.generator,
-    )
+        task, theta, cfg.policy_spec, registry, cfg.router_weights, env, rng)
     vector = episode_reward(traj, outcome, task, cfg.max_steps, NoveltyLedger())
     scalar = scalarize(vector, cfg.reward_weights)
     terminal = outcome.terminal
@@ -169,6 +167,13 @@ def cmd_train(args) -> int:
     cfg = _load(args)
     initial = _theta(cfg, args.checkpoint)
     out = _out_dir(cfg)
+    # fail before training, not after it, and change no file by checking
+    for path in (out / "report.csv", out / "checkpoint.json"):
+        existed = path.exists()
+        with _writing(path), open(path, "a"):
+            pass
+        if not existed:
+            path.unlink()
 
     def checkpoint_callback(iteration: int, theta: np.ndarray) -> None:
         with _writing(out / f"checkpoint_{iteration:05d}.json") as path:

@@ -97,7 +97,7 @@ def _card_id(entry: tuple[AgentCard, AgentMetrics]) -> str:
 class _ActionIndex:
     """The entries of one action type's cards, ascending by card id, and
     once routed the score of each card under ``weights``, the weights of the
-    last scored ``discover`` (one slot: other weights score the set afresh)."""
+    last scored ``discover`` (one slot, kept by identity: other weights score the set afresh)."""
 
     def __init__(self, entries: list[tuple[AgentCard, AgentMetrics]]):
         entries.sort(key=_card_id)
@@ -115,7 +115,7 @@ class _ActionIndex:
     def candidates(self, weights: RoutingWeights | None) -> Candidates:
         found = Candidates(self.entries)
         if weights is not None:
-            if weights != self.weights:
+            if weights is not self.weights:
                 self.scores = np.array([score(m, weights, cost=c.cost) for c, m in self.entries])
                 self.weights = weights
             found.scores = self.scores.copy()

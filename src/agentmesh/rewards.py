@@ -90,7 +90,7 @@ def efficiency_reward(outcome: EpisodeOutcome, max_steps: int) -> float:
 
 def qos_reward(outcome: EpisodeOutcome, task: TaskSpec) -> float:
     """1 within the deadline, then a linear penalty clamped at -1."""
-    deadline = task.sla_deadline_ms
+    deadline = task.task_class.sla_deadline_ms
     if outcome.total_latency_ms <= deadline:
         return 1.0
     return max(-1.0, 1.0 - 2.0 * (outcome.total_latency_ms - deadline) / deadline)

@@ -46,19 +46,6 @@ def choice_cdf(probs: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class TaskSpec:
-    task_id: str
-    feature_vector: tuple[float, ...]
-    required_action: Optional[str]
-    ground_truth: str
-    sla_deadline_ms: float
-
-    def __post_init__(self):
-        if self.sla_deadline_ms <= 0:
-            raise ValueError("sla_deadline_ms must be positive")
-
-
-@dataclass(frozen=True)
 class TaskClass:
     """One generator class: a probability, an optional delegation need, and
     the pool of ground-truth answers tasks of this class may carry."""
@@ -82,6 +69,16 @@ class TaskClass:
             raise ValueError("answer_pool and required_action must not be control tags")
         if set(RESERVED_TOKENS) & {self.required_action, *self.answer_pool}:
             raise ValueError("answer_pool and required_action must not be reserved tokens")
+
+
+@dataclass(frozen=True)
+class TaskSpec:
+    """A drawn task; its class owns its delegation need, deadline and goal token."""
+
+    task_id: str
+    feature_vector: tuple[float, ...]
+    task_class: TaskClass
+    ground_truth: str
 
 
 @dataclass(frozen=True)
@@ -111,8 +108,8 @@ class GeneratorConfig:
 
 
 def sample_task(config: GeneratorConfig, rng: np.random.Generator) -> TaskSpec:
-    """Draw one task; features are the one-hot of the drawn class. The class
-    is the one ``rng.choice(len(classes), p=probabilities)`` would draw."""
+    """Draw one task; it carries its class, and its features are the class's
+    one-hot. The class is the one ``rng.choice(len(classes), p=probabilities)`` would draw."""
     idx = int(config.class_cdf.searchsorted(rng.random(), side="right"))
     cls = config.classes[idx]
     answer = cls.answer_pool[int(rng.integers(len(cls.answer_pool)))]
@@ -120,9 +117,8 @@ def sample_task(config: GeneratorConfig, rng: np.random.Generator) -> TaskSpec:
     return TaskSpec(
         task_id=f"{cls.name}-{serial}",
         feature_vector=config.one_hots[idx],
-        required_action=cls.required_action,
+        task_class=cls,
         ground_truth=answer,
-        sla_deadline_ms=cls.sla_deadline_ms,
     )
 
 
@@ -202,7 +198,7 @@ class SimEnv:
         self.loads[card_id] = min(1.0, load + agent.load_per_call)
 
         succeeded = bool(self.rng.random() < agent.success_prob.get(action_type, 0.0))
-        on_target = succeeded and action_type == task.required_action
+        on_target = succeeded and action_type == task.task_class.required_action
         answer = task.ground_truth if on_target else WRONG
         raw = (NOISE, ANS_OPEN, answer, ANS_CLOSE)
         return AgentResponse(raw_tokens=raw, latency_ms=latency, succeeded=succeeded)
@@ -242,13 +238,6 @@ class WorldConfig:
 def goal_token(class_name: str) -> str:
     """Deterministic delegation payload derived from the task class."""
     return f"task_{class_name}"
-
-
-def class_of_task(config: GeneratorConfig, task: TaskSpec) -> TaskClass:
-    """The class at the task's first largest feature, as ``np.argmax``
-    finds it for finite features."""
-    features = task.feature_vector
-    return config.classes[features.index(max(features))]
 
 
 # Default answer pools for the two-agent case study. Pools for the delegated

@@ -121,11 +121,12 @@ def rollout_group(
     max_steps: int,
     ledger: NoveltyLedger,
 ) -> RolloutGroup:
-    """G independent episodes of one task over derived seed streams.
+    """G episodes of one task over derived seed streams, in rollout-index order.
 
     Rollout i uses env stream (base_seed, i, 0) and policy stream
-    (base_seed, i, 1); ledger updates apply in rollout-index order. The
-    rollouts share one decision table, since they share ``theta``.
+    (base_seed, i, 1). The episodes are not independent: each routes on the
+    metrics the earlier ones left in the shared ``registry`` and sees their
+    ``ledger`` updates. They share one decision table, since they share ``theta``.
     """
     if group_size < 2:
         raise BadConfig("group_size must be >= 2")
@@ -136,7 +137,7 @@ def rollout_group(
         rng = stream(base_seed + [i, 1])
         traj, outcome, steps = execute_episode(
             task, theta, spec, registry, router_weights, env, rng,
-            max_steps=max_steps, generator=world.generator, table=table,
+            max_steps=max_steps, table=table,
         )
         vector = episode_reward(traj, outcome, task, max_steps, ledger)
         episodes.append(EpisodeResult(
@@ -334,7 +335,7 @@ def evaluate_policy(
         rng = None if greedy else stream([seed, 3, i, 1])
         traj, outcome, _ = execute_episode(
             task, theta, spec, registry, router_weights, env, rng,
-            max_steps=max_steps, generator=world.generator, greedy=greedy, table=table,
+            max_steps=max_steps, greedy=greedy, table=table,
         )
         correct += accuracy_reward(outcome, task)
         latencies.append(outcome.total_latency_ms)

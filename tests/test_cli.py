@@ -311,3 +311,23 @@ def test_an_artifact_that_cannot_be_written_is_a_config_error(tmp_path, command,
     assert result.returncode == 1
     assert result.stderr.startswith(f"error: out_dir: cannot write {out / artifact}: ")
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("artifact, other", [("report.csv", "checkpoint.json"),
+                                             ("checkpoint.json", "report.csv")])
+@pytest.mark.parametrize("other_exists", [False, True], ids=["other-new", "other-kept"])
+def test_train_checks_its_outputs_before_the_first_iteration(tmp_path, capsys, artifact, other,
+                                                             other_exists):
+    # the check neither truncates an artifact that exists nor leaves one that did not
+    out = tmp_path / "out"
+    (out / artifact).mkdir(parents=True)
+    if other_exists:
+        (out / other).write_text("earlier run\n")
+    code = main(["train", *FAST, "--set", "trainer.checkpoint_every=1", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: out_dir: cannot write {out / artifact}: ")
+    assert not list(out.glob("checkpoint_*.json"))
+    if other_exists:
+        assert (out / other).read_text() == "earlier run\n"
+    else:
+        assert not (out / other).exists()

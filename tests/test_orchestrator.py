@@ -46,8 +46,7 @@ def task_of_class(world, name, seed=0):
     rng = np.random.default_rng(seed)
     while True:
         task = sample_task(world.generator, rng)
-        idx = task.feature_vector.index(1.0)
-        if world.generator.classes[idx].name == name:
+        if task.task_class.name == name:
             return task
 
 
@@ -61,7 +60,7 @@ def stubbed_episode(world, spec, replies, max_steps=4, registry=None):
     env.invoke_agent = lambda card_id, action_type, task: next(pending)
     return execute_episode(
         task, forced(spec, idx), spec, registry or world.build_registry(), WEIGHTS, env,
-        np.random.default_rng(1), max_steps=max_steps, generator=world.generator)
+        np.random.default_rng(1), max_steps=max_steps)
 
 
 NA_DELEGATION = ("core", (ACTION_OPEN, "network_analysis", goal_token("network_analysis"),
@@ -170,7 +169,7 @@ class TestDecisionTable:
             task = sample_task(world.generator, np.random.default_rng(seed))
             runs = [execute_episode(task, theta, spec, registry, WEIGHTS,
                                     world.build_env([seed, 0]), np.random.default_rng([seed, 1]),
-                                    generator=world.generator, table=shared)
+                                    table=shared)
                     for registry, shared in zip(registries, (None, table))]
             (traj_a, outcome_a, steps_a), (traj_b, outcome_b, steps_b) = runs
             assert traj_a.segments == traj_b.segments
@@ -184,7 +183,7 @@ class TestDecisionTable:
             with pytest.raises(ValueError, match="another theta or spec"):
                 execute_episode(task, theta, spec, world.build_registry(), WEIGHTS,
                                 world.build_env([0]), np.random.default_rng(0),
-                                generator=world.generator, table=table)
+                                table=table)
 
 
 class TestIntegrate:
@@ -217,7 +216,7 @@ class TestExecuteEpisode:
         env = world.build_env([seed, 0])
         rng = np.random.default_rng([seed, 1])
         return execute_episode(task, theta, spec, registry, WEIGHTS, env, rng,
-                               max_steps=max_steps, generator=world.generator)
+                               max_steps=max_steps)
 
     def test_direct_answer_episode(self, world, spec):
         task = task_of_class(world, "direct")
@@ -236,7 +235,7 @@ class TestExecuteEpisode:
         for index, called in ((answer, False), (delegate, True)):
             env = world.build_env([0, 0])
             execute_episode(task, forced(spec, index), spec, world.build_registry(), WEIGHTS,
-                            env, np.random.default_rng(1), generator=world.generator)
+                            env, np.random.default_rng(1))
             assert ("rng" in env.__dict__) is called
 
     def test_unroutable_delegation_fails_without_invocations(self, world):
@@ -288,7 +287,7 @@ class TestExecuteEpisode:
         idx = spec.actions.index_of(Decision.delegate("network_analysis"))
         traj, outcome, _ = execute_episode(
             task, forced(spec, idx), spec, registry, WEIGHTS, world.build_env([0, 0]),
-            np.random.default_rng(1), max_steps=2, generator=world.generator)
+            np.random.default_rng(1), max_steps=2)
         assert outcome.failure is None
         assert outcome.invocation_count == 2
         called = [seg.card_id for seg in traj.segments if seg.source == "agent"]
@@ -343,7 +342,7 @@ class TestExecuteEpisode:
         task = task_of_class(world, "network_analysis")
         theta = np.random.default_rng(10).normal(size=(spec.num_actions, spec.encoded_dim))
         _, outcome, _ = self.run(world, spec, theta, task)
-        assert outcome.sla_met == (outcome.total_latency_ms <= task.sla_deadline_ms)
+        assert outcome.sla_met == (outcome.total_latency_ms <= task.task_class.sla_deadline_ms)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -364,11 +363,10 @@ class TestExecuteEpisode:
         env.invoke_agent = recording
         theta = forced(spec, spec.actions.index_of(Decision.delegate("network_analysis")))
         _, outcome, _ = execute_episode(task, theta, spec, world.build_registry(), WEIGHTS, env,
-                                        np.random.default_rng([seed, 1]),
-                                        generator=world.generator)
+                                        np.random.default_rng([seed, 1]))
         assert outcome.invocation_count == len(latencies) == 4
         assert outcome.total_latency_ms == sum(latencies)
-        assert outcome.sla_met == (sum(latencies) <= task.sla_deadline_ms)
+        assert outcome.sla_met == (sum(latencies) <= task.task_class.sla_deadline_ms)
 
     def test_trajectories_always_well_formed_under_random_policies(self, world, spec):
         rng = np.random.default_rng(11)
@@ -380,7 +378,7 @@ class TestExecuteEpisode:
             ep_rng = np.random.default_rng([50, i, 1])
             traj, outcome, _ = execute_episode(
                 task, theta, spec, registry, WEIGHTS, env, ep_rng,
-                max_steps=4, generator=world.generator)
+                max_steps=4)
             assert validate(traj) == WELL_FORMED
             assert outcome.failure is None
             assert outcome.delegations == tuple(

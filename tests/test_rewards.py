@@ -13,7 +13,7 @@ from agentmesh.rewards import (
     qos_reward,
     scalarize,
 )
-from agentmesh.simenv import TaskSpec
+from agentmesh.simenv import TaskClass, TaskSpec
 from agentmesh.trajectory import (
     INDICATOR_DISORDER,
     FailureReport,
@@ -28,7 +28,8 @@ def outcome(answer="ack", latency=10.0, invocations=0, sla_met=True, failure=Non
                           failure=failure)
 
 
-TASK = TaskSpec("t-1", (1.0, 0.0), None, "ack", sla_deadline_ms=100.0)
+TASK = TaskSpec("t-1", (1.0, 0.0), TaskClass("t", 1.0, None, ("ack",), sla_deadline_ms=100.0),
+                "ack")
 
 
 class TestAccuracyReward:

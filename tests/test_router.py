@@ -202,7 +202,9 @@ def test_kept_scores_equal_a_fresh_scoring_while_the_registry_changes():
     # whose metrics changed; the kept array must hold the bits of scoring each
     # current pair afresh in Python (ties and -inf included), through
     # interleaved metric updates and registrations, on sets that start at 1
-    # to 3 cards or at 45 to 134.
+    # to 3 cards or at 45 to 134. The kept weights are matched by identity,
+    # so every other discover passes an equal but distinct weights object,
+    # which scores the set afresh.
     rng = np.random.default_rng(12)
     sizes_checked = set()
     all_minus_inf = RoutingWeights(w_cost=1e308)  # every card below costs >= 2
@@ -223,8 +225,8 @@ def test_kept_scores_equal_a_fresh_scoring_while_the_registry_changes():
                                   rows[int(rng.integers(len(rows)))])
 
         register(int(rng.integers(1, 4)) if trial % 2 == 0 else int(rng.integers(45, 135)))
-        for _ in range(40):
-            found = reg.discover("act", weights)
+        for step in range(40):
+            found = reg.discover("act", weights if step % 2 else replace(weights))
             sizes_checked.add(len(found))
             one_by_one = np.array([score(m, weights, cost=c.cost) for c, m in found])
             assert np.array_equal(found.scores.view(np.uint64), one_by_one.view(np.uint64))

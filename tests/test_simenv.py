@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from agentmesh.config import default_policy_spec
 from agentmesh.errors import BadConfig, UnknownCard
+from agentmesh.orchestrator import execute_episode
 from agentmesh.registry import AgentCard
+from agentmesh.router import RoutingWeights
 from agentmesh.simenv import (
     LOAD_DECAY,
     GeneratorConfig,
@@ -14,13 +17,13 @@ from agentmesh.simenv import (
     TaskClass,
     TaskSpec,
     WorldConfig,
-    class_of_task,
+    goal_token,
     preset_case_study,
     sample_task,
     stream,
 )
-from agentmesh.trajectory import extract_answer_span
-from agentmesh.vocab import WRONG
+from agentmesh.trajectory import SOURCE_CORE, extract_answer_span
+from agentmesh.vocab import ACTION_OPEN, WRONG
 
 
 def single_agent_world(success=1.0, base=50.0, jitter=0.0, load_per_call=0.1,
@@ -45,7 +48,7 @@ class TestSampleTask:
         rng = np.random.default_rng(0)
         for _ in range(20):
             task = sample_task(gen, rng)
-            assert task.required_action is None
+            assert task.task_class is gen.classes[0]
             assert task.ground_truth == "ack"
             assert task.feature_vector == (1.0,)
 
@@ -87,15 +90,31 @@ class TestSampleTask:
             assert sample_task(config, ours) == choice_sample_task(config, theirs)
         assert ours.bit_generator.state == theirs.bit_generator.state
 
-    @given(st.lists(st.sampled_from([-1.0, 0.0, 1.0]) | st.floats(-1e6, 1e6), min_size=1,
-                    max_size=6))
-    def test_class_of_task_is_the_argmax_class(self, features):
-        # ties between the largest features are common
-        config = GeneratorConfig(tuple(
-            TaskClass(f"c{i}", 1.0 if i == 0 else 0.0, None, ("ack",))
-            for i in range(len(features))))
-        task = TaskSpec("t", tuple(features), None, "ack", 100.0)
-        assert class_of_task(config, task) is config.classes[int(np.argmax(features))]
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=1,
+                    max_size=6).filter(lambda w: sum(w) > 0),
+           st.integers(0, 2**32 - 1))
+    def test_a_drawn_task_carries_its_class_and_goal_token(self, weights, seed):
+        # class names differ from their actions, and from four classes on two
+        # classes share an action, so the goal token cannot come from the action
+        total = sum(weights)
+        generator = GeneratorConfig(tuple(
+            TaskClass(f"c{i}", w / total, (None, "a0", "a1")[i % 3], ("ack",))
+            for i, w in enumerate(weights)))
+        card = AgentCard("both", "native", frozenset({"a0", "a1"}))
+        world = WorldConfig((SimAgentConfig(card, {"a0": 0.5, "a1": 0.5}),), generator)
+        spec = default_policy_spec(world, max_steps=4)
+        rng = np.random.default_rng(seed)
+        theta = rng.normal(0.0, 2.0, spec.zero_params().shape)
+        registry = world.build_registry()
+        for i in range(10):
+            task = sample_task(generator, rng)
+            assert task.task_class is generator.classes[task.feature_vector.index(1.0)]
+            traj, outcome, _ = execute_episode(task, theta, spec, registry, RoutingWeights(),
+                                               world.build_env([seed, i]), rng)
+            payloads = [seg.tokens[2] for seg in traj.segments
+                        if seg.source == SOURCE_CORE and seg.tokens[0] == ACTION_OPEN]
+            assert payloads == [goal_token(task.task_class.name)] * len(outcome.delegations)
 
 
 def choice_sample_task(config: GeneratorConfig, rng: np.random.Generator) -> TaskSpec:
@@ -106,8 +125,7 @@ def choice_sample_task(config: GeneratorConfig, rng: np.random.Generator) -> Tas
     answer = cls.answer_pool[int(rng.integers(len(cls.answer_pool)))]
     features = tuple(1.0 if i == idx else 0.0 for i in range(len(config.classes)))
     serial = int(rng.integers(1 << 30))
-    return TaskSpec(f"{cls.name}-{serial}", features, cls.required_action, answer,
-                    cls.sla_deadline_ms)
+    return TaskSpec(f"{cls.name}-{serial}", features, cls, answer)
 
 
 # Seed words that SeedSequence takes as one uint32 word, the largest such, and
@@ -146,7 +164,7 @@ class TestInvokeAgent:
         rng = np.random.default_rng(seed)
         while True:
             task = sample_task(world.generator, rng)
-            if task.required_action == "network_analysis":
+            if task.task_class.required_action == "network_analysis":
                 return task
 
     def test_certain_success_returns_ground_truth(self):
@@ -309,11 +327,10 @@ class TestPresetCaseStudy:
         rng = np.random.default_rng(3)
         for _ in range(100):
             task = sample_task(world.generator, rng)
-            cls = world.generator.classes[task.feature_vector.index(1.0)]
-            assert task.ground_truth in cls.answer_pool
+            assert task.ground_truth in task.task_class.answer_pool
 
     def test_class_probs_configurable(self):
         world = preset_case_study(class_probs=(1.0, 0.0, 0.0))
         rng = np.random.default_rng(0)
         for _ in range(50):
-            assert sample_task(world.generator, rng).required_action is None
+            assert sample_task(world.generator, rng).task_class.required_action is None

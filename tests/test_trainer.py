@@ -105,8 +105,7 @@ class TestMaskedPolicyUpdate:
             task = sample_task(world.generator, np.random.default_rng(seed % 3))
             _, _, steps = execute_episode(task, theta, spec, world.build_registry(), WEIGHTS,
                                           world.build_env([seed, 0]),
-                                          np.random.default_rng([seed, 1]),
-                                          generator=world.generator)
+                                          np.random.default_rng([seed, 1]))
             advantages = np.random.default_rng(seed).normal(size=len(steps))
             advantages[::3] = 0.0
             episodes.append((steps, advantages))
@@ -166,8 +165,7 @@ class TestStepBudget:
         task = sample_task(world.generator, np.random.default_rng(0))
         with pytest.raises(ValueError, match="max_steps"):
             execute_episode(task, always_delegate(spec), spec, registry, WEIGHTS, env,
-                            np.random.default_rng(1), max_steps=max_steps,
-                            generator=world.generator)
+                            np.random.default_rng(1), max_steps=max_steps)
         assert env.loads == {} and "rng" not in env.__dict__
         assert all(m.sample_count == 0
                    for action in world.action_types for _, m in registry.discover(action))
