@@ -131,7 +131,9 @@ class Registry:
     per action type, dropped when a card of that type is registered and
     built again by the next ``discover`` of the type. An index keeps its
     cards' scores under the weights of its last scored ``discover``, and
-    ``update_metrics`` rescores just the card it changed.
+    ``update_metrics`` rescores just the card it changed. The kept scores
+    are reused only when the same ``RoutingWeights`` object is passed
+    again; an equal but distinct object scores the whole set afresh.
     """
 
     def __init__(self):
