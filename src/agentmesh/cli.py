@@ -31,6 +31,15 @@ EXIT_CONFIG = 1
 EXIT_EPISODE = 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits ``EXIT_CONFIG`` on a usage error, where argparse exits 2, the
+    code of a failed episode; its subparsers are of this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, default=None, help="JSON config file")
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
@@ -41,7 +50,7 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="agentmesh")
+    parser = _Parser(prog="agentmesh")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="execute one seeded episode")

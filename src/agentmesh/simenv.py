@@ -2,14 +2,17 @@
 
 Agent latencies are simulated, not measured, and all randomness is seeded,
 so a (seed, config) pair reproduces every task and agent response
-bit-for-bit.
+bit-for-bit. Every stream is ``np.random.default_rng(seed words)``; a caller
+that seeds many streams at once hashes their words in one pass
+(``seed_states``) and hands each stream a ``PrecomputedSeed``, which gives
+the same generator.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,7 +26,49 @@ LOAD_DECAY = 0.9
 ACTION_NETWORK_ANALYSIS = "network_analysis"
 ACTION_PROTOCOL_QUERY = "protocol_query"
 
-Seed = int | Sequence[int]
+_MASK32 = 0xFFFFFFFF
+
+# SeedSequence's constants (numpy/random/bit_generator.pyx).
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# The step of the hash that mixes pool word src into pool word dst, after
+# the pool's own 4 hashes; the diagonal is unused. Built from a list, since
+# the numpy expression raised the resident size at import by 0.25 MB.
+_MIXING_STEP = np.array([[_POOL_SIZE + (_POOL_SIZE - 1) * src + dst - (dst >= src)
+                          for dst in range(_POOL_SIZE)] for src in range(_POOL_SIZE)])
+
+
+@cache
+def _register_seed_class() -> None:
+    """Make ``PrecomputedSeed`` a numpy ``ISeedSequence``, which ``PCG64``
+    takes as it is. Done on first use: importing ``numpy.random`` with this
+    module would add its import time to every start."""
+    from numpy.random.bit_generator import ISeedSequence
+    ISeedSequence.register(PrecomputedSeed)
+
+
+class PrecomputedSeed:
+    """The ``SeedSequence(words)`` whose PCG64 state ``seed_states`` already
+    computed: an ``ISeedSequence`` that ``PCG64`` and ``default_rng`` take,
+    building the generator that ``default_rng(words)`` builds without hashing
+    again."""
+
+    __slots__ = ("words", "state")
+
+    def __init__(self, words: np.ndarray, state: np.ndarray):
+        _register_seed_class()
+        self.words = words
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words == _POOL_SIZE and np.dtype(dtype) == np.uint64:
+            return self.state
+        return np.random.SeedSequence(self.words).generate_state(n_words, dtype)
+
+
+Seed = int | Sequence[int] | PrecomputedSeed
 
 
 def stream(seed: Seed) -> np.random.Generator:
@@ -34,6 +79,105 @@ def stream(seed: Seed) -> np.random.Generator:
     if type(seed) is list and all(type(w) is int and 0 <= w <= 0xFFFFFFFF for w in seed):
         seed = np.array(seed, dtype=np.uint32)
     return np.random.default_rng(seed)
+
+
+@cache
+def _hash_constants(init: int, mult: int, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """SeedSequence's hash constant before and after each of ``n_steps``
+    hashes; each hash multiplies it by ``mult``."""
+    consts = [init]
+    for _ in range(n_steps):
+        consts.append(consts[-1] * mult & _MASK32)
+    both = np.array(consts, dtype=np.uint32)
+    both.flags.writeable = False  # shared by every call
+    return both[:-1], both[1:]
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    value = (value ^ xor) * mult
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+    return result ^ (result >> 16)
+
+
+def seed_states(words: np.ndarray) -> np.ndarray:
+    """The initial PCG64 state of each row of an (n, k) uint32 array:
+    row r is ``np.random.SeedSequence(words[r]).generate_state(4, np.uint64)``.
+
+    A port of ``SeedSequence.mix_entropy`` and ``generate_state`` from
+    ``numpy/random/bit_generator.pyx``. A hash constant depends on the
+    position of its hash, not on the words, so every row takes the same
+    constants and each step is one operation on a column, about 60 array
+    operations whatever n is.
+    """
+    n, k = words.shape
+    steps = _POOL_SIZE * _POOL_SIZE + max(k - _POOL_SIZE, 0) * _POOL_SIZE
+    before, after = _hash_constants(_INIT_A, _MULT_A, steps)
+    pool = np.zeros((n, _POOL_SIZE), dtype=np.uint32)  # a short row hashes 0 past its end
+    pool[:, :k] = words[:, :_POOL_SIZE]
+    pool = _hashmix(pool, before[:_POOL_SIZE], after[:_POOL_SIZE])
+    # Mix each pool word into every other. That leaves the source word as it
+    # is, so its three mixes are one step; the source column is put back.
+    xor, mult = before[_MIXING_STEP], after[_MIXING_STEP]
+    for src in range(_POOL_SIZE):
+        mixed = _mix(pool, _hashmix(pool[:, src:src + 1], xor[src], mult[src]))
+        mixed[:, src] = pool[:, src]
+        pool = mixed
+    for src in range(_POOL_SIZE, k):  # each word past the pool mixes into every pool word
+        at = slice(_POOL_SIZE * src, _POOL_SIZE * (src + 1))  # after 16 + 4 * (src - 4) hashes
+        pool = _mix(pool, _hashmix(words[:, src:src + 1], before[at], after[at]))
+    # generate_state(4, np.uint64): 8 words cycling over the pool, read as
+    # little-endian pairs
+    before, after = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+    state = _hashmix(np.tile(pool, 2), before, after)
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64)
+
+
+class Seeds:
+    """Rows of seed words and their PCG64 states (``seed_states``).
+    ``seeds[r]`` seeds the stream ``default_rng(words[r])`` and is made only
+    when asked for, so n seeds cost two arrays, not n objects; a slice is
+    the seeds of those rows."""
+
+    __slots__ = ("words", "states")
+
+    def __init__(self, words: np.ndarray, states: np.ndarray):
+        self.words = words
+        self.states = states
+
+    def __getitem__(self, row):
+        if isinstance(row, slice):
+            return Seeds(self.words[row], self.states[row])
+        return PrecomputedSeed(self.words[row], self.states[row])
+
+
+def episode_seeds(prefix: Sequence[int], episodes: np.ndarray, streams: int) -> Seeds:
+    """The seeds of ``streams`` streams per episode, hashed in one pass: row
+    ``e * streams + s`` seeds ``default_rng([*prefix, *episodes[e], s])``.
+
+    ``episodes`` is an (n, m) array of each episode's words, each in
+    [0, 2**32). A prefix int is split into little-endian 32-bit words, as
+    ``SeedSequence`` splits it, so a seed of 2**32 or more keeps its stream.
+    """
+    head: list[int] = []
+    for w in map(int, prefix):
+        if w < 0:
+            raise ValueError("seed words must be >= 0")
+        head.append(w & _MASK32)
+        while w > _MASK32:
+            w >>= 32
+            head.append(w & _MASK32)
+    n, m = episodes.shape
+    words = np.empty((n * streams, len(head) + m + 1), dtype=np.uint32)
+    words[:, :len(head)] = head
+    words[:, len(head):-1] = np.repeat(episodes, streams, axis=0)
+    words[:, -1] = np.tile(np.arange(streams), n)
+    states = seed_states(words)
+    states.flags.writeable = False  # PCG64 reads a row in place
+    return Seeds(words, states)
 
 
 def choice_cdf(probs: np.ndarray) -> np.ndarray:

@@ -23,10 +23,13 @@ from .registry import Registry
 from .rewards import (NoveltyLedger, RewardVector, RewardWeights, accuracy_reward,
                       episode_reward, scalarize)
 from .router import RoutingWeights
-from .simenv import TaskSpec, WorldConfig, sample_task, stream
+from .simenv import Seeds, TaskSpec, WorldConfig, episode_seeds, sample_task, stream
 from .trajectory import Trajectory
 
 ADVANTAGE_EPS = 1e-8
+# evaluate_policy seeds its episodes this many at a time, so the seeds it
+# holds do not grow with the episode count
+SEED_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -120,21 +123,27 @@ def rollout_group(
     reward_weights: RewardWeights,
     max_steps: int,
     ledger: NoveltyLedger,
+    seeds: Seeds | None = None,
 ) -> RolloutGroup:
     """G episodes of one task over derived seed streams, in rollout-index order.
 
     Rollout i uses env stream (base_seed, i, 0) and policy stream
-    (base_seed, i, 1). The episodes are not independent: each routes on the
-    metrics the earlier ones left in the shared ``registry`` and sees their
-    ``ledger`` updates. They share one decision table, since they share ``theta``.
+    (base_seed, i, 1): rows 2i and 2i + 1 of ``seeds``, which ``train``
+    hashes for a whole iteration at once, and this function for its group
+    when they are not given. The episodes are not independent: each routes
+    on the metrics the earlier ones left in the shared ``registry`` and sees
+    their ``ledger`` updates. They share one decision table, since they
+    share ``theta``.
     """
     if group_size < 2:
         raise BadConfig("group_size must be >= 2")
+    if seeds is None:
+        seeds = episode_seeds(base_seed, np.arange(group_size)[:, None], 2)
     table = DecisionTable(theta, spec)
     episodes = []
     for i in range(group_size):
-        env = world.build_env(base_seed + [i, 0])
-        rng = stream(base_seed + [i, 1])
+        env = world.build_env(seeds[2 * i])
+        rng = stream(seeds[2 * i + 1])
         traj, outcome, steps = execute_episode(
             task, theta, spec, registry, router_weights, env, rng,
             max_steps=max_steps, table=table,
@@ -243,15 +252,21 @@ def train(
         for t in pending_tasks:
             plans.append((t, exploration.branch_factor))
         pending_tasks = []
+        # every rollout's two streams, (seed, iteration + 1, gi, i, 0 and 1)
+        rollouts = np.array([(gi, i) for gi, (_, size) in enumerate(plans) for i in range(size)])
+        seeds = episode_seeds([seed, iteration + 1], rollouts, 2)
 
         groups: list[RolloutGroup] = []
         updates: list[tuple[list[StepRecord], np.ndarray]] = []
         triggers = 0
+        start = 0
         for gi, (task, size) in enumerate(plans):
             group = rollout_group(
                 task, theta, spec, registry, router_weights, size, world,
                 [seed, iteration + 1, gi], reward_weights, spec.max_steps, ledger,
+                seeds=seeds[2 * start:2 * (start + size)],
             )
+            start += size
             groups.append(group)
             advantages = group_advantage(group.scalar_rewards)
             group_triggered = False
@@ -328,11 +343,17 @@ def evaluate_policy(
     invocations = 0
     failure_modes: dict[str, int] = {}
     table = DecisionTable(theta, spec)
+    # env stream (seed, 3, i, 0) and, unless greedy, policy stream (seed, 3, i, 1):
+    # a greedy episode draws nothing from its policy stream
+    streams = 1 if greedy else 2
     for i in range(n_episodes):
+        row = (i % SEED_BLOCK) * streams
+        if row == 0:
+            block = np.arange(i, min(i + SEED_BLOCK, n_episodes))
+            seeds = episode_seeds([seed, 3], block[:, None], streams)
         task = sample_task(world.generator, task_rng)
-        env = world.build_env([seed, 3, i, 0])
-        # a greedy episode draws nothing from its policy stream
-        rng = None if greedy else stream([seed, 3, i, 1])
+        env = world.build_env(seeds[row])
+        rng = None if greedy else stream(seeds[row + 1])
         traj, outcome, _ = execute_episode(
             task, theta, spec, registry, router_weights, env, rng,
             max_steps=max_steps, greedy=greedy, table=table,

@@ -331,3 +331,23 @@ def test_train_checks_its_outputs_before_the_first_iteration(tmp_path, capsys, a
         assert (out / other).read_text() == "earlier run\n"
     else:
         assert not (out / other).exists()
+
+
+@pytest.mark.parametrize("argv", [["eval", "--episodes", "abc"], ["run", "--seed", "x"],
+                                  ["train", "--bogus"], ["frobnicate"]],
+                         ids=["bad-int", "bad-seed", "unknown-flag", "unknown-command"])
+def test_a_usage_error_exits_as_a_config_error(capsys, argv):
+    # exit 2 is a failed episode; a mistyped command line is a usage error
+    with pytest.raises(SystemExit) as raised:
+        main(argv)
+    assert raised.value.code == 1
+    err = capsys.readouterr().err
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+    assert err.splitlines()[-1].startswith("agentmesh")
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as raised:
+        main(["eval", "--help"])
+    assert raised.value.code == 0
+    assert "--episodes" in capsys.readouterr().out

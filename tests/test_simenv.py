@@ -13,13 +13,16 @@ from agentmesh.router import RoutingWeights
 from agentmesh.simenv import (
     LOAD_DECAY,
     GeneratorConfig,
+    PrecomputedSeed,
     SimAgentConfig,
     TaskClass,
     TaskSpec,
     WorldConfig,
+    episode_seeds,
     goal_token,
     preset_case_study,
     sample_task,
+    seed_states,
     stream,
 )
 from agentmesh.trajectory import SOURCE_CORE, extract_answer_span
@@ -153,6 +156,55 @@ class TestStream:
         assert "rng" not in env.__dict__
         assert env.rng.bit_generator.state == np.random.default_rng([3, 1, 0]).bit_generator.state
         assert env.rng is env.rng
+
+
+# One uint32 word, with both ends; rows of 1 to 9 words, shorter and longer
+# than SeedSequence's pool of 4.
+uint32_words = st.sampled_from([0, 2**32 - 1]) | st.integers(0, 2**32 - 1)
+word_rows = st.integers(1, 9).flatmap(lambda k: st.lists(
+    st.lists(uint32_words, min_size=k, max_size=k), min_size=1, max_size=4))
+
+
+class TestSeedStates:
+    @settings(max_examples=200, deadline=None)
+    @given(word_rows)
+    def test_each_row_seeds_the_stream_of_its_words(self, rows):
+        words = np.array(rows, dtype=np.uint32)
+        states = seed_states(words)
+        assert states.shape == (len(rows), 4) and states.dtype == np.uint64
+        for row, state in zip(words, states):
+            assert np.array_equal(state, np.random.SeedSequence(row).generate_state(4, np.uint64))
+            ours, theirs = stream(PrecomputedSeed(row, state)), np.random.default_rng(row)
+            assert ours.bit_generator.state == theirs.bit_generator.state
+            assert np.array_equal(ours.random(8), theirs.random(8))
+
+    @settings(max_examples=100, deadline=None)
+    @given(word_rows, st.integers(0, 12), st.sampled_from([np.uint32, np.uint64]))
+    def test_any_other_state_is_the_seed_sequences(self, rows, n_words, dtype):
+        words = np.array(rows[:1], dtype=np.uint32)
+        seed = PrecomputedSeed(words[0], seed_states(words)[0])
+        assert isinstance(seed, np.random.bit_generator.ISeedSequence)
+        assert np.array_equal(seed.generate_state(n_words, dtype),
+                              np.random.SeedSequence(words[0]).generate_state(n_words, dtype))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(seed_words, min_size=1, max_size=3),
+           st.lists(st.lists(uint32_words, min_size=2, max_size=2), min_size=1, max_size=3),
+           st.integers(1, 2))
+    def test_episode_seeds_are_the_streams_of_their_words(self, prefix, episodes, streams):
+        # a prefix int of 2**32 or more is split into words as SeedSequence splits it
+        seeds = episode_seeds(prefix, np.array(episodes, dtype=np.uint32), streams)
+        for e, episode in enumerate(episodes):
+            for s in range(streams):
+                ours = stream(seeds[e * streams + s])
+                theirs = np.random.default_rng([*prefix, *episode, s])
+                assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_a_negative_seed_is_rejected_as_default_rng_rejects_it(self):
+        with pytest.raises(ValueError):
+            np.random.default_rng([-1, 0])
+        with pytest.raises(ValueError):
+            episode_seeds([-1], np.zeros((1, 1), dtype=np.uint32), 1)
 
 
 class TestInvokeAgent:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from agentmesh import trainer
-from agentmesh.config import default_policy_spec
+from agentmesh.config import default_policy_spec, load_config
 from agentmesh.errors import BadConfig
 from agentmesh.orchestrator import StepRecord, execute_episode
 from agentmesh.policy import Decision, Observation, action_distribution, log_prob_and_grad
@@ -178,6 +178,58 @@ def test_sampled_evaluation_keeps_its_streams(world, spec):
     assert summary.as_dict() == {
         "n_episodes": 200, "success_rate": 0.255, "mean_latency_ms": 52.485593352707326,
         "sla_violation_rate": 0.055, "mean_invocations": 0.86, "failure_modes": {}}
+
+
+# SeedSequence splits a seed of 2**32 or more into little-endian 32-bit words;
+# a 2-iteration training report and a sampled evaluation at such seeds, pinned
+LARGE_SEEDS = {
+    2**32 + 1: (
+        "iteration,mean_reward,success_rate,mean_entropy,triggers\n"
+        "0,1.2380730560825688,0.75,1.3862943611198906,8\n"
+        "1,0.9220477013327584,0.3,1.3859264390959403,10\n",
+        {"n_episodes": 20, "success_rate": 0.15, "mean_latency_ms": 78.91231631758303,
+         "sla_violation_rate": 0.1, "mean_invocations": 1.3, "failure_modes": {}}),
+    2**64: (
+        "iteration,mean_reward,success_rate,mean_entropy,triggers\n"
+        "0,0.631144547894534,0.0,1.3862943611198906,8\n"
+        "1,0.6844053314015961,0.1,1.3855742574625085,10\n",
+        {"n_episodes": 20, "success_rate": 0.25, "mean_latency_ms": 39.70560236886335,
+         "sla_violation_rate": 0.05, "mean_invocations": 0.65, "failure_modes": {}}),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(LARGE_SEEDS))
+def test_a_seed_of_more_than_32_bits_keeps_its_streams(seed):
+    cfg = load_config(overrides=["trainer.iterations=2"], seed=seed)
+    theta, report = train(cfg.world, cfg.policy_spec, cfg.trainer, cfg.reward_weights,
+                          cfg.router_weights, cfg.seed)
+    summary = evaluate_policy(cfg.world, cfg.policy_spec, theta, cfg.router_weights,
+                              n_episodes=20, seed=cfg.seed, greedy=False)
+    assert (report.to_csv(), summary.as_dict()) == LARGE_SEEDS[seed]
+
+
+@pytest.mark.parametrize("greedy", [True, False], ids=["greedy", "sampled"])
+def test_evaluation_seeds_in_blocks_with_every_stream_kept(world, spec, monkeypatch, greedy):
+    # each episode's streams as default_rng builds them, one at a time
+    theta = np.random.default_rng(4).normal(size=(spec.num_actions, spec.encoded_dim))
+    registry, task_rng, outcomes = world.build_registry(), np.random.default_rng([7, 2]), []
+    for i in range(10):
+        task = sample_task(world.generator, task_rng)
+        rng = None if greedy else np.random.default_rng([7, 3, i, 1])
+        outcomes.append(execute_episode(
+            task, theta, spec, registry, WEIGHTS, world.build_env([7, 3, i, 0]), rng,
+            greedy=greedy)[1])
+    seen = []
+
+    def recording(*args, **kwargs):
+        result = execute_episode(*args, **kwargs)
+        seen.append(result[1])
+        return result
+
+    monkeypatch.setattr(trainer, "execute_episode", recording)
+    monkeypatch.setattr(trainer, "SEED_BLOCK", 3)  # blocks of 3, 3, 3 and 1
+    evaluate_policy(world, spec, theta, WEIGHTS, n_episodes=10, seed=7, greedy=greedy)
+    assert seen == outcomes
 
 
 class TestRolloutGroup:
