@@ -99,9 +99,11 @@ class DecisionTable:
     """The action distribution of each distinct observation under ``theta``,
     computed on the first lookup and reused after it.
 
-    Rollouts and evaluations that share one ``theta`` share one table. Not
-    safe to share across threads, and ``theta`` must not change while the
-    table is in use.
+    Every rollout of a training iteration, whatever its group, decides from
+    the iteration's one table, and every episode of an evaluation from the
+    evaluation's. A table serves only the ``theta`` object it was built for:
+    ``execute_episode`` rejects one built for a copy. Not safe to share
+    across threads, and ``theta`` must not change while the table is in use.
     """
 
     def __init__(self, theta: np.ndarray, spec: PolicySpec):

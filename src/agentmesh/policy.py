@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -77,12 +78,17 @@ class ActionSpace:
     def num_actions(self) -> int:
         return len(self.answer_tokens) + len(self.action_types)
 
+    @cached_property
+    def decisions(self) -> tuple[Decision, ...]:
+        """The decision of each action index, built once per action space."""
+        return (tuple(map(Decision.answer, self.answer_tokens))
+                + tuple(map(Decision.delegate, self.action_types)))
+
     def decision_of(self, index: int) -> Decision:
-        if index < 0 or index >= self.num_actions:
+        decisions = self.decisions
+        if not 0 <= index < len(decisions):
             raise IndexError(f"action index {index} out of range")
-        if index < len(self.answer_tokens):
-            return Decision.answer(self.answer_tokens[index])
-        return Decision.delegate(self.action_types[index - len(self.answer_tokens)])
+        return decisions[index]
 
     def index_of(self, decision: Decision) -> int:
         if decision.kind == KIND_ANSWER:

@@ -75,7 +75,10 @@ def stream(seed: Seed) -> np.random.Generator:
     """``np.random.default_rng(seed)``, built faster from a list of words in
     [0, 2**32): ``SeedSequence`` makes each such int into that one uint32
     word, so the array of them seeds the same stream without the per-int
-    conversion."""
+    conversion. A ``PrecomputedSeed`` goes to ``PCG64`` directly, which is
+    what ``default_rng`` builds from it, without its argument checks."""
+    if type(seed) is PrecomputedSeed:
+        return np.random.Generator(np.random.PCG64(seed))
     if type(seed) is list and all(type(w) is int and 0 <= w <= 0xFFFFFFFF for w in seed):
         seed = np.array(seed, dtype=np.uint32)
     return np.random.default_rng(seed)

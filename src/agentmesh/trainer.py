@@ -124,6 +124,7 @@ def rollout_group(
     max_steps: int,
     ledger: NoveltyLedger,
     seeds: Seeds | None = None,
+    table: DecisionTable | None = None,
 ) -> RolloutGroup:
     """G episodes of one task over derived seed streams, in rollout-index order.
 
@@ -132,14 +133,16 @@ def rollout_group(
     hashes for a whole iteration at once, and this function for its group
     when they are not given. The episodes are not independent: each routes
     on the metrics the earlier ones left in the shared ``registry`` and sees
-    their ``ledger`` updates. They share one decision table, since they
-    share ``theta``.
+    their ``ledger`` updates. They decide from one ``DecisionTable`` of
+    ``theta``: ``table``, which ``train`` shares between all groups of an
+    iteration, or a table of this group's own when it is not given.
     """
     if group_size < 2:
         raise BadConfig("group_size must be >= 2")
     if seeds is None:
         seeds = episode_seeds(base_seed, np.arange(group_size)[:, None], 2)
-    table = DecisionTable(theta, spec)
+    if table is None:
+        table = DecisionTable(theta, spec)
     episodes = []
     for i in range(group_size):
         env = world.build_env(seeds[2 * i])
@@ -255,6 +258,7 @@ def train(
         # every rollout's two streams, (seed, iteration + 1, gi, i, 0 and 1)
         rollouts = np.array([(gi, i) for gi, (_, size) in enumerate(plans) for i in range(size)])
         seeds = episode_seeds([seed, iteration + 1], rollouts, 2)
+        table = DecisionTable(theta, spec)  # every group of the iteration decides under theta
 
         groups: list[RolloutGroup] = []
         updates: list[tuple[list[StepRecord], np.ndarray]] = []
@@ -264,7 +268,7 @@ def train(
             group = rollout_group(
                 task, theta, spec, registry, router_weights, size, world,
                 [seed, iteration + 1, gi], reward_weights, spec.max_steps, ledger,
-                seeds=seeds[2 * start:2 * (start + size)],
+                seeds=seeds[2 * start:2 * (start + size)], table=table,
             )
             start += size
             groups.append(group)
@@ -338,7 +342,7 @@ def evaluate_policy(
     registry = world.build_registry()
     task_rng = stream([seed, 2])
     correct = 0
-    latencies = []
+    latencies = np.empty(n_episodes)
     sla_violations = 0
     invocations = 0
     failure_modes: dict[str, int] = {}
@@ -359,7 +363,7 @@ def evaluate_policy(
             max_steps=max_steps, greedy=greedy, table=table,
         )
         correct += accuracy_reward(outcome, task)
-        latencies.append(outcome.total_latency_ms)
+        latencies[i] = outcome.total_latency_ms
         if not outcome.sla_met:
             sla_violations += 1
         invocations += outcome.invocation_count

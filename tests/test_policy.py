@@ -271,3 +271,16 @@ def test_action_space_index_round_trip():
         assert actions.index_of(actions.decision_of(i)) == i
     assert actions.decision_of(0) == Decision.answer("ack")
     assert actions.decision_of(2) == Decision.delegate("network_analysis")
+
+
+def test_action_space_keeps_one_decision_per_index():
+    actions = SPEC.actions
+    assert actions.decisions == tuple(actions.decision_of(i) for i in range(SPEC.num_actions))
+    assert actions.decision_of(1) is actions.decision_of(1)
+
+
+@pytest.mark.parametrize("index", [-1, -2, SPEC.num_actions, SPEC.num_actions + 1])
+def test_action_space_rejects_an_index_out_of_range(index):
+    # a negative index must not count from the end of the cached decisions
+    with pytest.raises(IndexError, match="out of range"):
+        SPEC.actions.decision_of(index)

@@ -144,6 +144,17 @@ class TestStream:
         assert ours.bit_generator.state == theirs.bit_generator.state
         assert np.array_equal(ours.random(8), theirs.random(8))
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=9))
+    def test_a_precomputed_seed_is_the_stream_of_default_rng(self, row):
+        words = np.array(row, dtype=np.uint32)
+        seed = PrecomputedSeed(words, seed_states(words[None])[0])
+        ours = stream(seed)
+        state, doubles = ours.bit_generator.state, ours.random(8)
+        for theirs in (np.random.default_rng(seed), np.random.default_rng(words)):
+            assert theirs.bit_generator.state == state
+            assert np.array_equal(theirs.random(8), doubles)
+
     def test_rejects_what_default_rng_rejects(self):
         for seed in ([1, -1], -1, [1.5]):
             with pytest.raises((TypeError, ValueError)):

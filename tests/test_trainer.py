@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from agentmesh import trainer
+from agentmesh import orchestrator, trainer
 from agentmesh.config import default_policy_spec, load_config
 from agentmesh.errors import BadConfig
-from agentmesh.orchestrator import StepRecord, execute_episode
+from agentmesh.orchestrator import DecisionTable, StepRecord, execute_episode
 from agentmesh.policy import Decision, Observation, action_distribution, log_prob_and_grad
 from agentmesh.rewards import NoveltyLedger, RewardWeights, episode_reward, scalarize
 from agentmesh.router import RoutingWeights
@@ -261,6 +261,26 @@ class TestRolloutGroup:
             rollout_group(task, spec.zero_params(), spec, world.build_registry(),
                           WEIGHTS, 1, world, [1], REWARDS, 4, NoveltyLedger())
 
+    def test_a_given_table_gives_the_same_episodes(self, world, spec):
+        theta = np.random.default_rng(2).normal(size=(spec.num_actions, spec.encoded_dim))
+        task = sample_task(world.generator, np.random.default_rng(0))
+
+        def run(**kwargs):
+            return rollout_group(task, theta, spec, world.build_registry(), WEIGHTS,
+                                 6, world, [9], REWARDS, 4, NoveltyLedger(), **kwargs).episodes
+
+        own = run()
+        table = DecisionTable(theta, spec)
+        assert run(table=table) == own
+        assert run(table=table) == own  # from the rows the first group filled
+
+    def test_a_table_of_a_copy_of_theta_is_rejected(self, world, spec):
+        theta = spec.zero_params()
+        task = sample_task(world.generator, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="another theta"):
+            rollout_group(task, theta, spec, world.build_registry(), WEIGHTS, 2, world, [1],
+                          REWARDS, 4, NoveltyLedger(), table=DecisionTable(theta.copy(), spec))
+
 
 class TestMaskingInvariance:
     def test_agent_content_mutation_leaves_update_unchanged(self, world, spec):
@@ -341,6 +361,32 @@ class TestTrain:
         assert report.rows[0].triggers == cfg.group_size
         # the triggered task schedules an extra branch group next iteration
         assert report.rows[1].triggers == cfg.group_size + 2
+
+    def test_an_iteration_computes_each_observation_once(self, world, spec, monkeypatch):
+        # from zero every rollout triggers, so later iterations add branch groups
+        # of tasks already rolled: their observations repeat across groups
+        calls, groups, per_iteration = [0], [], []
+
+        def counting(*args):
+            calls[0] += 1
+            return action_distribution(*args)
+
+        def recording(*args, **kwargs):
+            groups.append(rollout_group(*args, **kwargs))
+            return groups[-1]
+
+        def end_of_iteration(iteration, theta):
+            visited = {s.obs for g in groups for ep in g.episodes for s in ep.steps}
+            per_iteration.append((len(groups), calls[0], len(visited)))
+            groups.clear()
+            calls[0] = 0
+
+        monkeypatch.setattr(orchestrator, "action_distribution", counting)
+        monkeypatch.setattr(trainer, "rollout_group", recording)
+        train(world, spec, TrainerConfig(iterations=3, checkpoint_every=1), REWARDS, WEIGHTS,
+              seed=4, checkpoint_callback=end_of_iteration)
+        assert [n_groups for n_groups, _, _ in per_iteration] == [1, 2, 3]
+        assert [n_calls for _, n_calls, _ in per_iteration] == [n for _, _, n in per_iteration]
 
     def test_csv_shape(self, world, spec):
         cfg = TrainerConfig(iterations=3)
