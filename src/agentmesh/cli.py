@@ -23,7 +23,7 @@ from .policy import (diverged, load_checkpoint, load_sft_dataset, save_checkpoin
                      sft_update)
 from .rewards import NoveltyLedger, episode_reward, scalarize
 from .simenv import GeneratorConfig, sample_task, stream
-from .trainer import evaluate_policy, train
+from .trainer import MAX_EVAL_EPISODES, evaluate_policy, train
 from .trajectory import to_log_record
 
 EXIT_OK = 0
@@ -67,7 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="greedy evaluation of a checkpoint")
     _common_flags(p_eval)
-    p_eval.add_argument("--episodes", type=int, default=100)
+    p_eval.add_argument("--episodes", type=int, default=100,
+                        help=f"episodes to evaluate, 1 to {MAX_EVAL_EPISODES}")
     return parser
 
 
@@ -210,6 +211,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     if args.episodes < 1:
         raise BadConfig("--episodes: must be >= 1")
+    if args.episodes > MAX_EVAL_EPISODES:
+        raise BadConfig(f"--episodes: must be <= {MAX_EVAL_EPISODES}")
     cfg = _load(args)
     if args.checkpoint is None:
         raise BadCheckpoint("eval requires --checkpoint")

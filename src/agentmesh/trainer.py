@@ -30,6 +30,36 @@ ADVANTAGE_EPS = 1e-8
 # evaluate_policy seeds its episodes this many at a time, so the seeds it
 # holds do not grow with the episode count
 SEED_BLOCK = 1024
+# evaluate_policy keeps 8 bytes per episode; past this a typo would ask for
+# gigabytes, and the run for hours
+MAX_EVAL_EPISODES = 10_000_000
+
+
+def _add_in_order(total: float, values) -> float:
+    for value in values:
+        total += value
+    return total
+
+
+def _sum(values: list[float]) -> float:
+    """The sum of ``values`` with the bits of numpy's float64 ``np.add.reduce``.
+
+    numpy adds fewer than 8 values in order, up to 128 in 8 running sums
+    combined pairwise before the remainder, and more by splitting at a
+    multiple of 8 near the middle. Every running sum here starts from +0.0,
+    so eight -0.0 sum to 0.0, as numpy's do. Builtin ``sum`` compensates
+    float sums from Python 3.12.
+    """
+    n = len(values)
+    if n < 8:
+        return _add_in_order(0.0, values)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _sum(values[:half]) + _sum(values[half:])
+    end = n - n % 8
+    r = [_add_in_order(0.0, values[j:end:8]) for j in range(8)]
+    return _add_in_order(((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])),
+                         values[end:])
 
 
 @dataclass(frozen=True)
@@ -67,8 +97,8 @@ class RolloutGroup:
     episodes: list[EpisodeResult]
 
     @property
-    def scalar_rewards(self) -> np.ndarray:
-        return np.array([ep.scalar_reward for ep in self.episodes])
+    def scalar_rewards(self) -> list[float]:
+        return [ep.scalar_reward for ep in self.episodes]
 
 
 @dataclass(frozen=True)
@@ -166,36 +196,42 @@ def group_advantage(scalar_rewards) -> np.ndarray:
     """Group-relative advantages: (r - mean) / (population std + eps).
 
     A zero-spread group yields identically zero advantages rather than
-    amplifying numerical noise.
+    amplifying numerical noise. The mean and the spread have the bits of
+    numpy's ``mean`` and ``std``.
     """
-    rewards = np.asarray(scalar_rewards, dtype=float)
-    if rewards.size < 2:
+    rewards = [float(r) for r in scalar_rewards]
+    n = len(rewards)
+    if n < 2:
         raise BadConfig("advantage normalization needs a group of >= 2 rewards")
-    std = float(rewards.std())
+    mean = _sum(rewards) / n
+    centred = [r - mean for r in rewards]
+    std = math.sqrt(_sum([c * c for c in centred]) / n)
     if std == 0.0:
-        return np.zeros_like(rewards)
-    return (rewards - rewards.mean()) / (std + ADVANTAGE_EPS)
+        return np.zeros(n)
+    scale = std + ADVANTAGE_EPS
+    return np.array([c / scale for c in centred])
 
 
 def entropy_control(steps: list[StepRecord], advantage: float,
-                    config: ExplorationConfig) -> tuple[bool, np.ndarray]:
+                    config: ExplorationConfig) -> tuple[bool, list[float]]:
     """Per-step corrected advantages plus the exploration trigger flag.
 
     Each step gets A + beta * (H_t - mean H); the trigger fires when any
     decision entropy exceeds the high threshold.
     """
     if not steps:
-        return False, np.zeros(0)
-    entropies = np.array([s.entropy for s in steps])
-    triggered = bool(np.any(entropies > config.entropy_high_threshold))
-    corrected = advantage + config.entropy_bonus * (entropies - entropies.mean())
-    return triggered, corrected
+        return False, []
+    entropies = [s.entropy for s in steps]
+    triggered = any(h > config.entropy_high_threshold for h in entropies)
+    mean = _sum(entropies) / len(entropies)
+    bonus = config.entropy_bonus
+    return triggered, [advantage + bonus * (h - mean) for h in entropies]
 
 
 def masked_policy_update(
     theta: np.ndarray,
     spec: PolicySpec,
-    episodes: list[tuple[list[StepRecord], np.ndarray]],
+    episodes: list[tuple[list[StepRecord], list[float] | np.ndarray]],
     learning_rate: float,
 ) -> np.ndarray:
     """One ascent step on mean per-episode sum of A'_t * grad log pi.
@@ -203,23 +239,31 @@ def masked_policy_update(
     The gradient depends only on recorded decision steps; agent and system
     trajectory content carries no log-prob terms, so the update is invariant
     to any mutation of masked segments. Each distinct (observation, action)
-    gradient is computed once.
+    gradient is computed once, and the terms are added in step order.
     """
     if learning_rate < 0:
         raise ValueError("learning_rate must be >= 0")
-    if not episodes:
-        return theta
-    grad = np.zeros_like(theta)
-    grads: dict[tuple[Observation, int], np.ndarray] = {}
+    rows: dict[tuple[Observation, int], int] = {}
+    grads: list[np.ndarray] = []
+    picked: list[int] = []
+    coefs: list[float] = []
     for steps, advantages in episodes:
         for step, adv in zip(steps, advantages):
             if adv == 0.0:
                 continue
             key = (step.obs, step.action_index)
-            g = grads.get(key)
-            if g is None:
-                g = grads[key] = log_prob_and_grad(theta, spec, *key)[1]
-            grad += adv * g
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = len(grads)
+                grads.append(log_prob_and_grad(theta, spec, *key)[1])
+            picked.append(row)
+            coefs.append(adv)
+    if not coefs:
+        return theta
+    # A gradient has more than one entry (encoded_dim > 1), so numpy adds
+    # whole terms over the first axis one after another, as a running sum
+    # from zeros would, rather than summing each entry pairwise.
+    grad = np.add.reduce(np.array(coefs)[:, None, None] * np.array(grads)[picked], axis=0)
     if not np.any(grad):
         return theta
     return theta + learning_rate * grad / len(episodes)
@@ -261,7 +305,7 @@ def train(
         table = DecisionTable(theta, spec)  # every group of the iteration decides under theta
 
         groups: list[RolloutGroup] = []
-        updates: list[tuple[list[StepRecord], np.ndarray]] = []
+        updates: list[tuple[list[StepRecord], list[float]]] = []
         triggers = 0
         start = 0
         for gi, (task, size) in enumerate(plans):
@@ -290,12 +334,12 @@ def train(
                             f"parameters overflow at iteration {iteration}")
 
         all_eps = [ep for g in groups for ep in g.episodes]
-        all_steps = [s for ep in all_eps for s in ep.steps]
-        mean_entropy = float(np.mean([s.entropy for s in all_steps])) if all_steps else 0.0
+        entropies = [s.entropy for ep in all_eps for s in ep.steps]
+        mean_entropy = _sum(entropies) / len(entropies) if entropies else 0.0
         report.rows.append(IterationStats(
             iteration=iteration,
-            mean_reward=float(np.mean([ep.scalar_reward for ep in all_eps])),
-            success_rate=float(np.mean([ep.reward_vector.accuracy for ep in all_eps])),
+            mean_reward=_sum([ep.scalar_reward for ep in all_eps]) / len(all_eps),
+            success_rate=_sum([ep.reward_vector.accuracy for ep in all_eps]) / len(all_eps),
             mean_entropy=mean_entropy,
             triggers=triggers,
         ))
@@ -337,8 +381,8 @@ def evaluate_policy(
     same task sequence, so summaries from different policies are directly
     comparable. ``max_steps`` defaults to the spec's step budget.
     """
-    if n_episodes < 1:
-        raise BadConfig("n_episodes must be >= 1")
+    if not 1 <= n_episodes <= MAX_EVAL_EPISODES:
+        raise BadConfig(f"n_episodes must be in [1, {MAX_EVAL_EPISODES}]")
     registry = world.build_registry()
     task_rng = stream([seed, 2])
     correct = 0

@@ -8,9 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from agentmesh import cli
 from agentmesh.cli import main
 from agentmesh.config import load_config
 from agentmesh.policy import Decision, load_checkpoint, save_checkpoint
+from agentmesh.trainer import MAX_EVAL_EPISODES
 
 FAST = ["--set", "trainer.iterations=5", "--set", "trainer.group_size=4"]
 
@@ -293,6 +295,14 @@ class TestEval:
                      "--out", str(tmp_path / "eval")])
         assert code == 1
         assert capsys.readouterr().err == "error: --episodes: must be >= 1\n"
+
+    def test_an_episode_count_above_the_bound_names_the_flag(self, tmp_path, capsys, monkeypatch):
+        # checked before the config, the checkpoint or any per-episode array
+        monkeypatch.setattr(cli, "evaluate_policy", None)
+        code = main(["eval", "--checkpoint", str(tmp_path / "absent.json"),
+                     "--episodes", "1000000000000", "--out", str(tmp_path / "eval")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: --episodes: must be <= {MAX_EVAL_EPISODES}\n"
 
 
 @pytest.mark.parametrize("command, artifact", [

@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agentmesh import orchestrator, trainer
 from agentmesh.config import default_policy_spec, load_config
 from agentmesh.errors import BadConfig
 from agentmesh.orchestrator import DecisionTable, StepRecord, execute_episode
-from agentmesh.policy import Decision, Observation, action_distribution, log_prob_and_grad
+from agentmesh.policy import (OUTCOMES, Decision, Observation, action_distribution,
+                              log_prob_and_grad)
 from agentmesh.rewards import NoveltyLedger, RewardWeights, episode_reward, scalarize
 from agentmesh.router import RoutingWeights
 from agentmesh.simenv import preset_case_study, sample_task
 from agentmesh.trainer import (
+    ADVANTAGE_EPS,
+    MAX_EVAL_EPISODES,
     ExplorationConfig,
     TrainerConfig,
     entropy_control,
@@ -18,12 +23,87 @@ from agentmesh.trainer import (
     masked_policy_update,
     rollout_group,
     train,
+    _sum,
 )
 from agentmesh.trajectory import agent_segment
 from oracles import optimal_action_sets
 
 WEIGHTS = RoutingWeights()
 REWARDS = RewardWeights()
+
+
+def bits(values) -> bytes:
+    """The float64 bytes of ``values``, which tell -0.0 from 0.0."""
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+# Sizes where numpy's pairwise sum changes its order: 8 running sums from 8
+# values, a split from 129, and a split at a multiple of 8 (136 → 64 + 72).
+SUM_EDGE_SIZES = [7, 8, 9, 128, 129, 136]
+
+
+def order_sensitive(seed: int, size: int) -> list[float]:
+    """Values whose float sum depends on the order of addition, with zeros
+    of both signs among them."""
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(-1.0, 1.0, size) * 10.0 ** rng.integers(-4, 5, size)
+    values[rng.random(size) < 0.1] = 0.0
+    values[rng.random(size) < 0.1] = -0.0
+    return values.tolist()
+
+
+def summands(min_size: int) -> st.SearchStrategy:
+    """Lists of ``min_size`` to 300 floats: arbitrary ones, and order-sensitive ones."""
+    arbitrary = st.floats(-1e100, 1e100) | st.sampled_from([0.0, -0.0, 1.0, 1e16, -1e16])
+    return (st.lists(arbitrary, min_size=min_size, max_size=300)
+            | st.builds(order_sensitive, st.integers(0, 2**32 - 1), st.integers(min_size, 300)))
+
+
+def numpy_advantage(rewards) -> np.ndarray:
+    r = np.array(rewards)
+    if r.std() == 0.0:
+        return np.zeros_like(r)
+    return (r - r.mean()) / (r.std() + ADVANTAGE_EPS)
+
+
+class TestNumpyOrderStatistics:
+    """The trainer's plain-float statistics have the bits of numpy's."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=summands(1))
+    def test_sum_is_numpys_sum(self, values):
+        total = _sum(values)
+        assert type(total) is float
+        assert bits(total) == bits(np.add.reduce(np.array(values)))
+
+    @pytest.mark.parametrize("size", SUM_EDGE_SIZES)
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_statistics_are_numpys_at_the_edges_of_its_blocks(self, size, seed):
+        values = order_sensitive(seed, size)
+        assert bits(_sum(values)) == bits(np.add.reduce(np.array(values)))
+        assert bits(group_advantage(values)) == bits(numpy_advantage(values))
+
+    @pytest.mark.parametrize("size", [1, *SUM_EDGE_SIZES, 300])
+    def test_negative_zeros_sum_to_positive_zero(self, size):
+        assert bits(_sum([-0.0] * size)) == bits(0.0) == bits(np.sum(np.full(size, -0.0)))
+
+    def test_cancelling_values_are_added_in_order(self):
+        # an exact or compensated sum gives 1.0 here, as builtin sum does from Python 3.12
+        assert bits(_sum([1e16, 1.0, -1e16])) == bits(np.sum([1e16, 1.0, -1e16])) == bits(0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rewards=summands(2))
+    def test_group_advantage_is_numpys(self, rewards):
+        assert bits(group_advantage(rewards)) == bits(numpy_advantage(rewards))
+
+    @settings(max_examples=100, deadline=None)
+    @given(entropies=summands(1), advantage=st.floats(-10.0, 10.0), bonus=st.floats(0.0, 10.0))
+    def test_entropy_correction_is_numpys(self, entropies, advantage, bonus):
+        cfg = ExplorationConfig(1.0, 0.05, 2, entropy_bonus=bonus)
+        _, corrected = entropy_control(records_with_entropies(entropies), advantage, cfg)
+        h = np.array(entropies)
+        assert bits(corrected) == bits(advantage + bonus * (h - h.mean()))
 
 
 class TestGroupAdvantage:
@@ -83,12 +163,44 @@ class TestEntropyControl:
             ExplorationConfig(entropy_high_threshold=0.1, entropy_floor=0.2)
 
 
+def reference_update(theta, spec, episodes, learning_rate):
+    """The update as a running sum of one gradient term per decision step."""
+    grad = np.zeros_like(theta)
+    for steps, advantages in episodes:
+        for step, adv in zip(steps, advantages):
+            if adv != 0.0:
+                grad += adv * log_prob_and_grad(theta, spec, step.obs, step.action_index)[1]
+    if not np.any(grad):
+        return theta
+    return theta + learning_rate * grad / len(episodes)
+
+
+def random_episodes(spec, rng, n_episodes, zero_share):
+    """Episodes of 1 to 4 steps over 6 observations, so that (observation,
+    action) keys repeat, with about ``zero_share`` of the advantages 0."""
+    pool = [Observation(tuple(float(i == c) for i in range(spec.feature_dim)), k, outcome)
+            for c, k, outcome in [(0, 0, OUTCOMES[0]), (1, 0, OUTCOMES[0]),
+                                  (1, 1, OUTCOMES[1]), (2, 1, OUTCOMES[2]),
+                                  (0, 2, OUTCOMES[2]), (2, 3, OUTCOMES[1])]]
+    episodes = []
+    for _ in range(n_episodes):
+        n = int(rng.integers(1, 5))
+        steps = [StepRecord(pool[int(rng.integers(len(pool)))],
+                            int(rng.integers(spec.num_actions)), 0.5) for _ in range(n)]
+        advantages = rng.normal(size=n) * 10.0 ** rng.integers(-6, 6, size=n)
+        advantages[rng.random(n) < zero_share] = 0.0
+        episodes.append((steps, list(advantages)))
+    return episodes
+
+
 class TestMaskedPolicyUpdate:
     def test_zero_advantages_exact_noop(self, spec):
         theta = np.random.default_rng(0).normal(size=(spec.num_actions, spec.encoded_dim))
         steps = records_with_entropies([0.5, 0.5])
         updated = masked_policy_update(theta, spec, [(steps, np.zeros(2))], 0.1)
         assert updated is theta
+        episodes = random_episodes(spec, np.random.default_rng(8), 50, 1.0)
+        assert masked_policy_update(theta, spec, episodes, 0.1) is theta
 
     def test_single_step_matches_gradient(self, spec):
         theta = np.random.default_rng(1).normal(size=(spec.num_actions, spec.encoded_dim))
@@ -109,13 +221,27 @@ class TestMaskedPolicyUpdate:
             advantages = np.random.default_rng(seed).normal(size=len(steps))
             advantages[::3] = 0.0
             episodes.append((steps, advantages))
-        grad = np.zeros_like(theta)
-        for steps, advantages in episodes:
-            for step, adv in zip(steps, advantages):
-                if adv != 0.0:
-                    grad += adv * log_prob_and_grad(theta, spec, step.obs, step.action_index)[1]
-        assert np.array_equal(masked_policy_update(theta, spec, episodes, 0.05),
-                              theta + 0.05 * grad / len(episodes))
+        assert bits(masked_policy_update(theta, spec, episodes, 0.05)) == bits(
+            reference_update(theta, spec, episodes, 0.05))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_episodes=st.integers(1, 120),
+           zero_share=st.sampled_from([0.0, 0.3, 0.9]))
+    def test_equals_the_running_sum_bit_for_bit(self, seed, n_episodes, zero_share):
+        spec = default_policy_spec(preset_case_study(), max_steps=4)
+        rng = np.random.default_rng(seed)
+        theta = rng.normal(scale=3.0, size=(spec.num_actions, spec.encoded_dim))
+        episodes = random_episodes(spec, rng, n_episodes, zero_share)
+        assert bits(masked_policy_update(theta, spec, episodes, 0.05)) == bits(
+            reference_update(theta, spec, episodes, 0.05))
+
+    def test_more_than_128_terms_are_added_in_step_order(self, spec):
+        rng = np.random.default_rng(7)
+        theta = rng.normal(size=(spec.num_actions, spec.encoded_dim))
+        episodes = random_episodes(spec, rng, 120, 0.2)
+        assert sum(adv != 0.0 for _, advantages in episodes for adv in advantages) > 128
+        assert bits(masked_policy_update(theta, spec, episodes, 0.05)) == bits(
+            reference_update(theta, spec, episodes, 0.05))
 
 
 def always_delegate(spec):
@@ -169,6 +295,12 @@ class TestStepBudget:
         assert env.loads == {} and "rng" not in env.__dict__
         assert all(m.sample_count == 0
                    for action in world.action_types for _, m in registry.discover(action))
+
+
+@pytest.mark.parametrize("n_episodes", [0, MAX_EVAL_EPISODES + 1, 10**12])
+def test_an_episode_count_out_of_range_is_rejected_before_any_work(world, spec, n_episodes):
+    with pytest.raises(BadConfig, match=r"n_episodes must be in \[1, 10000000\]"):
+        evaluate_policy(world, spec, spec.zero_params(), WEIGHTS, n_episodes=n_episodes, seed=0)
 
 
 def test_sampled_evaluation_keeps_its_streams(world, spec):
