@@ -27,12 +27,21 @@ from .simenv import Seeds, TaskSpec, WorldConfig, episode_seeds, sample_task, st
 from .trajectory import Trajectory
 
 ADVANTAGE_EPS = 1e-8
-# evaluate_policy seeds its episodes this many at a time, so the seeds it
-# holds do not grow with the episode count
+# evaluate_policy seeds this many episodes per hash pass, and train the first
+# groups of SEED_BLOCK // group_size iterations (at least one): a pass costs
+# about 60 array operations whatever its row count, and the seeds held stay
+# small however long the run
 SEED_BLOCK = 1024
 # evaluate_policy keeps 8 bytes per episode; past this a typo would ask for
 # gigabytes, and the run for hours
 MAX_EVAL_EPISODES = 10_000_000
+# an iteration holds its groups' episodes until its update, about 3.5 KB each:
+# on the preset world one group this size takes about 35 MB and 1 s, where a
+# typo could ask for more memory than the host has
+MAX_GROUP_SIZE = 10_000
+# iteration k's streams carry the seed word k + 1, which must fit in 32 bits
+# for a block of iterations to be hashed in one pass
+MAX_ITERATIONS = 2**32 - 2
 
 
 def _add_in_order(total: float, values) -> float:
@@ -74,6 +83,8 @@ class ExplorationConfig:
             raise BadConfig("entropy_floor must be < entropy_high_threshold")
         if self.branch_factor < 2:
             raise BadConfig("branch_factor must be >= 2")
+        if self.branch_factor > MAX_GROUP_SIZE:
+            raise BadConfig(f"branch_factor must be <= {MAX_GROUP_SIZE}")
         if self.entropy_bonus < 0:
             raise BadConfig("entropy_bonus must be >= 0")
 
@@ -112,10 +123,12 @@ class TrainerConfig:
     def __post_init__(self):
         if self.group_size < 2:
             raise BadConfig("group_size must be >= 2")
+        if self.group_size > MAX_GROUP_SIZE:
+            raise BadConfig(f"group_size must be <= {MAX_GROUP_SIZE}")
         if self.learning_rate < 0:
             raise BadConfig("learning_rate must be >= 0")
-        if self.iterations < 1:
-            raise BadConfig("iterations must be >= 1")
+        if not 1 <= self.iterations <= MAX_ITERATIONS:
+            raise BadConfig(f"iterations must be in [1, {MAX_ITERATIONS}]")
         if self.checkpoint_every < 0:
             raise BadConfig("checkpoint_every must be >= 0")
 
@@ -160,8 +173,9 @@ def rollout_group(
 
     Rollout i uses env stream (base_seed, i, 0) and policy stream
     (base_seed, i, 1): rows 2i and 2i + 1 of ``seeds``, which ``train``
-    hashes for a whole iteration at once, and this function for its group
-    when they are not given. The episodes are not independent: each routes
+    hashes ahead for the first group of a block of iterations and once per
+    iteration for its branch groups, and this function for its group when
+    they are not given. The episodes are not independent: each routes
     on the metrics the earlier ones left in the shared ``registry`` and sees
     their ``ledger`` updates. They decide from one ``DecisionTable`` of
     ``theta``: ``table``, which ``train`` shares between all groups of an
@@ -282,7 +296,12 @@ def train(
     """Full optimization loop; returns final parameters and the report.
 
     ``checkpoint_callback(iteration, theta)`` is invoked every
-    ``checkpoint_every`` iterations when configured.
+    ``checkpoint_every`` iterations when configured. Rollout i of group gi
+    at iteration k draws from streams (seed, k + 1, gi, i, 0 and 1). The
+    first group's size is fixed, so its streams are hashed for
+    ``SEED_BLOCK // group_size`` iterations (at least 1) in one pass; branch
+    groups exist only after a trigger, so theirs are hashed once per
+    iteration that has them.
     """
     cfg = trainer_config
     exploration = cfg.exploration or ExplorationConfig.defaults(spec.num_actions)
@@ -292,29 +311,35 @@ def train(
     task_rng = stream([seed, 0])
     report = TrainingReport()
     pending_tasks: list[TaskSpec] = []
+    size, branch = cfg.group_size, exploration.branch_factor
+    per_block = max(SEED_BLOCK // size, 1)
 
     for iteration in range(cfg.iterations):
-        plans: list[tuple[TaskSpec, int]] = [(sample_task(world.generator, task_rng),
-                                              cfg.group_size)]
-        for t in pending_tasks:
-            plans.append((t, exploration.branch_factor))
+        at = iteration % per_block
+        if at == 0:  # the first group's words (k + 1, 0, i) for the block's iterations k
+            k, i = np.divmod(np.arange(min(per_block, cfg.iterations - iteration) * size), size)
+            words = np.column_stack((k + iteration + 1, np.zeros_like(i), i))
+            first = episode_seeds([seed], words, 2)
+        task = sample_task(world.generator, task_rng)
+        plans: list[tuple[TaskSpec, int, Seeds]] = [
+            (task, size, first[2 * size * at:2 * size * (at + 1)])]
+        if pending_tasks:  # branch group gi = 1, 2, ...: words (k + 1, gi, i)
+            g, i = np.divmod(np.arange(len(pending_tasks) * branch), branch)
+            rows = episode_seeds([seed, iteration + 1], np.column_stack((g + 1, i)), 2)
+            plans += [(t, branch, rows[2 * branch * j:2 * branch * (j + 1)])
+                      for j, t in enumerate(pending_tasks)]
         pending_tasks = []
-        # every rollout's two streams, (seed, iteration + 1, gi, i, 0 and 1)
-        rollouts = np.array([(gi, i) for gi, (_, size) in enumerate(plans) for i in range(size)])
-        seeds = episode_seeds([seed, iteration + 1], rollouts, 2)
         table = DecisionTable(theta, spec)  # every group of the iteration decides under theta
 
         groups: list[RolloutGroup] = []
         updates: list[tuple[list[StepRecord], list[float]]] = []
         triggers = 0
-        start = 0
-        for gi, (task, size) in enumerate(plans):
+        for gi, (task, group_size, seeds) in enumerate(plans):
             group = rollout_group(
-                task, theta, spec, registry, router_weights, size, world,
+                task, theta, spec, registry, router_weights, group_size, world,
                 [seed, iteration + 1, gi], reward_weights, spec.max_steps, ledger,
-                seeds=seeds[2 * start:2 * (start + size)], table=table,
+                seeds=seeds, table=table,
             )
-            start += size
             groups.append(group)
             advantages = group_advantage(group.scalar_rewards)
             group_triggered = False

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from agentmesh import cli
 from agentmesh.cli import main
 from agentmesh.config import load_cards, load_config
+from agentmesh.trainer import MAX_GROUP_SIZE
 
 TASK = {"name": "t", "probability": 1.0, "required_action": "a", "answer_pool": ["x"]}
 AGENT = {"card_id": "c1", "supported_actions": ["a"], "success_prob": {"a": 1.0}}
@@ -277,6 +279,18 @@ def test_branch_factor_below_two_rejected(tmp_path, monkeypatch, capsys):
     code = main(["train", "--out", "out", "--set", "trainer.branch_factor=1",
                  "--set", "trainer.iterations=2"])
     assert_config_error(code, capsys.readouterr().err, "trainer: branch_factor must be >= 2")
+
+
+@pytest.mark.parametrize("key", ["group_size", "branch_factor"])
+@pytest.mark.parametrize("value", [str(MAX_GROUP_SIZE + 1), "1e308"])
+def test_a_group_size_above_the_bound_rejected(tmp_path, monkeypatch, capsys, key, value):
+    # 1e308 reads as the integer 10**308; training is never reached, so
+    # nothing of that size can be allocated
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "train", None)
+    code = main(["train", "--out", "out", "--set", f"trainer.{key}={value}"])
+    assert_config_error(code, capsys.readouterr().err,
+                        f"trainer: {key} must be <= {MAX_GROUP_SIZE}")
 
 
 def test_overflowing_router_weights_rejected(tmp_path, monkeypatch, capsys):

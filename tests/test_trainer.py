@@ -11,10 +11,12 @@ from agentmesh.policy import (OUTCOMES, Decision, Observation, action_distributi
                               log_prob_and_grad)
 from agentmesh.rewards import NoveltyLedger, RewardWeights, episode_reward, scalarize
 from agentmesh.router import RoutingWeights
-from agentmesh.simenv import preset_case_study, sample_task
+from agentmesh.simenv import episode_seeds, preset_case_study, sample_task, stream
 from agentmesh.trainer import (
     ADVANTAGE_EPS,
     MAX_EVAL_EPISODES,
+    MAX_GROUP_SIZE,
+    MAX_ITERATIONS,
     ExplorationConfig,
     TrainerConfig,
     entropy_control,
@@ -364,6 +366,100 @@ def test_evaluation_seeds_in_blocks_with_every_stream_kept(world, spec, monkeypa
     assert seen == outcomes
 
 
+def confident_theta(spec):
+    theta = spec.zero_params()
+    theta[0, :] = 60.0  # always answer "ack": no decision is uncertain enough to trigger
+    return theta
+
+
+SEED_BLOCK_CASES = {
+    "from zero": (4, None),  # every iteration after the first has branch groups
+    "confident": (4, confident_theta),  # no group triggers
+    "seed above 32 bits": (2**32 + 1, None),
+}
+
+
+class TestSeedBlocks:
+    """``train`` hashes the first group's streams for a block of iterations
+    in one pass; a block boundary must change no stream."""
+
+    @pytest.mark.parametrize("per_block", [2, 3])
+    @pytest.mark.parametrize("case", SEED_BLOCK_CASES.keys())
+    def test_block_boundaries_change_no_stream(self, world, spec, monkeypatch, case, per_block):
+        seed, initial = SEED_BLOCK_CASES[case]
+        cfg = TrainerConfig(iterations=7)
+        initial_theta = None if initial is None else initial(spec)
+
+        def run():
+            theta, report = train(world, spec, cfg, REWARDS, WEIGHTS, seed,
+                                  initial_theta=initial_theta)
+            return theta.tobytes(), report.to_csv(), [row.triggers for row in report.rows]
+
+        unblocked = run()
+        monkeypatch.setattr(trainer, "SEED_BLOCK", per_block * cfg.group_size + 1)
+        assert run() == unblocked
+        triggers = unblocked[2]
+        if initial is None:
+            assert all(triggers)
+        else:
+            assert not any(triggers)
+
+    def test_each_rollout_draws_its_own_words(self, world, spec, monkeypatch):
+        # rollout i of group gi at iteration k: streams (seed, k + 1, gi, i, 0 and 1)
+        seed, at, groups = 9, {"k": 0, "gi": 0}, set()
+        drawn, expected = [], []
+
+        def recording(task, theta, spec, registry, router_weights, group_size, *args,
+                      seeds, **kwargs):
+            k, gi = at["k"], at["gi"]
+            at["gi"] += 1
+            groups.add(gi)
+            for i in range(group_size):
+                for s in range(2):
+                    drawn.append(stream(seeds[2 * i + s]).random(3).tobytes())
+                    words = [seed, k + 1, gi, i, s]
+                    expected.append(np.random.default_rng(words).random(3).tobytes())
+            return rollout_group(task, theta, spec, registry, router_weights, group_size,
+                                 *args, seeds=seeds, **kwargs)
+
+        def next_iteration(*_):
+            at["k"] += 1
+            at["gi"] = 0
+
+        monkeypatch.setattr(trainer, "rollout_group", recording)
+        monkeypatch.setattr(trainer, "SEED_BLOCK", 20)  # blocks of 2, 2 and 1 iterations
+        train(world, spec, TrainerConfig(iterations=5, checkpoint_every=1), REWARDS, WEIGHTS,
+              seed, checkpoint_callback=next_iteration)
+        assert groups == {0, 1, 2, 3, 4}  # branch groups ran
+        assert drawn == expected
+
+    @pytest.mark.parametrize("iterations, block, branching, passes", [
+        (7, None, False, 1), (7, 24, False, 3), (6, 24, False, 2), (1, 24, False, 1),
+        (3, 1, False, 3), (7, 24, True, 3 + 6)])
+    def test_one_pass_per_block_and_per_iteration_with_branch_groups(
+            self, world, spec, monkeypatch, iterations, block, branching, passes):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return episode_seeds(*args)
+
+        monkeypatch.setattr(trainer, "episode_seeds", counting)
+        if block is not None:
+            monkeypatch.setattr(trainer, "SEED_BLOCK", block)  # 3 iterations, or at least 1
+        # from zero every group triggers; above log A no decision can
+        never = ExplorationConfig(entropy_high_threshold=np.log(spec.num_actions) + 1.0,
+                                  entropy_floor=0.0)
+        cfg = TrainerConfig(iterations=iterations, exploration=None if branching else never)
+        _, report = train(world, spec, cfg, REWARDS, WEIGHTS, seed=3)
+        branched = sum(1 for row in report.rows[:-1] if row.triggers)
+        assert branched == (iterations - 1 if branching else 0)
+        assert len(calls) == passes
+        # a block ends with the run: no first group is hashed for an iteration that never comes
+        first = [episodes for prefix, episodes, _ in calls if len(prefix) == 1]
+        assert sum(map(len, first)) == iterations * cfg.group_size
+
+
 class TestRolloutGroup:
     def test_deterministic_policy_identical_trajectories(self, world, spec):
         sure = preset_case_study(agent_success=1.0, latency_jitter_ms=0.0)
@@ -456,6 +552,16 @@ class TestTrain:
     def test_group_size_one_rejected(self):
         with pytest.raises(BadConfig):
             TrainerConfig(group_size=1)
+
+    def test_sizes_and_iterations_above_their_bounds_rejected(self):
+        TrainerConfig(group_size=MAX_GROUP_SIZE, iterations=MAX_ITERATIONS)
+        ExplorationConfig(1.0, 0.0, branch_factor=MAX_GROUP_SIZE)
+        with pytest.raises(BadConfig, match=f"group_size must be <= {MAX_GROUP_SIZE}$"):
+            TrainerConfig(group_size=MAX_GROUP_SIZE + 1)
+        with pytest.raises(BadConfig, match=f"branch_factor must be <= {MAX_GROUP_SIZE}$"):
+            ExplorationConfig(1.0, 0.0, branch_factor=MAX_GROUP_SIZE + 1)
+        with pytest.raises(BadConfig, match=r"iterations must be in \[1, 4294967294\]$"):
+            TrainerConfig(iterations=MAX_ITERATIONS + 1)
 
     def test_zero_learning_rate_keeps_params(self, world, spec):
         theta0 = np.random.default_rng(3).normal(size=(spec.num_actions, spec.encoded_dim))
