@@ -11,6 +11,8 @@ in the outcome.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -72,27 +74,30 @@ class StepRecord:
 
 @dataclass(frozen=True, eq=False)  # rows compare by identity; arrays have no truth value
 class DecisionRow:
-    """One observation's action distribution under one parameter version."""
+    """One observation's action distribution under one parameter version,
+    with what a decision reads of it in Python floats and ints."""
 
     probs: np.ndarray
     entropy: float
-    # Generator.choice's cumulative distribution; None when probs is not
-    # finite, which leaves nothing to draw from
-    cdf: Optional[np.ndarray]
+    # Generator.choice's cumulative distribution as a list (choice_cdf);
+    # None when probs is not finite, which leaves nothing to draw from
+    cdf: Optional[list[float]]
     # np.argmax: the first index on exact ties, or the first NaN
     greedy: int
 
     @staticmethod
     def of(probs: np.ndarray) -> "DecisionRow":
-        cdf = choice_cdf(probs) if np.all(np.isfinite(probs)) else None
-        return DecisionRow(probs, policy_entropy(probs), cdf, int(np.argmax(probs)))
+        values = probs.tolist()
+        cdf = choice_cdf(values) if all(map(math.isfinite, values)) else None
+        return DecisionRow(probs, policy_entropy(probs), cdf, int(probs.argmax()))
 
     def sample(self, rng: np.random.Generator) -> int:
         """The index ``rng.choice(len(probs), p=probs)`` would draw, from the
-        same one double of ``rng``."""
+        same one double of ``rng``: the bisection of ``cdf`` that its
+        ``searchsorted(side="right")`` makes."""
         if self.cdf is None:
             raise ValueError("probabilities contain NaN")
-        return int(self.cdf.searchsorted(rng.random(), side="right"))
+        return bisect_right(self.cdf, rng.random())
 
 
 class DecisionTable:
@@ -101,15 +106,28 @@ class DecisionTable:
 
     Every rollout of a training iteration, whatever its group, decides from
     the iteration's one table, and every episode of an evaluation from the
-    evaluation's. A table serves only the ``theta`` object it was built for:
-    ``execute_episode`` rejects one built for a copy. Not safe to share
-    across threads, and ``theta`` must not change while the table is in use.
+    evaluation's. The table also interns observations: ``observation``
+    returns one ``Observation`` per ``(features, step, last_outcome)``, so
+    an episode builds none on a step the table has seen, and its lookups and
+    the update's gradient keys hit by identity. A table serves only the
+    ``theta`` object it was built for: ``execute_episode`` rejects one built
+    for a copy. Not safe to share across threads, and ``theta`` must not
+    change while the table is in use.
     """
 
     def __init__(self, theta: np.ndarray, spec: PolicySpec):
         self.theta = theta
         self.spec = spec
         self._rows: dict[Observation, DecisionRow] = {}
+        self._observations: dict[tuple[tuple[float, ...], int, str], Observation] = {}
+
+    def observation(self, features: tuple[float, ...], step: int, last_outcome: str) -> Observation:
+        """The table's one ``Observation(features, step, last_outcome)``."""
+        key = (features, step, last_outcome)
+        obs = self._observations.get(key)
+        if obs is None:
+            obs = self._observations[key] = Observation(features, step, last_outcome)
+        return obs
 
     def row(self, obs: Observation) -> DecisionRow:
         row = self._rows.get(obs)
@@ -177,7 +195,7 @@ def execute_episode(
     payload = goal_token(task.task_class.name)
 
     for step in range(max_steps):
-        obs = Observation(task.feature_vector, step_index=step, last_outcome=last_outcome)
+        obs = table.observation(task.feature_vector, step, last_outcome)
         decision, index, row = decide(obs, theta, spec, rng, greedy=greedy, table=table)
         records.append(StepRecord(obs=obs, action_index=index, entropy=row.entropy))
 
@@ -240,9 +258,12 @@ def make_warmup_dataset(generator: GeneratorConfig, spec: PolicySpec, n: int,
     action type. Later-step behavior (retry, report) is left to RL.
     """
     samples = []
+    observations: dict[tuple[float, ...], Observation] = {}  # one per class
     for _ in range(n):
         task = sample_task(generator, rng)
-        obs = Observation(task.feature_vector)  # step 0, no prior agent outcome
+        obs = observations.get(task.feature_vector)
+        if obs is None:  # step 0, no prior agent outcome
+            obs = observations[task.feature_vector] = Observation(task.feature_vector)
         if task.task_class.required_action is None:
             if task.ground_truth not in spec.actions.answer_tokens:
                 raise BadConfig(f"policy.answer_tokens: the warm-up demonstrates the answer "

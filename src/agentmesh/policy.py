@@ -128,33 +128,65 @@ class PolicySpec:
         return np.zeros((self.num_actions, self.encoded_dim))
 
 
-def action_distribution(theta: np.ndarray, spec: PolicySpec, obs: Observation) -> np.ndarray:
-    logits = theta @ spec.encode(obs)
+def _add_in_order(total: float, values) -> float:
+    for value in values:
+        total += value
+    return total
+
+
+def _sum(values: list[float]) -> float:
+    """The sum of ``values`` with the bits of numpy's float64 ``np.add.reduce``.
+
+    numpy adds fewer than 8 values in order, up to 128 in 8 running sums
+    combined pairwise before the remainder, and more by splitting at a
+    multiple of 8 near the middle. Every running sum here starts from +0.0,
+    so eight -0.0 sum to 0.0, as numpy's do. Builtin ``sum`` compensates
+    float sums from Python 3.12.
+    """
+    n = len(values)
+    if n < 8:
+        return _add_in_order(0.0, values)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _sum(values[:half]) + _sum(values[half:])
+    end = n - n % 8
+    r = [_add_in_order(0.0, values[j:end:8]) for j in range(8)]
+    return _add_in_order(((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])),
+                         values[end:])
+
+
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    """The softmax of ``logits``, which it shifts in place to a maximum of 0."""
     logits -= logits.max()
     exp = np.exp(logits)
     return exp / exp.sum()
 
 
+def action_distribution(theta: np.ndarray, spec: PolicySpec, obs: Observation) -> np.ndarray:
+    return _softmax(theta @ spec.encode(obs))
+
+
 def log_prob_and_grad(theta: np.ndarray, spec: PolicySpec, obs: Observation,
                       action_index: int) -> tuple[float, np.ndarray]:
-    """log pi(a|o) and its exact gradient (onehot(a) - p) outer encode(o)."""
+    """log pi(a|o) and its exact gradient (onehot(a) - p) outer encode(o),
+    from one encode of ``obs``."""
     x = spec.encode(obs)
-    probs = action_distribution(theta, spec, obs)
+    logits = theta @ x
+    probs = _softmax(logits)
     indicator = np.zeros(spec.num_actions)
     indicator[action_index] = 1.0
-    grad = np.outer(indicator - probs, x)
+    grad = (indicator - probs)[:, None] * x  # np.outer's elementwise product
     if probs[action_index] == 0:  # underflowed; the log-softmax is still finite
-        logits = theta @ x
-        logits -= logits.max()
         return float(logits[action_index] - np.log(np.exp(logits).sum())), grad
     return float(np.log(probs[action_index])), grad
 
 
 def entropy(probs: np.ndarray) -> float:
     """Shannon entropy (nats) of an action distribution, with 0 log 0 = 0
-    for a probability that underflowed to 0."""
+    for a probability that underflowed to 0. The terms are added in
+    ``np.sum``'s order."""
     positive = probs[probs > 0]
-    return float(-np.sum(positive * np.log(positive)))
+    return -_sum((positive * np.log(positive)).tolist())
 
 
 def diverged(theta: np.ndarray) -> bool:
@@ -178,14 +210,20 @@ def sft_update(theta: np.ndarray, spec: PolicySpec, batch: list[SftSample],
         raise ValueError("learning_rate must be positive")
     if not batch:
         return theta
-    grad = np.zeros_like(theta)
-    grads: dict[tuple[Observation, int], np.ndarray] = {}  # one per distinct demo
+    rows: dict[tuple[Observation, int], int] = {}  # one gradient per distinct demo
+    grads: list[np.ndarray] = []
+    picked: list[int] = []
     for sample in batch:
         key = (sample.obs, sample.demo_action_index)
-        g = grads.get(key)
-        if g is None:
-            g = grads[key] = log_prob_and_grad(theta, spec, *key)[1]
-        grad += g
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = len(grads)
+            grads.append(log_prob_and_grad(theta, spec, *key)[1])
+        picked.append(row)
+    # numpy adds whole gradients over the first axis in sample order, as
+    # ``grad += g`` from zeros would; initial=0.0 makes that sum's +0.0 start
+    # explicit, so a gradient entry of -0.0 in every sample sums to 0.0
+    grad = np.add.reduce(np.array(grads)[picked], axis=0, initial=0.0)
     return theta + learning_rate * grad / len(batch)
 
 

@@ -10,9 +10,11 @@ the same generator.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
@@ -183,13 +185,15 @@ def episode_seeds(prefix: Sequence[int], episodes: np.ndarray, streams: int) -> 
     return Seeds(words, states)
 
 
-def choice_cdf(probs: np.ndarray) -> np.ndarray:
+def choice_cdf(probs: Sequence[float]) -> list[float]:
     """The cumulative distribution ``Generator.choice(n, p=probs)`` draws
-    from: the index it returns for the double ``u`` it takes from its stream
-    is ``cdf.searchsorted(u, side="right")``."""
-    cdf = probs.cumsum()
-    cdf /= cdf[-1]
-    return cdf
+    from, as a list: ``cumsum(probs) / cumsum(probs)[-1]``, from the same
+    in-order adds and divisions. The index ``choice`` returns for the double
+    ``u`` it takes from its stream is ``bisect_right(cdf, u)``, which is
+    ``searchsorted(u, side="right")``."""
+    cdf = list(accumulate(probs))
+    total = cdf[-1]
+    return [c / total for c in cdf]
 
 
 @dataclass(frozen=True)
@@ -244,8 +248,8 @@ class GeneratorConfig:
         return len(self.classes)
 
     @cached_property
-    def class_cdf(self) -> np.ndarray:
-        return choice_cdf(np.array([c.probability for c in self.classes]))
+    def class_cdf(self) -> list[float]:
+        return choice_cdf([c.probability for c in self.classes])
 
     @cached_property
     def one_hots(self) -> tuple[tuple[float, ...], ...]:
@@ -257,7 +261,7 @@ class GeneratorConfig:
 def sample_task(config: GeneratorConfig, rng: np.random.Generator) -> TaskSpec:
     """Draw one task; it carries its class, and its features are the class's
     one-hot. The class is the one ``rng.choice(len(classes), p=probabilities)`` would draw."""
-    idx = int(config.class_cdf.searchsorted(rng.random(), side="right"))
+    idx = bisect_right(config.class_cdf, rng.random())
     cls = config.classes[idx]
     answer = cls.answer_pool[int(rng.integers(len(cls.answer_pool)))]
     serial = int(rng.integers(1 << 30))
@@ -341,7 +345,8 @@ class SimEnv:
         load = self.loads.get(card_id, 0.0)
         latency = agent.latency_base_ms * (1.0 + load)
         if agent.latency_jitter_ms > 0:
-            latency += float(self.rng.uniform(0.0, agent.latency_jitter_ms))
+            # rng.uniform(0.0, j) is 0.0 + j * u for its one double u
+            latency += agent.latency_jitter_ms * self.rng.random()
         self.loads[card_id] = min(1.0, load + agent.load_per_call)
 
         succeeded = bool(self.rng.random() < agent.success_prob.get(action_type, 0.0))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import BadConfig
 from .orchestrator import DecisionTable, EpisodeOutcome, StepRecord, execute_episode
-from .policy import Observation, PolicySpec, diverged, log_prob_and_grad
+from .policy import Observation, PolicySpec, _sum, diverged, log_prob_and_grad
 from .registry import Registry
 from .rewards import (NoveltyLedger, RewardVector, RewardWeights, accuracy_reward,
                       episode_reward, scalarize)
@@ -42,33 +42,6 @@ MAX_GROUP_SIZE = 10_000
 # iteration k's streams carry the seed word k + 1, which must fit in 32 bits
 # for a block of iterations to be hashed in one pass
 MAX_ITERATIONS = 2**32 - 2
-
-
-def _add_in_order(total: float, values) -> float:
-    for value in values:
-        total += value
-    return total
-
-
-def _sum(values: list[float]) -> float:
-    """The sum of ``values`` with the bits of numpy's float64 ``np.add.reduce``.
-
-    numpy adds fewer than 8 values in order, up to 128 in 8 running sums
-    combined pairwise before the remainder, and more by splitting at a
-    multiple of 8 near the middle. Every running sum here starts from +0.0,
-    so eight -0.0 sum to 0.0, as numpy's do. Builtin ``sum`` compensates
-    float sums from Python 3.12.
-    """
-    n = len(values)
-    if n < 8:
-        return _add_in_order(0.0, values)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _sum(values[:half]) + _sum(values[half:])
-    end = n - n % 8
-    r = [_add_in_order(0.0, values[j:end:8]) for j in range(8)]
-    return _add_in_order(((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])),
-                         values[end:])
 
 
 @dataclass(frozen=True)

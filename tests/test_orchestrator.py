@@ -106,6 +106,13 @@ class TestDecide:
         assert idx == int(np.argmax(action_distribution(theta, spec, obs)))
 
 
+class FixedDouble:
+    """A stream whose next double is ``u``, such as a cdf step."""
+
+    def __init__(self, u):
+        self.random = lambda: u
+
+
 # Unnormalized action weights: exact zeros and exact ties are common.
 action_weights = st.lists(st.sampled_from([0.0, 1.0, 2.0]) | st.floats(0.0, 1e6),
                           min_size=1, max_size=8).filter(lambda w: sum(w) > 0)
@@ -123,12 +130,8 @@ class TestDecisionTable:
         assert ours.random() == theirs.random()  # both streams at the same place
 
     def test_a_zero_probability_action_is_never_drawn(self):
-        class Fixed:  # a stream whose next double is u, such as a cdf step
-            def __init__(self, u):
-                self.random = lambda: u
-
         row = DecisionRow.of(np.array([0.0, 0.5, 0.0, 0.5, 0.0]))
-        assert [row.sample(Fixed(u)) for u in (0.0, 0.25, 0.5, np.nextafter(1.0, 0.0))] == [
+        assert [row.sample(FixedDouble(u)) for u in (0.0, 0.25, 0.5, np.nextafter(1.0, 0.0))] == [
             1, 1, 3, 3]
 
     def test_each_observation_is_computed_once(self, spec, monkeypatch):
@@ -184,6 +187,103 @@ class TestDecisionTable:
                 execute_episode(task, theta, spec, world.build_registry(), WEIGHTS,
                                 world.build_env([0]), np.random.default_rng(0),
                                 table=table)
+
+
+def bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+def row_weights(n):
+    """n unnormalized action weights, with exact zeros and exact ties."""
+    return st.lists(st.sampled_from([0.0, 1.0, 2.0]) | st.floats(0.0, 1e6),
+                    min_size=n, max_size=n).filter(lambda w: sum(w) > 0)
+
+
+# Where numpy's pairwise sum changes shape: in order below 8 values, 8 running
+# sums up to 128, a split above that.
+ROW_SIZES = (7, 8, 9, 128, 129)
+# a softmax has a positive entry, so an all-zero row never occurs
+nonfinite_weights = st.lists(st.sampled_from([0.0, 0.5, math.nan, math.inf]) | st.floats(0.0, 1.0),
+                             min_size=1, max_size=300).filter(lambda w: any(x != 0 for x in w))
+
+
+class TestDecisionRowMath:
+    """``DecisionRow.of`` in Python floats has the bits of the numpy formulas."""
+
+    def check(self, probs):
+        row = DecisionRow.of(probs)
+        positive = probs[probs > 0]
+        assert bits(row.entropy) == bits(float(-np.sum(positive * np.log(positive))))
+        assert row.greedy == np.argmax(probs)
+        finite = bool(np.all(np.isfinite(probs)))
+        assert (row.cdf is None) == (not finite)
+        if finite:
+            cdf = np.cumsum(probs)  # as Generator.choice builds it
+            cdf /= cdf[-1]
+            assert np.array(row.cdf).tobytes() == cdf.tobytes()
+            us = [0.0, *(float(c) for c in cdf), *np.nextafter(cdf, 0.0)]
+            us = [u for u in us if 0.0 <= u < 1.0]
+            assert ([row.sample(FixedDouble(u)) for u in us]
+                    == [int(cdf.searchsorted(u, side="right")) for u in us])
+
+    @pytest.mark.parametrize("n", ROW_SIZES)
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_rows_at_the_sum_order_boundaries(self, n, data):
+        weights = data.draw(row_weights(n))
+        self.check(np.array(weights) / sum(weights))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 300).flatmap(row_weights))
+    def test_rows_of_any_size(self, weights):
+        self.check(np.array(weights) / sum(weights))
+
+    @settings(max_examples=100, deadline=None)
+    @given(nonfinite_weights)
+    def test_rows_with_nan_or_inf(self, weights):
+        with np.errstate(invalid="ignore"):  # inf * log(inf) and the like
+            self.check(np.array(weights))
+
+
+class TestInterning:
+    def test_a_table_interns_one_observation_per_key(self, spec):
+        table = DecisionTable(spec.zero_params(), spec)
+        obs = table.observation((1.0, 0.0, 0.0), 1, "agent_success")
+        assert obs == Observation((1.0, 0.0, 0.0), 1, "agent_success")
+        assert table.observation((1.0, 0.0, 0.0), 1, "agent_success") is obs
+        assert table.observation((1, 0, 0), 1, "agent_success") is obs  # an equal key
+        assert table.observation((1.0, 0.0, 0.0), 2, "agent_success") is not obs
+
+    def test_an_interned_observation_validates_as_a_fresh_one(self, spec):
+        table = DecisionTable(spec.zero_params(), spec)
+        with pytest.raises(ValueError, match="outcome"):
+            table.observation((1.0, 0.0, 0.0), 0, "maybe")
+        with pytest.raises(ValueError, match="nonnegative"):
+            table.observation((1.0, 0.0, 0.0), -1, "none")
+
+    def test_an_equal_but_distinct_observation_gets_the_same_row(self, spec):
+        table = DecisionTable(spec.zero_params(), spec)
+        row = table.row(table.observation((1.0, 0.0, 0.0), 0, "none"))
+        assert table.row(Observation((1, 0, 0))) is row
+
+    def test_decide_is_still_called_once_per_step(self, world, spec, monkeypatch):
+        calls = []
+        real = orchestrator.decide
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(orchestrator, "decide", counting)
+        theta = np.random.default_rng(5).normal(size=(spec.num_actions, spec.encoded_dim))
+        for seed in range(20):
+            calls.clear()
+            task = sample_task(world.generator, np.random.default_rng(seed))
+            _, _, records = execute_episode(task, theta, spec, world.build_registry(), WEIGHTS,
+                                            world.build_env([seed, 0]),
+                                            np.random.default_rng([seed, 1]))
+            assert calls == [r.obs for r in records]
+            assert all(c is r.obs for c, r in zip(calls, records))
 
 
 class TestIntegrate:
@@ -400,3 +500,11 @@ class TestWarmupDataset:
                 assert decision.kind == "answer"
             else:
                 assert decision == Decision.delegate(cls.required_action)
+
+    def test_samples_of_one_class_share_one_observation(self, world, spec):
+        samples = make_warmup_dataset(world.generator, spec, 200, np.random.default_rng(1))
+        by_class: dict[tuple, Observation] = {}
+        for s in samples:
+            assert by_class.setdefault(s.obs.features, s.obs) is s.obs
+            assert s.obs == Observation(s.obs.features)
+        assert len(by_class) == len(world.generator.classes)

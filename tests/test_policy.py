@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agentmesh.errors import BadCheckpoint, BadDataset
 from agentmesh.policy import (
@@ -104,6 +106,32 @@ class TestLogProbAndGrad:
         assert action_distribution(theta, SPEC, obs)[1] == 0.0
         assert log_prob_and_grad(theta, SPEC, obs, 1)[0] == -800.0
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.1, 1.0, 30.0, 1000.0]),
+           st.integers(0, SPEC.num_actions - 1))
+    def test_equals_the_two_encode_formula_bit_for_bit(self, seed, scale, action):
+        # at scale 1000 most probabilities underflow to 0
+        theta, obs = random_instance(np.random.default_rng(seed), scale=scale)
+        lp, grad = log_prob_and_grad(theta, SPEC, obs, action)
+        ref_lp, ref_grad = two_encode_log_prob_and_grad(theta, SPEC, obs, action)
+        assert np.float64(lp).tobytes() == np.float64(ref_lp).tobytes()
+        assert grad.tobytes() == ref_grad.tobytes()
+
+
+def two_encode_log_prob_and_grad(theta, spec, obs, action_index):
+    """``log_prob_and_grad`` as it was: the distribution encodes ``obs`` a
+    second time, and ``np.outer`` forms the gradient."""
+    x = spec.encode(obs)
+    probs = action_distribution(theta, spec, obs)
+    indicator = np.zeros(spec.num_actions)
+    indicator[action_index] = 1.0
+    grad = np.outer(indicator - probs, x)
+    if probs[action_index] == 0:
+        logits = theta @ x
+        logits -= logits.max()
+        return float(logits[action_index] - np.log(np.exp(logits).sum())), grad
+    return float(np.log(probs[action_index])), grad
+
 
 class TestEntropy:
     def test_uniform_is_log_k(self):
@@ -159,6 +187,21 @@ class TestSftUpdate:
         assert np.array_equal(sft_update(theta, SPEC, batch, 0.3), theta + 0.3 * grad / len(batch))
         assert sft_loss(theta, SPEC, batch) == -total / len(batch)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 7, 8, 128, 129, 300]) | st.integers(1, 300),
+           st.floats(0.01, 1.0))
+    def test_stacked_sum_has_the_bits_of_the_per_sample_sum(self, seed, n, learning_rate):
+        # an action never demonstrated has gradient -0.0 wherever the encoding
+        # is 0 (an unused step or outcome), which must not reach a -0.0 of theta
+        rng = np.random.default_rng(seed)
+        theta, _ = random_instance(rng)
+        theta[rng.random(theta.shape) < 0.5] = -0.0
+        batch = repeated_demos(rng, n)
+        grad = np.zeros_like(theta)
+        for sample in batch:
+            grad += log_prob_and_grad(theta, SPEC, sample.obs, sample.demo_action_index)[1]
+        expected = theta + learning_rate * grad / len(batch)
+        assert sft_update(theta, SPEC, batch, learning_rate).tobytes() == expected.tobytes()
 
     def test_demo_probability_strictly_increases(self):
         sample = SftSample(Observation((1.0, 0, 0)), demo_action_index=2)

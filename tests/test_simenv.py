@@ -311,6 +311,22 @@ class TestInvokeAgent:
         assert run([1, 2]) == run([1, 2])
         assert run([1, 2]) != run([3, 4])
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(1e-6, 1e6), st.floats(0.0, 1.0), st.integers(0, 2**63))
+    def test_jitter_is_what_generator_uniform_draws(self, jitter, success, seed):
+        world = single_agent_world(success=success, jitter=jitter, load_per_call=0.3)
+        task = self.na_task(world)
+        env, twin = world.build_env(seed), np.random.default_rng(seed)
+        load = 0.0
+        for _ in range(5):
+            response = env.invoke_agent("na-1", "network_analysis", task)
+            load *= LOAD_DECAY
+            latency = 50.0 * (1.0 + load) + float(twin.uniform(0.0, jitter))
+            assert np.float64(response.latency_ms).tobytes() == np.float64(latency).tobytes()
+            assert response.succeeded == bool(twin.random() < success)
+            load = min(1.0, load + 0.3)
+        assert env.rng.bit_generator.state == twin.bit_generator.state
+
     def test_empirical_success_rate(self):
         p = 0.7
         world = single_agent_world(success=p)

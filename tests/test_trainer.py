@@ -7,7 +7,7 @@ from agentmesh import orchestrator, trainer
 from agentmesh.config import default_policy_spec, load_config
 from agentmesh.errors import BadConfig
 from agentmesh.orchestrator import DecisionTable, StepRecord, execute_episode
-from agentmesh.policy import (OUTCOMES, Decision, Observation, action_distribution,
+from agentmesh.policy import (OUTCOMES, Decision, Observation, _sum, action_distribution,
                               log_prob_and_grad)
 from agentmesh.rewards import NoveltyLedger, RewardWeights, episode_reward, scalarize
 from agentmesh.router import RoutingWeights
@@ -25,7 +25,6 @@ from agentmesh.trainer import (
     masked_policy_update,
     rollout_group,
     train,
-    _sum,
 )
 from agentmesh.trajectory import agent_segment
 from oracles import optimal_action_sets
@@ -625,6 +624,30 @@ class TestTrain:
               seed=4, checkpoint_callback=end_of_iteration)
         assert [n_groups for n_groups, _, _ in per_iteration] == [1, 2, 3]
         assert [n_calls for _, n_calls, _ in per_iteration] == [n for _, _, n in per_iteration]
+
+    def test_steps_of_an_iteration_that_share_a_key_hold_one_observation(self, world, spec,
+                                                                         monkeypatch):
+        groups, checked = [], []
+
+        def recording(*args, **kwargs):
+            groups.append(rollout_group(*args, **kwargs))
+            return groups[-1]
+
+        def end_of_iteration(iteration, theta):
+            seen: dict[tuple, Observation] = {}
+            steps = [s for g in groups for ep in g.episodes for s in ep.steps]
+            for step in steps:
+                obs = step.obs
+                key = (obs.features, obs.step_index, obs.last_outcome)
+                assert seen.setdefault(key, obs) is obs
+                assert obs == Observation(*key)
+            checked.append(len(steps) > len(seen))
+            groups.clear()
+
+        monkeypatch.setattr(trainer, "rollout_group", recording)
+        train(world, spec, TrainerConfig(iterations=3, checkpoint_every=1), REWARDS, WEIGHTS,
+              seed=4, checkpoint_callback=end_of_iteration)
+        assert checked == [True] * 3
 
     def test_csv_shape(self, world, spec):
         cfg = TrainerConfig(iterations=3)
