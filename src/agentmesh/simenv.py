@@ -2,10 +2,10 @@
 
 Agent latencies are simulated, not measured, and all randomness is seeded,
 so a (seed, config) pair reproduces every task and agent response
-bit-for-bit. Every stream is ``np.random.default_rng(seed words)``; a caller
-that seeds many streams at once hashes their words in one pass
-(``seed_states``) and hands each stream a ``PrecomputedSeed``, which gives
-the same generator.
+bit-for-bit. Every stream is ``np.random.default_rng(seed words)``. A seed
+row is the 4-word uint64 PCG64 state that ``SeedSequence(words)`` generates:
+``episode_seeds`` hashes the rows of many streams in one pass, and
+``stream(PrecomputedSeed(row))`` is the stream of the row's words.
 """
 
 from __future__ import annotations
@@ -24,6 +24,12 @@ from .registry import AgentCard, AgentMetrics, Registry
 from .vocab import ANS_CLOSE, ANS_OPEN, CONTROL_TAGS, NOISE, RESERVED_TOKENS, WRONG
 
 LOAD_DECAY = 0.9
+# An agent's base latency and its jitter are each at most this many ms (about
+# 11.6 days), so one call takes at most 3e9 ms (twice the base at full load,
+# plus the jitter). The longest evaluation makes 1e11 calls
+# (trainer.MAX_EVAL_EPISODES episodes of config.MAX_STEPS_LIMIT steps), which
+# then sum to at most 3e20 ms: a finite float.
+MAX_LATENCY_MS = 1e9
 
 ACTION_NETWORK_ANALYSIS = "network_analysis"
 ACTION_PROTOCOL_QUERY = "protocol_query"
@@ -52,37 +58,32 @@ def _register_seed_class() -> None:
 
 
 class PrecomputedSeed:
-    """The ``SeedSequence(words)`` whose PCG64 state ``seed_states`` already
-    computed: an ``ISeedSequence`` that ``PCG64`` and ``default_rng`` take,
-    building the generator that ``default_rng(words)`` builds without hashing
-    again."""
+    """A seed row as the ``SeedSequence(words)`` it was hashed from: an
+    ``ISeedSequence`` that ``PCG64`` and ``default_rng`` take, building the
+    generator ``default_rng(words)`` builds without hashing again. It
+    answers only PCG64's request for its state."""
 
-    __slots__ = ("words", "state")
+    __slots__ = ("state",)
 
-    def __init__(self, words: np.ndarray, state: np.ndarray):
+    def __init__(self, state: np.ndarray):
         _register_seed_class()
-        self.words = words
         self.state = state
 
     def generate_state(self, n_words, dtype=np.uint32):
         if n_words == _POOL_SIZE and np.dtype(dtype) == np.uint64:
             return self.state
-        return np.random.SeedSequence(self.words).generate_state(n_words, dtype)
+        raise ValueError("a seed row holds only PCG64's state: 4 uint64 words")
 
 
 Seed = int | Sequence[int] | PrecomputedSeed
 
 
 def stream(seed: Seed) -> np.random.Generator:
-    """``np.random.default_rng(seed)``, built faster from a list of words in
-    [0, 2**32): ``SeedSequence`` makes each such int into that one uint32
-    word, so the array of them seeds the same stream without the per-int
-    conversion. A ``PrecomputedSeed`` goes to ``PCG64`` directly, which is
-    what ``default_rng`` builds from it, without its argument checks."""
+    """``np.random.default_rng(seed)``. A ``PrecomputedSeed`` goes to
+    ``PCG64`` directly, which is what ``default_rng`` builds from it,
+    without its argument checks."""
     if type(seed) is PrecomputedSeed:
         return np.random.Generator(np.random.PCG64(seed))
-    if type(seed) is list and all(type(w) is int and 0 <= w <= 0xFFFFFFFF for w in seed):
-        seed = np.array(seed, dtype=np.uint32)
     return np.random.default_rng(seed)
 
 
@@ -141,27 +142,11 @@ def seed_states(words: np.ndarray) -> np.ndarray:
     return state.astype("<u4", copy=False).view("<u8").astype(np.uint64)
 
 
-class Seeds:
-    """Rows of seed words and their PCG64 states (``seed_states``).
-    ``seeds[r]`` seeds the stream ``default_rng(words[r])`` and is made only
-    when asked for, so n seeds cost two arrays, not n objects; a slice is
-    the seeds of those rows."""
-
-    __slots__ = ("words", "states")
-
-    def __init__(self, words: np.ndarray, states: np.ndarray):
-        self.words = words
-        self.states = states
-
-    def __getitem__(self, row):
-        if isinstance(row, slice):
-            return Seeds(self.words[row], self.states[row])
-        return PrecomputedSeed(self.words[row], self.states[row])
-
-
-def episode_seeds(prefix: Sequence[int], episodes: np.ndarray, streams: int) -> Seeds:
-    """The seeds of ``streams`` streams per episode, hashed in one pass: row
-    ``e * streams + s`` seeds ``default_rng([*prefix, *episodes[e], s])``.
+def episode_seeds(prefix: Sequence[int], episodes: np.ndarray, streams: int) -> np.ndarray:
+    """The seed rows of ``streams`` streams per episode, hashed in one pass:
+    a read-only (n * streams, 4) uint64 array whose row ``e * streams + s``
+    is the PCG64 state of ``default_rng([*prefix, *episodes[e], s])``, so
+    ``stream(PrecomputedSeed(row))`` is that stream.
 
     ``episodes`` is an (n, m) array of each episode's words, each in
     [0, 2**32). A prefix int is split into little-endian 32-bit words, as
@@ -182,7 +167,7 @@ def episode_seeds(prefix: Sequence[int], episodes: np.ndarray, streams: int) -> 
     words[:, -1] = np.tile(np.arange(streams), n)
     states = seed_states(words)
     states.flags.writeable = False  # PCG64 reads a row in place
-    return Seeds(words, states)
+    return states
 
 
 def choice_cdf(probs: Sequence[float]) -> list[float]:
@@ -293,8 +278,13 @@ class SimAgentConfig:
         for p in self.success_prob.values():
             if not 0.0 <= p <= 1.0:
                 raise ValueError("success probabilities must be in [0, 1]")
-        if self.latency_base_ms <= 0 or self.latency_jitter_ms < 0:
-            raise ValueError("latency parameters out of range")
+        card = self.card.card_id
+        if not 0 < self.latency_base_ms <= MAX_LATENCY_MS:
+            raise ValueError(f"latency_base_ms {self.latency_base_ms!r} of card {card!r} "
+                             f"must be in (0, {MAX_LATENCY_MS:g}]")
+        if not 0 <= self.latency_jitter_ms <= MAX_LATENCY_MS:
+            raise ValueError(f"latency_jitter_ms {self.latency_jitter_ms!r} of card {card!r} "
+                             f"must be in [0, {MAX_LATENCY_MS:g}]")
         if not 0.0 <= self.load_per_call <= 1.0:
             raise ValueError("load_per_call must be in [0, 1]")
 
@@ -406,7 +396,8 @@ def preset_case_study(
     latency_jitter_ms: float = 5.0,
     load_per_call: float = 0.2,
 ) -> WorldConfig:
-    """Two specialized agents plus a direct-answer task class."""
+    """Two specialized agents plus a direct-answer task class; the
+    protocol-query agent's base latency is 1.2 × ``latency_base_ms``."""
     if len(class_probs) != 3:
         raise BadConfig("case-study preset takes exactly three class probabilities")
     if not 0.0 <= agent_success <= 1.0:

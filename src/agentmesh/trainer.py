@@ -23,7 +23,7 @@ from .registry import Registry
 from .rewards import (NoveltyLedger, RewardVector, RewardWeights, accuracy_reward,
                       episode_reward, scalarize)
 from .router import RoutingWeights
-from .simenv import Seeds, TaskSpec, WorldConfig, episode_seeds, sample_task, stream
+from .simenv import PrecomputedSeed, TaskSpec, WorldConfig, episode_seeds, sample_task, stream
 from .trajectory import Trajectory
 
 ADVANTAGE_EPS = 1e-8
@@ -139,17 +139,18 @@ def rollout_group(
     reward_weights: RewardWeights,
     max_steps: int,
     ledger: NoveltyLedger,
-    seeds: Seeds | None = None,
+    seeds: np.ndarray | None = None,
     table: DecisionTable | None = None,
 ) -> RolloutGroup:
     """G episodes of one task over derived seed streams, in rollout-index order.
 
     Rollout i uses env stream (base_seed, i, 0) and policy stream
-    (base_seed, i, 1): rows 2i and 2i + 1 of ``seeds``, which ``train``
-    hashes ahead for the first group of a block of iterations and once per
+    (base_seed, i, 1): seed rows 2i and 2i + 1 of ``seeds``, the PCG64
+    states that ``episode_seeds`` hashes from those words. ``train`` hashes
+    them ahead for the first group of a block of iterations and once per
     iteration for its branch groups, and this function for its group when
-    they are not given. The episodes are not independent: each routes
-    on the metrics the earlier ones left in the shared ``registry`` and sees
+    they are not given. The episodes are not independent: each routes on
+    the metrics the earlier ones left in the shared ``registry`` and sees
     their ``ledger`` updates. They decide from one ``DecisionTable`` of
     ``theta``: ``table``, which ``train`` shares between all groups of an
     iteration, or a table of this group's own when it is not given.
@@ -162,8 +163,8 @@ def rollout_group(
         table = DecisionTable(theta, spec)
     episodes = []
     for i in range(group_size):
-        env = world.build_env(seeds[2 * i])
-        rng = stream(seeds[2 * i + 1])
+        env = world.build_env(PrecomputedSeed(seeds[2 * i]))
+        rng = stream(PrecomputedSeed(seeds[2 * i + 1]))
         traj, outcome, steps = execute_episode(
             task, theta, spec, registry, router_weights, env, rng,
             max_steps=max_steps, table=table,
@@ -294,7 +295,7 @@ def train(
             words = np.column_stack((k + iteration + 1, np.zeros_like(i), i))
             first = episode_seeds([seed], words, 2)
         task = sample_task(world.generator, task_rng)
-        plans: list[tuple[TaskSpec, int, Seeds]] = [
+        plans: list[tuple[TaskSpec, int, np.ndarray]] = [
             (task, size, first[2 * size * at:2 * size * (at + 1)])]
         if pending_tasks:  # branch group gi = 1, 2, ...: words (k + 1, gi, i)
             g, i = np.divmod(np.arange(len(pending_tasks) * branch), branch)
@@ -398,8 +399,8 @@ def evaluate_policy(
             block = np.arange(i, min(i + SEED_BLOCK, n_episodes))
             seeds = episode_seeds([seed, 3], block[:, None], streams)
         task = sample_task(world.generator, task_rng)
-        env = world.build_env(seeds[row])
-        rng = None if greedy else stream(seeds[row + 1])
+        env = world.build_env(PrecomputedSeed(seeds[row]))
+        rng = None if greedy else stream(PrecomputedSeed(seeds[row + 1]))
         traj, outcome, _ = execute_episode(
             task, theta, spec, registry, router_weights, env, rng,
             max_steps=max_steps, greedy=greedy, table=table,

@@ -10,8 +10,9 @@ import pytest
 
 from agentmesh import cli
 from agentmesh.cli import main
-from agentmesh.config import load_config
+from agentmesh.config import MAX_STEPS_LIMIT, load_config
 from agentmesh.policy import Decision, load_checkpoint, save_checkpoint
+from agentmesh.simenv import MAX_LATENCY_MS
 from agentmesh.trainer import MAX_EVAL_EPISODES
 
 FAST = ["--set", "trainer.iterations=5", "--set", "trainer.group_size=4"]
@@ -303,6 +304,62 @@ class TestEval:
                      "--episodes", "1000000000000", "--out", str(tmp_path / "eval")])
         assert code == 1
         assert capsys.readouterr().err == f"error: --episodes: must be <= {MAX_EVAL_EPISODES}\n"
+
+
+def strict_json(text: str):
+    """``json.loads`` that rejects ``Infinity``, ``-Infinity`` and ``NaN``."""
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+# The slowest agent the config allows: at full load each call takes twice the
+# base latency plus the jitter.
+SLOWEST_AGENT = {"card_id": "slow", "supported_actions": ["real"],
+                 "success_prob": {"real": 0.5}, "load_per_call": 1.0,
+                 "latency_base_ms": MAX_LATENCY_MS, "latency_jitter_ms": MAX_LATENCY_MS}
+
+
+class TestLatencyBound:
+    def test_the_longest_evaluation_sums_to_a_finite_latency(self):
+        assert math.isfinite(MAX_EVAL_EPISODES * MAX_STEPS_LIMIT * 3 * MAX_LATENCY_MS)
+
+    def test_the_slowest_agent_evaluates_to_strict_json(self, tmp_path, capsys):
+        cfg_path, ckpt = one_class_config(tmp_path, "real", SLOWEST_AGENT)
+        assert main(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                     "--episodes", "30", "--out", str(tmp_path / "eval")]) == 0
+        summary = strict_json(capsys.readouterr().out)
+        # 4 steps, each at most one call
+        assert MAX_LATENCY_MS < summary["mean_latency_ms"] <= 4 * 3 * MAX_LATENCY_MS
+
+    @pytest.mark.parametrize("command", ["run", "sft", "train", "eval"])
+    @pytest.mark.parametrize("key, value, error", [
+        ("env.latency_base_ms", "1e308",
+         "env: latency_base_ms 1e+308 of card 'na-agent' must be in (0, 1e+09]"),
+        ("env.latency_jitter_ms", "1000000001.0",
+         "env: latency_jitter_ms 1000000001.0 of card 'na-agent' must be in [0, 1e+09]"),
+        # the protocol-query agent's base latency is 1.2 times the preset's
+        ("env.latency_base_ms", "900000000.0",
+         "env: latency_base_ms 1080000000.0 of card 'pq-agent' must be in (0, 1e+09]"),
+    ])
+    def test_a_preset_latency_above_the_bound_names_its_key(self, tmp_path, capsys, command,
+                                                           key, value, error):
+        code = main([command, "--set", f"{key}={value}", "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+
+    @pytest.mark.parametrize("field", ["latency_base_ms", "latency_jitter_ms"])
+    def test_an_agent_latency_above_the_bound_names_its_agent(self, tmp_path, capsys, field):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({
+            "task_classes": [{"name": "only_class", "probability": 1.0,
+                              "required_action": "real", "answer_pool": ["x"]}],
+            "agents": [{**SLOWEST_AGENT, field: 2 * MAX_LATENCY_MS}]}))
+        code = main(["eval", "--config", str(cfg_path), "--out", str(tmp_path / "eval")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: agents[0]: {field} 2000000000.0 of card 'slow' ")
+        assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command, artifact", [

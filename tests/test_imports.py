@@ -1,0 +1,65 @@
+"""Every name a module of the package imports is used in that module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "agentmesh"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+# (module, name) pairs imported only for other modules to import from there
+RE_EXPORTS = {("router.py", "score")}
+
+
+def unused_imports(source: str) -> list[tuple[int, str]]:
+    """The line and name of each name that ``source`` binds by an import and
+    never reads.
+
+    A name counts as read when it appears as a name anywhere in the module,
+    in an annotation written as a string, or in ``__all__``.
+    """
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign, ast.FunctionDef, ast.AsyncFunctionDef)):
+            for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+                if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+                    used.update(n.id for n in ast.walk(ast.parse(annotation.value, mode="eval"))
+                                if isinstance(n, ast.Name))
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used and name != "*")
+
+
+@pytest.mark.parametrize("module", MODULES, ids=[m.name for m in MODULES])
+def test_every_imported_name_is_used(module):
+    unused = [f"{name} (line {line})" for line, name in unused_imports(module.read_text())
+              if (module.name, name) not in RE_EXPORTS]
+    assert not unused, f"{module.name} imports names it never uses: {', '.join(unused)}"
+
+
+@pytest.mark.parametrize("source, unused", [
+    ("import os\n", [(1, "os")]),
+    ("import os.path\nos.sep\n", []),
+    ("from a import b as c\nb\n", [(1, "c")]),
+    ("from __future__ import annotations\n", []),
+    ("from a import T\ndef f(x: 'T') -> None: pass\n", []),
+    ("from a import T\ndef f() -> 'list[T]': pass\n", []),
+    ("from a import T\n__all__ = ['T']\n", []),
+    ("def f():\n    from a import b\n    return b\n", []),
+    ("from a import b\nx = 'b'\n", [(1, "b")]),
+])
+def test_the_check_finds_exactly_the_unread_names(source, unused):
+    assert unused_imports(source) == unused

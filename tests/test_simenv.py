@@ -148,7 +148,7 @@ class TestStream:
     @given(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=9))
     def test_a_precomputed_seed_is_the_stream_of_default_rng(self, row):
         words = np.array(row, dtype=np.uint32)
-        seed = PrecomputedSeed(words, seed_states(words[None])[0])
+        seed = PrecomputedSeed(seed_states(words[None])[0])
         ours = stream(seed)
         state, doubles = ours.bit_generator.state, ours.random(8)
         for theirs in (np.random.default_rng(seed), np.random.default_rng(words)):
@@ -185,18 +185,21 @@ class TestSeedStates:
         assert states.shape == (len(rows), 4) and states.dtype == np.uint64
         for row, state in zip(words, states):
             assert np.array_equal(state, np.random.SeedSequence(row).generate_state(4, np.uint64))
-            ours, theirs = stream(PrecomputedSeed(row, state)), np.random.default_rng(row)
+            ours, theirs = stream(PrecomputedSeed(state)), np.random.default_rng(row)
             assert ours.bit_generator.state == theirs.bit_generator.state
             assert np.array_equal(ours.random(8), theirs.random(8))
 
     @settings(max_examples=100, deadline=None)
     @given(word_rows, st.integers(0, 12), st.sampled_from([np.uint32, np.uint64]))
-    def test_any_other_state_is_the_seed_sequences(self, rows, n_words, dtype):
-        words = np.array(rows[:1], dtype=np.uint32)
-        seed = PrecomputedSeed(words[0], seed_states(words)[0])
+    def test_any_other_state_request_is_rejected(self, rows, n_words, dtype):
+        # a seed row is PCG64's state and nothing else: no words to hash again
+        seed = PrecomputedSeed(seed_states(np.array(rows[:1], dtype=np.uint32))[0])
         assert isinstance(seed, np.random.bit_generator.ISeedSequence)
-        assert np.array_equal(seed.generate_state(n_words, dtype),
-                              np.random.SeedSequence(words[0]).generate_state(n_words, dtype))
+        if n_words == 4 and dtype == np.uint64:
+            assert seed.generate_state(n_words, dtype) is seed.state
+        else:
+            with pytest.raises(ValueError):
+                seed.generate_state(n_words, dtype)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(seed_words, min_size=1, max_size=3),
@@ -207,9 +210,18 @@ class TestSeedStates:
         seeds = episode_seeds(prefix, np.array(episodes, dtype=np.uint32), streams)
         for e, episode in enumerate(episodes):
             for s in range(streams):
-                ours = stream(seeds[e * streams + s])
+                ours = stream(PrecomputedSeed(seeds[e * streams + s]))
                 theirs = np.random.default_rng([*prefix, *episode, s])
                 assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize("n, streams", [(1, 1), (3, 2), (5, 1)])
+    def test_episode_seeds_are_one_read_only_array_of_states(self, n, streams):
+        episodes = np.arange(2 * n, dtype=np.uint32).reshape(n, 2)
+        seeds = episode_seeds([7], episodes, streams)
+        assert type(seeds) is np.ndarray
+        assert seeds.shape == (n * streams, 4) and seeds.dtype == np.uint64
+        with pytest.raises(ValueError):
+            seeds[-1, 0] = 1
 
     def test_a_negative_seed_is_rejected_as_default_rng_rejects_it(self):
         with pytest.raises(ValueError):

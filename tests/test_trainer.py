@@ -11,7 +11,8 @@ from agentmesh.policy import (OUTCOMES, Decision, Observation, _sum, action_dist
                               log_prob_and_grad)
 from agentmesh.rewards import NoveltyLedger, RewardWeights, episode_reward, scalarize
 from agentmesh.router import RoutingWeights
-from agentmesh.simenv import episode_seeds, preset_case_study, sample_task, stream
+from agentmesh.simenv import (PrecomputedSeed, episode_seeds, preset_case_study, sample_task,
+                              stream)
 from agentmesh.trainer import (
     ADVANTAGE_EPS,
     MAX_EVAL_EPISODES,
@@ -415,7 +416,7 @@ class TestSeedBlocks:
             groups.add(gi)
             for i in range(group_size):
                 for s in range(2):
-                    drawn.append(stream(seeds[2 * i + s]).random(3).tobytes())
+                    drawn.append(stream(PrecomputedSeed(seeds[2 * i + s])).random(3).tobytes())
                     words = [seed, k + 1, gi, i, s]
                     expected.append(np.random.default_rng(words).random(3).tobytes())
             return rollout_group(task, theta, spec, registry, router_weights, group_size,
