@@ -8,6 +8,7 @@ optimization), eval (greedy policy evaluation). Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from contextlib import contextmanager
@@ -229,6 +230,9 @@ _COMMANDS = {"run": cmd_run, "sft": cmd_sft, "train": cmd_train, "eval": cmd_eva
 
 
 def main(argv=None) -> int:
+    if isinstance(sys.stdout, io.TextIOWrapper):
+        # a name that the locale's encoding cannot show prints escaped, as on stderr
+        sys.stdout.reconfigure(errors="backslashreplace")
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)

@@ -9,6 +9,7 @@ supervised warm-up objective convex.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -128,33 +129,6 @@ class PolicySpec:
         return np.zeros((self.num_actions, self.encoded_dim))
 
 
-def _add_in_order(total: float, values) -> float:
-    for value in values:
-        total += value
-    return total
-
-
-def _sum(values: list[float]) -> float:
-    """The sum of ``values`` with the bits of numpy's float64 ``np.add.reduce``.
-
-    numpy adds fewer than 8 values in order, up to 128 in 8 running sums
-    combined pairwise before the remainder, and more by splitting at a
-    multiple of 8 near the middle. Every running sum here starts from +0.0,
-    so eight -0.0 sum to 0.0, as numpy's do. Builtin ``sum`` compensates
-    float sums from Python 3.12.
-    """
-    n = len(values)
-    if n < 8:
-        return _add_in_order(0.0, values)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _sum(values[:half]) + _sum(values[half:])
-    end = n - n % 8
-    r = [_add_in_order(0.0, values[j:end:8]) for j in range(8)]
-    return _add_in_order(((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])),
-                         values[end:])
-
-
 def _softmax(logits: np.ndarray) -> np.ndarray:
     """The softmax of ``logits``, which it shifts in place to a maximum of 0."""
     logits -= logits.max()
@@ -183,10 +157,10 @@ def log_prob_and_grad(theta: np.ndarray, spec: PolicySpec, obs: Observation,
 
 def entropy(probs: np.ndarray) -> float:
     """Shannon entropy (nats) of an action distribution, with 0 log 0 = 0
-    for a probability that underflowed to 0. The terms are added in
-    ``np.sum``'s order."""
-    positive = probs[probs > 0]
-    return -_sum((positive * np.log(positive)).tolist())
+    for a probability that underflowed to 0. The terms are added exactly,
+    by ``math.fsum``: each is finite and at most 0 for a probability in
+    (0, 1], or +inf for an infinite one, so the sum cannot meet inf - inf."""
+    return -math.fsum([p * math.log(p) for p in probs.tolist() if p > 0])
 
 
 def diverged(theta: np.ndarray) -> bool:

@@ -147,7 +147,7 @@ def _build(target: Callable, section, key, spelling: Mapping[str, str] = _AS_NAM
 
 def _read_json(path, key: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:  # JSON is UTF-8, whatever the locale
             return json.load(fh)
     except OSError as exc:
         raise BadConfig(f"{key}: cannot read {path}: {exc}") from None

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import BadConfig
 from .orchestrator import DecisionTable, EpisodeOutcome, StepRecord, execute_episode
-from .policy import Observation, PolicySpec, _sum, diverged, log_prob_and_grad
+from .policy import Observation, PolicySpec, diverged, log_prob_and_grad
 from .registry import Registry
 from .rewards import (NoveltyLedger, RewardVector, RewardWeights, accuracy_reward,
                       episode_reward, scalarize)
@@ -183,20 +183,20 @@ def rollout_group(
 def group_advantage(scalar_rewards) -> np.ndarray:
     """Group-relative advantages: (r - mean) / (population std + eps).
 
-    A zero-spread group yields identically zero advantages rather than
-    amplifying numerical noise. The mean and the spread have the bits of
-    numpy's ``mean`` and ``std``.
+    A group of equal rewards yields exactly zero advantages, at any size,
+    rather than amplifying the rounding of its mean. The mean and the spread
+    are sums that ``math.fsum`` rounds once; ``rewards.MAX_WEIGHT_SUM``
+    keeps them finite, so fsum never meets an overflow.
     """
     rewards = [float(r) for r in scalar_rewards]
     n = len(rewards)
     if n < 2:
         raise BadConfig("advantage normalization needs a group of >= 2 rewards")
-    mean = _sum(rewards) / n
-    centred = [r - mean for r in rewards]
-    std = math.sqrt(_sum([c * c for c in centred]) / n)
-    if std == 0.0:
+    if min(rewards) == max(rewards):
         return np.zeros(n)
-    scale = std + ADVANTAGE_EPS
+    mean = math.fsum(rewards) / n
+    centred = [r - mean for r in rewards]
+    scale = math.sqrt(math.fsum([c * c for c in centred]) / n) + ADVANTAGE_EPS
     return np.array([c / scale for c in centred])
 
 
@@ -211,7 +211,7 @@ def entropy_control(steps: list[StepRecord], advantage: float,
         return False, []
     entropies = [s.entropy for s in steps]
     triggered = any(h > config.entropy_high_threshold for h in entropies)
-    mean = _sum(entropies) / len(entropies)
+    mean = math.fsum(entropies) / len(entropies)
     bonus = config.entropy_bonus
     return triggered, [advantage + bonus * (h - mean) for h in entropies]
 
@@ -334,11 +334,11 @@ def train(
 
         all_eps = [ep for g in groups for ep in g.episodes]
         entropies = [s.entropy for ep in all_eps for s in ep.steps]
-        mean_entropy = _sum(entropies) / len(entropies) if entropies else 0.0
+        mean_entropy = math.fsum(entropies) / len(entropies) if entropies else 0.0
         report.rows.append(IterationStats(
             iteration=iteration,
-            mean_reward=_sum([ep.scalar_reward for ep in all_eps]) / len(all_eps),
-            success_rate=_sum([ep.reward_vector.accuracy for ep in all_eps]) / len(all_eps),
+            mean_reward=math.fsum(ep.scalar_reward for ep in all_eps) / len(all_eps),
+            success_rate=math.fsum(ep.reward_vector.accuracy for ep in all_eps) / len(all_eps),
             mean_entropy=mean_entropy,
             triggers=triggers,
         ))

@@ -3,13 +3,16 @@
 These deliberately avoid the code paths they check: gradients come from
 central finite differences, and expected episode rewards come from exhaustive
 enumeration of deterministic tabular policies with closed-form branching over
-agent success probabilities.
+agent success probabilities, and float sums are checked against exact
+rational arithmetic.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -24,6 +27,19 @@ from agentmesh.policy import (
 from agentmesh.rewards import RewardWeights
 from agentmesh.simenv import TaskClass, WorldConfig
 from agentmesh.vocab import RELAY_ANSWER
+
+
+def exact_sum(values) -> float:
+    """The sum of finite floats ``values`` in exact rational arithmetic,
+    rounded once to the nearest float; a sum of zeros is +0.0."""
+    return float(sum(map(Fraction, values)))
+
+
+def exact_entropy(probs: np.ndarray) -> float:
+    """Shannon entropy (nats) with 0 log 0 = 0 and the terms p log p added
+    exactly: -inf when a probability is infinite, and NaN entries skipped."""
+    terms = [p * math.log(p) for p in probs.tolist() if p > 0]
+    return -math.inf if math.inf in terms else -exact_sum(terms)
 
 
 def finite_difference_log_prob_grad(theta: np.ndarray, spec: PolicySpec,

@@ -380,6 +380,27 @@ def test_an_artifact_that_cannot_be_written_is_a_config_error(tmp_path, command,
     assert "Traceback" not in result.stderr
 
 
+def test_a_non_ascii_name_runs_in_an_ascii_locale(tmp_path):
+    # the C locale without UTF-8 mode encodes text files and stdout as ASCII
+    config = {"task_classes": [{"name": "café", "probability": 1.0,
+                                "required_action": "real", "answer_pool": ["x", "y"]}],
+              "agents": [{"card_id": "g-1", "supported_actions": ["real"],
+                          "success_prob": {"real": 1.0}}]}
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_bytes(json.dumps(config, ensure_ascii=False).encode())
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONIOENCODING"}
+    env.update(LC_ALL="C", PYTHONUTF8="0",
+               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    out = tmp_path / "out"
+    result = subprocess.run([sys.executable, "-m", "agentmesh.cli", "run", "--config",
+                             str(cfg_path), "--out", str(out)],
+                            env=env, capture_output=True, timeout=300)
+    assert result.returncode == 0, result.stderr.decode()
+    assert result.stdout.startswith(b"task: caf\\xe9-")
+    record = json.loads((out / "episodes.jsonl").read_bytes())
+    assert record["episode_id"].startswith("café-")
+
+
 @pytest.mark.parametrize("artifact, other", [("report.csv", "checkpoint.json"),
                                              ("checkpoint.json", "report.csv")])
 @pytest.mark.parametrize("other_exists", [False, True], ids=["other-new", "other-kept"])

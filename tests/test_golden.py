@@ -1,9 +1,10 @@
 """The CLI's artifacts, compared byte for byte with the files in ``golden/``.
 
-Seed-42 training from zero, a greedy evaluation of its checkpoint, and
-seed-7 episodes that answer, delegate, run out of steps or find no card must
-reproduce exactly. A change that announces a new RNG stream regenerates the
-files and commits them with it:
+Seed-42 training from zero, a greedy evaluation of its checkpoint, seed-7
+episodes that answer, delegate, run out of steps or find no card, and short
+runs at seeds of more than 32 bits must reproduce exactly. A change that
+announces a new RNG stream or new statistics regenerates the files and
+commits them with it:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from agentmesh import trainer
 from agentmesh.cli import main
 from agentmesh.config import load_config
 from agentmesh.policy import Decision, save_checkpoint
@@ -30,6 +32,9 @@ UNROUTABLE = {
     "agents": [{"card_id": "g-1", "supported_actions": ["real"],
                 "success_prob": {"real": 1.0}}],
 }
+
+# SeedSequence splits a seed of 2**32 or more into little-endian 32-bit words
+LARGE_SEEDS = (2**32 + 1, 2**64)
 
 
 def always_delegate(config, action_type: str, path: Path) -> Path:
@@ -47,6 +52,19 @@ def cli(argv) -> bytes:
     with redirect_stdout(out):
         code = main(argv)
     return f"{out.getvalue()}exit: {code}\n".encode()
+
+
+def large_seed(seed: int) -> dict[str, bytes]:
+    """A 2-iteration training report at ``seed``, and a sampled 20-episode
+    evaluation of its parameters."""
+    cfg = load_config(overrides=["trainer.iterations=2"], seed=seed)
+    theta, report = trainer.train(cfg.world, cfg.policy_spec, cfg.trainer, cfg.reward_weights,
+                                  cfg.router_weights, cfg.seed)
+    summary = trainer.evaluate_policy(cfg.world, cfg.policy_spec, theta, cfg.router_weights,
+                                      n_episodes=20, seed=cfg.seed, greedy=False)
+    summary_json = json.dumps(summary.as_dict(), indent=2) + "\n"
+    return {f"seed_{seed}_report.csv": report.to_csv().encode(),
+            f"seed_{seed}_sampled_eval.json": summary_json.encode()}
 
 
 def produce(work: Path) -> dict[str, bytes]:
@@ -72,6 +90,8 @@ def produce(work: Path) -> dict[str, bytes]:
     artifacts["run_unroutable.out"] = cli([*run, "--config", str(config),
                                            "--checkpoint", str(delegate)])
     artifacts["episodes.jsonl"] = (runs / "episodes.jsonl").read_bytes()
+    for seed in LARGE_SEEDS:
+        artifacts.update(large_seed(seed))
     return artifacts
 
 

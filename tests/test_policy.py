@@ -23,7 +23,7 @@ from agentmesh.policy import (
     sft_loss,
     sft_update,
 )
-from oracles import finite_difference_log_prob_grad
+from oracles import exact_entropy, finite_difference_log_prob_grad
 from sft_files import save_sft_dataset
 
 SPEC = PolicySpec(
@@ -156,12 +156,12 @@ class TestEntropy:
             assert entropy(np.array([1.0, 0.0, 0.0, 0.0])) == 0.0
             assert entropy(np.array([0.5, 0.0, 0.5, 0.0])) == entropy(np.array([0.5, 0.5]))
 
-    def test_positive_probabilities_match_the_plain_formula(self):
+    def test_positive_probabilities_sum_exactly(self):
         rng = np.random.default_rng(10)
         for _ in range(100):
             theta, obs = random_instance(rng, scale=3.0)
             probs = action_distribution(theta, SPEC, obs)
-            assert entropy(probs) == float(-np.sum(probs * np.log(probs)))
+            assert entropy(probs) == exact_entropy(probs)  # positive: equal floats, equal bits
 
 
 def repeated_demos(rng, n=60):
