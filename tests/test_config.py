@@ -242,6 +242,19 @@ INPUT_CASES = {
                                           "policy.answer_tokens: the warm-up demonstrates the answer 'ack'"),
     "config not JSON": (["run", "--config", "config.json"], {"config.json": "{"},
                         "config: config.json is not valid JSON"),
+    # "café" in Latin-1: JSON is read as UTF-8, whatever the locale
+    "config not UTF-8": (["run", "--config", "config.json"],
+                         {"config.json": b'{"task_classes": [{"name": "caf\xe9"}]}'},
+                         "config: config.json is not valid JSON"),
+    "cards not UTF-8": (["run", "--config", "config.json"],
+                        {"config.json": json.dumps({"task_classes": [TASK], "agents": [AGENT],
+                                                    "registry_cards": "cards.json"}),
+                         "cards.json": b'[{"card_id": "caf\xe9"}]'},
+                        "registry_cards: cards.json is not valid JSON"),
+    "checkpoint not UTF-8": (EVAL, {"ckpt.json": b'{"shape": [4, 10], "note": "caf\xe9"}'},
+                             "checkpoint: ckpt.json is not valid JSON"),
+    "dataset not UTF-8": (SFT, {"data.jsonl": b'{"last_outcome": "caf\xe9"}\n'},
+                          "bad dataset line 1: 'utf-8' codec can't decode byte 0xe9"),
     "override without =": (["run", "--set", "foo"], {},
                            "override 'foo' is not of the form key=value"),
     "out_dir inside a file": (["run", "--out", "file/out"], {"file": ""},
@@ -254,7 +267,10 @@ INPUT_CASES = {
 def test_bad_input_file_names_its_key(argv, files, message, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():
-        (tmp_path / name).write_text(text)
+        if isinstance(text, bytes):
+            (tmp_path / name).write_bytes(text)
+        else:
+            (tmp_path / name).write_text(text)
     assert_config_error(main(argv), capsys.readouterr().err, message)
 
 

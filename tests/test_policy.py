@@ -156,6 +156,21 @@ class TestEntropy:
             assert entropy(np.array([1.0, 0.0, 0.0, 0.0])) == 0.0
             assert entropy(np.array([0.5, 0.0, 0.5, 0.0])) == entropy(np.array([0.5, 0.5]))
 
+    def test_an_infinite_probability_gives_minus_infinity(self):
+        assert entropy(np.array([math.inf, 0.5, 0.0])) == -math.inf
+
+    def test_nan_probabilities_add_nothing(self):
+        assert entropy(np.array([0.5, math.nan, 0.5])) == entropy(np.array([0.5, 0.5]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(weights=st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1e6), min_size=1,
+                            max_size=300).filter(lambda w: sum(w) > 0),
+           data=st.data())
+    def test_entropy_does_not_depend_on_order(self, weights, data):
+        probs = np.array(weights) / sum(weights)
+        order = data.draw(st.permutations(range(len(weights))))
+        assert entropy(probs[order]).hex() == entropy(probs).hex()
+
     def test_positive_probabilities_sum_exactly(self):
         rng = np.random.default_rng(10)
         for _ in range(100):

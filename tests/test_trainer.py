@@ -46,6 +46,16 @@ def bits(values) -> bytes:
 summed_floats = st.floats(-1e100, 1e100) | st.sampled_from([0.0, -0.0, 1.0, 1e16, -1e16])
 
 
+def order_sensitive(seed: int, size: int) -> list[float]:
+    """Values of magnitudes 1e-4 to 1e4 whose float sum depends on the order
+    of addition, with zeros of both signs among them."""
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(-1.0, 1.0, size) * 10.0 ** rng.integers(-4, 5, size)
+    values[rng.random(size) < 0.1] = 0.0
+    values[rng.random(size) < 0.1] = -0.0
+    return values.tolist()
+
+
 def exact_advantage(rewards) -> list[float]:
     """``group_advantage``'s formula, with its sums taken exactly."""
     n = len(rewards)
@@ -73,6 +83,64 @@ class TestExactStatistics:
         _, corrected = entropy_control(records_with_entropies(entropies), advantage, cfg)
         mean = exact_sum(entropies) / len(entropies)
         assert bits(corrected) == bits([advantage + bonus * (h - mean) for h in entropies])
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(2, 300))
+    def test_statistics_sum_exactly_on_order_sensitive_values(self, seed, size):
+        values = order_sensitive(seed, size)
+        assert bits(group_advantage(values)) == bits(exact_advantage(values))
+        cfg = ExplorationConfig(1.0, 0.05, 2, entropy_bonus=2.0)
+        _, corrected = entropy_control(records_with_entropies(values), 0.5, cfg)
+        mean = exact_sum(values) / size
+        assert bits(corrected) == bits([0.5 + 2.0 * (h - mean) for h in values])
+
+    @settings(max_examples=100, deadline=None)
+    @given(rewards=st.lists(summed_floats, min_size=2, max_size=300),
+           seed=st.integers(0, 2**32 - 1))
+    @example(rewards=[1.0, 1e16, -1e16], seed=3)  # in order, 0.0 one way and 1.0 the other
+    def test_group_advantage_does_not_depend_on_order(self, rewards, seed):
+        order = np.random.default_rng(seed).permutation(len(rewards))
+        advantages = group_advantage(rewards)
+        assert bits(group_advantage([rewards[i] for i in order])) == bits(advantages[order])
+
+    @settings(max_examples=100, deadline=None)
+    @given(entropies=st.lists(summed_floats, min_size=1, max_size=300),
+           seed=st.integers(0, 2**32 - 1))
+    @example(entropies=[1.0, 1e16, -1e16], seed=3)
+    def test_entropy_correction_does_not_depend_on_order(self, entropies, seed):
+        order = np.random.default_rng(seed).permutation(len(entropies))
+        cfg = ExplorationConfig(1.0, 0.05, 2, entropy_bonus=1.5)
+        _, corrected = entropy_control(records_with_entropies(entropies), 0.25, cfg)
+        _, permuted = entropy_control(records_with_entropies([entropies[i] for i in order]),
+                                      0.25, cfg)
+        assert bits(permuted) == bits([corrected[i] for i in order])
+
+    @settings(max_examples=50, deadline=None)
+    @given(negative=st.lists(st.booleans(), min_size=2, max_size=300))
+    def test_zeros_of_both_signs_give_positive_zero_advantages(self, negative):
+        # 0.0 == -0.0: the group's rewards are equal though their bits differ
+        rewards = [-0.0 if n else 0.0 for n in negative]
+        assert bits(group_advantage(rewards)) == bits(np.zeros(len(rewards)))
+
+    def test_report_means_sum_exactly(self, world, spec, monkeypatch):
+        episodes: dict[int, list] = {}
+
+        def recording(*args, **kwargs):
+            group = rollout_group(*args, **kwargs)
+            iteration = args[7][1] - 1  # the group's seed path [seed, iteration + 1, gi]
+            episodes.setdefault(iteration, []).extend(group.episodes)
+            return group
+
+        monkeypatch.setattr(trainer, "rollout_group", recording)
+        _, report = train(world, spec, TrainerConfig(iterations=4), REWARDS, WEIGHTS, seed=2)
+        assert len(episodes) == len(report.rows) == 4
+        for row in report.rows:
+            eps = episodes[row.iteration]
+            entropies = [s.entropy for ep in eps for s in ep.steps]
+            assert bits([row.mean_reward, row.success_rate, row.mean_entropy]) == bits([
+                exact_sum(ep.scalar_reward for ep in eps) / len(eps),
+                exact_sum(ep.reward_vector.accuracy for ep in eps) / len(eps),
+                exact_sum(entropies) / len(entropies)])
 
     def test_cancelling_values_keep_the_small_one(self):
         # the exact sum is 1.0; in order, 1e16 + 1.0 rounds to 1e16 and the sum to 0.0
