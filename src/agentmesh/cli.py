@@ -10,8 +10,9 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import replace
 from pathlib import Path
 
@@ -89,7 +90,7 @@ def _theta(cfg: RunConfig, checkpoint: Path | None) -> np.ndarray:
 def _out_dir(cfg: RunConfig) -> Path:
     try:
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte, or a name the OS cannot encode
         raise BadConfig(f"out_dir: cannot create {cfg.out_dir}: {exc}") from None
     return cfg.out_dir
 
@@ -108,10 +109,15 @@ def cmd_run(args) -> int:
     theta = _theta(cfg, args.checkpoint)
     generator = cfg.world.generator
     if args.task_class is not None:
-        matched = [c for c in generator.classes if c.name == args.task_class]
-        if not matched:
+        name, names = args.task_class, [c.name for c in generator.classes]
+        if name not in names:
+            # Python decodes argv with surrogate escapes; an ASCII locale
+            # passes "café" as "caf\\udcc3\\udca9", whose bytes are UTF-8
+            with suppress(UnicodeError):  # a name that no bytes stand for
+                name = os.fsencode(name).decode("utf-8", "surrogateescape")
+        if name not in names:
             raise BadConfig(f"unknown task class {args.task_class!r}")
-        forced = tuple(replace(c, probability=1.0 if c.name == args.task_class else 0.0)
+        forced = tuple(replace(c, probability=1.0 if c.name == name else 0.0)
                        for c in generator.classes)
         generator = GeneratorConfig(classes=forced)
 

@@ -155,14 +155,9 @@ def default_policy_spec(world: WorldConfig, max_steps: int,
     of classes answerable without delegation, plus the relay token) and one
     delegation action per action type."""
     if answer_tokens is None:
-        tokens: list[str] = []
-        for cls in world.generator.classes:
-            if cls.required_action is None:
-                for t in cls.answer_pool:
-                    if t not in tokens:
-                        tokens.append(t)
-        tokens.append(RELAY_ANSWER)
-        answer_tokens = tuple(tokens)
+        answer_tokens = (*dict.fromkeys(t for cls in world.generator.classes
+                                        if cls.required_action is None for t in cls.answer_pool),
+                         RELAY_ANSWER)
     return PolicySpec(
         feature_dim=world.generator.feature_dim,
         max_steps=max_steps,

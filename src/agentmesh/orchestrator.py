@@ -258,12 +258,11 @@ def make_warmup_dataset(generator: GeneratorConfig, spec: PolicySpec, n: int,
     action type. Later-step behavior (retry, report) is left to RL.
     """
     samples = []
-    observations: dict[tuple[float, ...], Observation] = {}  # one per class
+    # one per class: step 0, no prior agent outcome
+    observations = {features: Observation(features) for features in generator.one_hots}
     for _ in range(n):
         task = sample_task(generator, rng)
-        obs = observations.get(task.feature_vector)
-        if obs is None:  # step 0, no prior agent outcome
-            obs = observations[task.feature_vector] = Observation(task.feature_vector)
+        obs = observations[task.feature_vector]
         if task.task_class.required_action is None:
             if task.ground_truth not in spec.actions.answer_tokens:
                 raise BadConfig(f"policy.answer_tokens: the warm-up demonstrates the answer "

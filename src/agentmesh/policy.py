@@ -171,6 +171,20 @@ def diverged(theta: np.ndarray) -> bool:
         return not np.isfinite(np.abs(theta).sum())
 
 
+def distinct(keys: list) -> tuple[list, list[int]]:
+    """The distinct ``keys`` in first-seen order, and the index of each key
+    among them: the update loops compute one gradient per distinct
+    (observation, action) key."""
+    rows: dict = {}
+    index: list[int] = []
+    for key in keys:
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = len(rows)
+        index.append(row)
+    return list(rows), index
+
+
 @dataclass(frozen=True)
 class SftSample:
     obs: Observation
@@ -184,16 +198,8 @@ def sft_update(theta: np.ndarray, spec: PolicySpec, batch: list[SftSample],
         raise ValueError("learning_rate must be positive")
     if not batch:
         return theta
-    rows: dict[tuple[Observation, int], int] = {}  # one gradient per distinct demo
-    grads: list[np.ndarray] = []
-    picked: list[int] = []
-    for sample in batch:
-        key = (sample.obs, sample.demo_action_index)
-        row = rows.get(key)
-        if row is None:
-            row = rows[key] = len(grads)
-            grads.append(log_prob_and_grad(theta, spec, *key)[1])
-        picked.append(row)
+    keys, picked = distinct([(sample.obs, sample.demo_action_index) for sample in batch])
+    grads = [log_prob_and_grad(theta, spec, *key)[1] for key in keys]
     # numpy adds whole gradients over the first axis in sample order, as
     # ``grad += g`` from zeros would; initial=0.0 makes that sum's +0.0 start
     # explicit, so a gradient entry of -0.0 in every sample sums to 0.0
@@ -203,14 +209,11 @@ def sft_update(theta: np.ndarray, spec: PolicySpec, batch: list[SftSample],
 
 def sft_loss(theta: np.ndarray, spec: PolicySpec, batch: list[SftSample]) -> float:
     """Negative mean log-likelihood of the demo actions."""
+    keys, picked = distinct([(sample.obs, sample.demo_action_index) for sample in batch])
+    log_probs = [log_prob_and_grad(theta, spec, *key)[0] for key in keys]
     total = 0.0
-    log_probs: dict[tuple[Observation, int], float] = {}  # one per distinct demo
-    for sample in batch:
-        key = (sample.obs, sample.demo_action_index)
-        lp = log_probs.get(key)
-        if lp is None:
-            lp = log_probs[key] = log_prob_and_grad(theta, spec, *key)[0]
-        total += lp
+    for row in picked:  # added in sample order
+        total += log_probs[row]
     return -total / len(batch)
 
 

@@ -148,8 +148,9 @@ def _build(target: Callable, section, key, spelling: Mapping[str, str] = _AS_NAM
 def _read_json(path, key: str):
     try:
         with open(path, encoding="utf-8") as fh:  # JSON is UTF-8, whatever the locale
-            return json.load(fh)
-    except OSError as exc:
+            try:
+                return json.load(fh)
+            except ValueError as exc:  # malformed JSON or text encoding
+                raise BadConfig(f"{key}: {path} is not valid JSON: {exc}") from None
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte, or a name the OS cannot encode
         raise BadConfig(f"{key}: cannot read {path}: {exc}") from None
-    except ValueError as exc:  # malformed JSON or text encoding
-        raise BadConfig(f"{key}: {path} is not valid JSON: {exc}") from None

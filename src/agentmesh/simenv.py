@@ -370,11 +370,8 @@ class WorldConfig:
 
     @property
     def action_types(self) -> tuple[str, ...]:
-        names: list[str] = []
-        for c in self.generator.classes:
-            if c.required_action and c.required_action not in names:
-                names.append(c.required_action)
-        return tuple(names)
+        return tuple(dict.fromkeys(c.required_action for c in self.generator.classes
+                                   if c.required_action))
 
 
 def goal_token(class_name: str) -> str:

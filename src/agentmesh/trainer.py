@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import BadConfig
 from .orchestrator import DecisionTable, EpisodeOutcome, StepRecord, execute_episode
-from .policy import Observation, PolicySpec, diverged, log_prob_and_grad
+from .policy import Observation, PolicySpec, distinct, diverged, log_prob_and_grad
 from .registry import Registry
 from .rewards import (NoveltyLedger, RewardVector, RewardWeights, accuracy_reward,
                       episode_reward, scalarize)
@@ -231,23 +231,17 @@ def masked_policy_update(
     """
     if learning_rate < 0:
         raise ValueError("learning_rate must be >= 0")
-    rows: dict[tuple[Observation, int], int] = {}
-    grads: list[np.ndarray] = []
-    picked: list[int] = []
+    pairs: list[tuple[Observation, int]] = []
     coefs: list[float] = []
     for steps, advantages in episodes:
         for step, adv in zip(steps, advantages):
-            if adv == 0.0:
-                continue
-            key = (step.obs, step.action_index)
-            row = rows.get(key)
-            if row is None:
-                row = rows[key] = len(grads)
-                grads.append(log_prob_and_grad(theta, spec, *key)[1])
-            picked.append(row)
-            coefs.append(adv)
+            if adv != 0.0:
+                pairs.append((step.obs, step.action_index))
+                coefs.append(adv)
     if not coefs:
         return theta
+    keys, picked = distinct(pairs)
+    grads = [log_prob_and_grad(theta, spec, *key)[1] for key in keys]
     # A gradient has more than one entry (encoded_dim > 1), so numpy adds
     # whole terms over the first axis one after another, as a running sum
     # from zeros would, rather than summing each entry pairwise.

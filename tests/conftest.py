@@ -23,3 +23,20 @@ def spec(world):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def gradient_calls(monkeypatch):
+    """``gradient_calls(module)`` records the (observation, action index) of
+    each ``log_prob_and_grad`` call made through ``module``'s binding."""
+    def record(module):
+        calls = []
+        real = module.log_prob_and_grad
+
+        def recording(theta, spec, obs, action_index):
+            calls.append((obs, action_index))
+            return real(theta, spec, obs, action_index)
+
+        monkeypatch.setattr(module, "log_prob_and_grad", recording)
+        return calls
+    return record

@@ -380,10 +380,12 @@ def test_an_artifact_that_cannot_be_written_is_a_config_error(tmp_path, command,
     assert "Traceback" not in result.stderr
 
 
-def test_a_non_ascii_name_runs_in_an_ascii_locale(tmp_path):
-    # the C locale without UTF-8 mode encodes text files and stdout as ASCII
-    config = {"task_classes": [{"name": "café", "probability": 1.0,
-                                "required_action": "real", "answer_pool": ["x", "y"]}],
+def run_in_an_ascii_locale(tmp_path, classes, *args):
+    """``agentmesh run`` over a world of the task ``classes``, in the C locale
+    without UTF-8 mode, which encodes text files and stdout as ASCII."""
+    config = {"task_classes": [{"name": name, "probability": 1.0 / len(classes),
+                                "required_action": "real", "answer_pool": ["x", "y"]}
+                               for name in classes],
               "agents": [{"card_id": "g-1", "supported_actions": ["real"],
                           "success_prob": {"real": 1.0}}]}
     cfg_path = tmp_path / "c.json"
@@ -393,11 +395,21 @@ def test_a_non_ascii_name_runs_in_an_ascii_locale(tmp_path):
                PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     out = tmp_path / "out"
     result = subprocess.run([sys.executable, "-m", "agentmesh.cli", "run", "--config",
-                             str(cfg_path), "--out", str(out)],
+                             str(cfg_path), "--out", str(out), *args],
                             env=env, capture_output=True, timeout=300)
     assert result.returncode == 0, result.stderr.decode()
     assert result.stdout.startswith(b"task: caf\\xe9-")
-    record = json.loads((out / "episodes.jsonl").read_bytes())
+    return json.loads((out / "episodes.jsonl").read_bytes())
+
+
+def test_a_non_ascii_name_runs_in_an_ascii_locale(tmp_path):
+    record = run_in_an_ascii_locale(tmp_path, ["café"])
+    assert record["episode_id"].startswith("café-")
+
+
+def test_task_class_names_a_non_ascii_class_in_an_ascii_locale(tmp_path):
+    # Python decodes the argument's UTF-8 bytes with surrogate escapes
+    record = run_in_an_ascii_locale(tmp_path, ["plain", "café"], "--task-class", "café")
     assert record["episode_id"].startswith("café-")
 
 

@@ -3,8 +3,12 @@ dataset or checkpoint input exits 1 with one ``error:`` line that names its
 key, and no input escapes as a traceback."""
 
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -168,6 +172,9 @@ FILE_CASES = {
     "NaN card cost": (
         {"task_classes": [TASK], "registry_cards": "cards.json", "agents": [AGENT]},
         [{**AGENT, "cost": float("nan")}], "registry_cards[0].cost: must be finite"),
+    "card file path with a NUL byte": (
+        {"task_classes": [TASK], "registry_cards": "x\0y.json", "agents": [AGENT]},
+        None, "registry_cards: cannot read x\0y.json: embedded null byte"),
 }
 
 
@@ -178,6 +185,40 @@ def test_bad_config_file_names_its_key(config, cards, message, tmp_path, monkeyp
     if cards is not None:
         (tmp_path / "cards.json").write_text(json.dumps(cards))
     assert_config_error(*run_cli(["--config", "config.json"], capsys), message)
+
+
+# out_dir is read from the config only without --out, which run_cli passes
+@pytest.mark.parametrize("command", [["run"], ["sft", "--set", "sft.steps=1"],
+                                     ["train", "--set", "trainer.iterations=1"]],
+                         ids=["run", "sft", "train"])
+@pytest.mark.parametrize("source", ["override", "config file"])
+def test_an_out_dir_with_a_nul_byte_is_a_config_error(command, source, tmp_path, monkeypatch,
+                                                      capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps({"out_dir": "x\0y"}))
+    args = (["--config", "config.json"] if source == "config file"
+            else ["--set", 'out_dir="x\\u0000y"'])
+    assert_config_error(main([*command, *args]), capsys.readouterr().err,
+                        "out_dir: cannot create x\0y: embedded null byte")
+
+
+@pytest.mark.parametrize("key, message", [
+    ("out_dir", "out_dir: cannot create caf\\xe9: "),
+    ("registry_cards", "registry_cards: cannot read caf\\xe9.json: "),
+], ids=["out_dir", "registry_cards"])
+def test_a_path_the_locale_cannot_encode_is_a_config_error(key, message, tmp_path):
+    # the C locale without UTF-8 mode encodes file names as ASCII; run in a
+    # fresh interpreter so that an uncaught exception shows as a traceback
+    config = {"task_classes": [TASK], "agents": [AGENT],
+              key: "café.json" if key == "registry_cards" else "café"}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONIOENCODING"}
+    env.update(LC_ALL="C", PYTHONUTF8="0",
+               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    result = subprocess.run([sys.executable, "-m", "agentmesh.cli", "run", "--config",
+                             "config.json"],
+                            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert_config_error(result.returncode, result.stderr, message)
 
 
 # The preset policy reads 3 features, 4 steps and 4 actions: its parameter

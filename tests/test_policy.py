@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from agentmesh import policy
 from agentmesh.errors import BadCheckpoint, BadDataset
 from agentmesh.policy import (
     ActionSpace,
@@ -14,6 +15,7 @@ from agentmesh.policy import (
     PolicySpec,
     SftSample,
     action_distribution,
+    distinct,
     diverged,
     entropy,
     load_checkpoint,
@@ -181,11 +183,43 @@ class TestEntropy:
 
 def repeated_demos(rng, n=60):
     """Demos over a few distinct (observation, action) pairs, in random order."""
-    distinct = []
+    pool = []
     for _ in range(5):
         _, obs = random_instance(rng)
-        distinct.append(SftSample(obs, int(rng.integers(SPEC.num_actions))))
-    return [distinct[int(i)] for i in rng.integers(len(distinct), size=n)]
+        pool.append(SftSample(obs, int(rng.integers(SPEC.num_actions))))
+    return [pool[int(i)] for i in rng.integers(len(pool), size=n)]
+
+
+class TestDistinct:
+    @given(st.lists(st.integers(0, 6) | st.text(max_size=2)))
+    def test_the_index_rebuilds_the_keys_from_the_first_seen_ones(self, keys):
+        unique, index = distinct(keys)
+        assert [unique[i] for i in index] == keys
+        assert unique == [key for i, key in enumerate(keys) if key not in keys[:i]]
+
+    def test_equal_keys_are_one_key(self):
+        a, b = Observation((1.0, 0, 0)), Observation((1.0, 0, 0))
+        unique, index = distinct([(a, 0), (b, 0), (b, 1)])
+        assert unique == [(a, 0), (b, 1)] and unique[0][0] is a
+        assert index == [0, 0, 1]
+
+
+# (observation, action) keys that repeat, once through an equal but distinct
+# Observation: the first-seen ones are (B, 2), (A, 0) and (A, 1)
+A, A_COPY, B = Observation((1.0, 0, 0)), Observation((1.0, 0, 0)), Observation((0, 1.0, 0), 1)
+KEYS = [(B, 2), (A, 0), (B, 2), (A_COPY, 0), (A, 1), (B, 2)]
+
+
+@pytest.mark.parametrize("call", [
+    lambda theta, batch: sft_update(theta, SPEC, batch, 0.1),
+    lambda theta, batch: sft_loss(theta, SPEC, batch),
+], ids=["sft_update", "sft_loss"])
+def test_one_gradient_per_distinct_demo_in_first_seen_order(call, gradient_calls):
+    calls = gradient_calls(policy)
+    call(np.random.default_rng(3).normal(size=(SPEC.num_actions, SPEC.encoded_dim)),
+         [SftSample(obs, action) for obs, action in KEYS])
+    assert calls == [(B, 2), (A, 0), (A, 1)]
+    assert calls[1][0] is A
 
 
 class TestSftUpdate:

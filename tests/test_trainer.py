@@ -298,6 +298,23 @@ class TestMaskedPolicyUpdate:
         assert bits(masked_policy_update(theta, spec, episodes, 0.05)) == bits(
             reference_update(theta, spec, episodes, 0.05))
 
+    def test_one_gradient_per_distinct_step_in_first_seen_order(self, spec, gradient_calls):
+        # repeated keys, one through an equal but distinct Observation; a key
+        # whose every advantage is 0 is skipped
+        a, a_copy = Observation((1.0, 0.0, 0.0)), Observation((1.0, 0.0, 0.0))
+        b, c = Observation((0.0, 1.0, 0.0), 1), Observation((0.0, 0.0, 1.0), 2)
+        episodes = [
+            ([StepRecord(c, 3, 0.5), StepRecord(b, 2, 0.5), StepRecord(a, 0, 0.5)],
+             [0.0, 1.0, -0.5]),
+            ([StepRecord(b, 2, 0.5), StepRecord(a_copy, 0, 0.5), StepRecord(a, 1, 0.5),
+              StepRecord(c, 3, 0.5)], [2.0, 0.3, 0.7, 0.0]),
+        ]
+        calls = gradient_calls(trainer)
+        theta = np.random.default_rng(5).normal(size=(spec.num_actions, spec.encoded_dim))
+        masked_policy_update(theta, spec, episodes, 0.05)
+        assert calls == [(b, 2), (a, 0), (a, 1)]
+        assert calls[1][0] is a
+
     def test_more_than_128_terms_are_added_in_step_order(self, spec):
         rng = np.random.default_rng(7)
         theta = rng.normal(size=(spec.num_actions, spec.encoded_dim))
