@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, load_config
-from .errors import AgentMeshError, BadCheckpoint, BadConfig, BadDataset
+from .errors import AgentMeshError, BadCheckpoint, BadConfig, BadDataset, printable
 from .orchestrator import execute_episode, make_warmup_dataset
 from .policy import (diverged, load_checkpoint, load_sft_dataset, save_checkpoint, sft_loss,
                      sft_update)
@@ -87,11 +87,19 @@ def _theta(cfg: RunConfig, checkpoint: Path | None) -> np.ndarray:
     return load_checkpoint(checkpoint, cfg.policy_spec)
 
 
-def _out_dir(cfg: RunConfig) -> Path:
+def _out_dir(cfg: RunConfig, *artifacts: str) -> Path:
+    """Create ``out_dir`` and check that the named ``artifacts`` in it can be
+    written: fail before the work, not after it, and change no file."""
     try:
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte, or a name the OS cannot encode
-        raise BadConfig(f"out_dir: cannot create {cfg.out_dir}: {exc}") from None
+        raise BadConfig(f"out_dir: cannot create {printable(cfg.out_dir)}: {exc}") from None
+    for path in (cfg.out_dir / name for name in artifacts):
+        existed = path.exists()
+        with _writing(path), open(path, "a"):
+            pass
+        if not existed:
+            path.unlink()
     return cfg.out_dir
 
 
@@ -101,7 +109,7 @@ def _writing(path: Path):
     try:
         yield path
     except OSError as exc:
-        raise BadConfig(f"out_dir: cannot write {path}: {exc}") from None
+        raise BadConfig(f"out_dir: cannot write {printable(path)}: {exc}") from None
 
 
 def cmd_run(args) -> int:
@@ -165,6 +173,7 @@ def cmd_sft(args) -> int:
     if not samples:
         raise BadDataset(0, "dataset is empty")
     theta = _theta(cfg, args.checkpoint)
+    out = _out_dir(cfg, "checkpoint.json")
     for step in range(cfg.sft.steps):
         with np.errstate(over="ignore"):  # reported just below, as an error
             theta = sft_update(theta, cfg.policy_spec, samples, cfg.sft.learning_rate)
@@ -172,7 +181,6 @@ def cmd_sft(args) -> int:
             raise BadConfig(f"sft.learning_rate: {cfg.sft.learning_rate!r} made the policy "
                             f"parameters overflow at step {step}")
     loss = sft_loss(theta, cfg.policy_spec, samples)
-    out = _out_dir(cfg)
     with _writing(out / "checkpoint.json") as ckpt:
         save_checkpoint(theta, ckpt)
     print(f"samples: {len(samples)}  steps: {cfg.sft.steps}  final_loss: {loss:.6f}")
@@ -183,14 +191,7 @@ def cmd_sft(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load(args)
     initial = _theta(cfg, args.checkpoint)
-    out = _out_dir(cfg)
-    # fail before training, not after it, and change no file by checking
-    for path in (out / "report.csv", out / "checkpoint.json"):
-        existed = path.exists()
-        with _writing(path), open(path, "a"):
-            pass
-        if not existed:
-            path.unlink()
+    out = _out_dir(cfg, "report.csv", "checkpoint.json")
 
     def checkpoint_callback(iteration: int, theta: np.ndarray) -> None:
         with _writing(out / f"checkpoint_{iteration:05d}.json") as path:

@@ -1,4 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how a path shows in
+their messages."""
+
+
+def printable(path) -> str:
+    """``path`` as text for a one-line message: each character that
+    ``str.isprintable`` rejects (a newline, a NUL, another control character
+    or a lone surrogate) escaped as ``repr`` escapes it, every other
+    character as it is."""
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(path))
 
 
 class AgentMeshError(Exception):

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BadCheckpoint, BadConfig, BadDataset
+from .errors import BadCheckpoint, BadConfig, BadDataset, printable
 from .schema import _build, _read_json
 from .vocab import CONTROL_TAGS, RELAY_ANSWER, RESERVED_TOKENS
 
@@ -272,7 +272,7 @@ def load_sft_dataset(path, spec: PolicySpec) -> list[SftSample]:
     try:
         fh = open(path, "rb")  # json.loads decodes each line, inside the check below
     except OSError as exc:
-        raise BadDataset(0, f"cannot read {path}: {exc}") from None
+        raise BadDataset(0, f"cannot read {printable(path)}: {exc}") from None
     with fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():

@@ -27,7 +27,7 @@ from pathlib import Path
 from types import UnionType
 from typing import Any, Callable, Optional
 
-from .errors import BadConfig
+from .errors import BadConfig, printable
 
 # A key is a top-level name ("" for the root) or a (parent key, name or list
 # index) pair. It is rendered as a dotted path only for an error message,
@@ -151,6 +151,6 @@ def _read_json(path, key: str):
             try:
                 return json.load(fh)
             except ValueError as exc:  # malformed JSON or text encoding
-                raise BadConfig(f"{key}: {path} is not valid JSON: {exc}") from None
+                raise BadConfig(f"{key}: {printable(path)} is not valid JSON: {exc}") from None
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte, or a name the OS cannot encode
-        raise BadConfig(f"{key}: cannot read {path}: {exc}") from None
+        raise BadConfig(f"{key}: cannot read {printable(path)}: {exc}") from None

@@ -144,9 +144,9 @@ def seed_states(words: np.ndarray) -> np.ndarray:
 
 def episode_seeds(prefix: Sequence[int], episodes: np.ndarray, streams: int) -> np.ndarray:
     """The seed rows of ``streams`` streams per episode, hashed in one pass:
-    a read-only (n * streams, 4) uint64 array whose row ``e * streams + s``
-    is the PCG64 state of ``default_rng([*prefix, *episodes[e], s])``, so
-    ``stream(PrecomputedSeed(row))`` is that stream.
+    a read-only (n, streams, 4) uint64 array whose row ``[e, s]`` is the
+    PCG64 state of ``default_rng([*prefix, *episodes[e], s])``, so
+    ``stream(PrecomputedSeed(seeds[e, s]))`` is that stream.
 
     ``episodes`` is an (n, m) array of each episode's words, each in
     [0, 2**32). A prefix int is split into little-endian 32-bit words, as
@@ -165,7 +165,7 @@ def episode_seeds(prefix: Sequence[int], episodes: np.ndarray, streams: int) -> 
     words[:, :len(head)] = head
     words[:, len(head):-1] = np.repeat(episodes, streams, axis=0)
     words[:, -1] = np.tile(np.arange(streams), n)
-    states = seed_states(words)
+    states = seed_states(words).reshape(n, streams, _POOL_SIZE)
     states.flags.writeable = False  # PCG64 reads a row in place
     return states
 

@@ -145,11 +145,11 @@ def rollout_group(
     """G episodes of one task over derived seed streams, in rollout-index order.
 
     Rollout i uses env stream (base_seed, i, 0) and policy stream
-    (base_seed, i, 1): seed rows 2i and 2i + 1 of ``seeds``, the PCG64
-    states that ``episode_seeds`` hashes from those words. ``train`` hashes
-    them ahead for the first group of a block of iterations and once per
-    iteration for its branch groups, and this function for its group when
-    they are not given. The episodes are not independent: each routes on
+    (base_seed, i, 1): seed rows ``seeds[i, 0]`` and ``seeds[i, 1]``, the
+    PCG64 states that ``episode_seeds`` hashes from those words. ``train``
+    hashes them ahead for the first group of a block of iterations and once
+    per iteration for its branch groups, and this function for its group
+    when they are not given. The episodes are not independent: each routes on
     the metrics the earlier ones left in the shared ``registry`` and sees
     their ``ledger`` updates. They decide from one ``DecisionTable`` of
     ``theta``: ``table``, which ``train`` shares between all groups of an
@@ -163,8 +163,8 @@ def rollout_group(
         table = DecisionTable(theta, spec)
     episodes = []
     for i in range(group_size):
-        env = world.build_env(PrecomputedSeed(seeds[2 * i]))
-        rng = stream(PrecomputedSeed(seeds[2 * i + 1]))
+        env = world.build_env(PrecomputedSeed(seeds[i, 0]))
+        rng = stream(PrecomputedSeed(seeds[i, 1]))
         traj, outcome, steps = execute_episode(
             task, theta, spec, registry, router_weights, env, rng,
             max_steps=max_steps, table=table,
@@ -289,22 +289,20 @@ def train(
             words = np.column_stack((k + iteration + 1, np.zeros_like(i), i))
             first = episode_seeds([seed], words, 2)
         task = sample_task(world.generator, task_rng)
-        plans: list[tuple[TaskSpec, int, np.ndarray]] = [
-            (task, size, first[2 * size * at:2 * size * (at + 1)])]
+        plans: list[tuple[TaskSpec, np.ndarray]] = [(task, first[size * at:size * (at + 1)])]
         if pending_tasks:  # branch group gi = 1, 2, ...: words (k + 1, gi, i)
             g, i = np.divmod(np.arange(len(pending_tasks) * branch), branch)
             rows = episode_seeds([seed, iteration + 1], np.column_stack((g + 1, i)), 2)
-            plans += [(t, branch, rows[2 * branch * j:2 * branch * (j + 1)])
-                      for j, t in enumerate(pending_tasks)]
+            plans += [(t, rows[branch * j:branch * (j + 1)]) for j, t in enumerate(pending_tasks)]
         pending_tasks = []
         table = DecisionTable(theta, spec)  # every group of the iteration decides under theta
 
         groups: list[RolloutGroup] = []
         updates: list[tuple[list[StepRecord], list[float]]] = []
         triggers = 0
-        for gi, (task, group_size, seeds) in enumerate(plans):
+        for gi, (task, seeds) in enumerate(plans):
             group = rollout_group(
-                task, theta, spec, registry, router_weights, group_size, world,
+                task, theta, spec, registry, router_weights, len(seeds), world,
                 [seed, iteration + 1, gi], reward_weights, spec.max_steps, ledger,
                 seeds=seeds, table=table,
             )
@@ -386,15 +384,14 @@ def evaluate_policy(
     table = DecisionTable(theta, spec)
     # env stream (seed, 3, i, 0) and, unless greedy, policy stream (seed, 3, i, 1):
     # a greedy episode draws nothing from its policy stream
-    streams = 1 if greedy else 2
     for i in range(n_episodes):
-        row = (i % SEED_BLOCK) * streams
-        if row == 0:
+        at = i % SEED_BLOCK
+        if at == 0:
             block = np.arange(i, min(i + SEED_BLOCK, n_episodes))
-            seeds = episode_seeds([seed, 3], block[:, None], streams)
+            seeds = episode_seeds([seed, 3], block[:, None], 1 if greedy else 2)
         task = sample_task(world.generator, task_rng)
-        env = world.build_env(PrecomputedSeed(seeds[row]))
-        rng = None if greedy else stream(PrecomputedSeed(seeds[row + 1]))
+        env = world.build_env(PrecomputedSeed(seeds[at, 0]))
+        rng = None if greedy else stream(PrecomputedSeed(seeds[at, 1]))
         traj, outcome, _ = execute_episode(
             task, theta, spec, registry, router_weights, env, rng,
             max_steps=max_steps, greedy=greedy, table=table,

@@ -11,7 +11,7 @@ import pytest
 from agentmesh import cli
 from agentmesh.cli import main
 from agentmesh.config import MAX_STEPS_LIMIT, load_config
-from agentmesh.policy import Decision, load_checkpoint, save_checkpoint
+from agentmesh.policy import Decision, load_checkpoint, save_checkpoint, sft_update
 from agentmesh.simenv import MAX_LATENCY_MS
 from agentmesh.trainer import MAX_EVAL_EPISODES
 
@@ -431,6 +431,21 @@ def test_train_checks_its_outputs_before_the_first_iteration(tmp_path, capsys, a
         assert (out / other).read_text() == "earlier run\n"
     else:
         assert not (out / other).exists()
+
+
+def test_sft_checks_its_output_before_the_first_step(tmp_path, capsys, monkeypatch):
+    (tmp_path / "file").write_text("")
+    steps = []
+
+    def counting(*args):
+        steps.append(args)
+        return sft_update(*args)
+
+    monkeypatch.setattr(cli, "sft_update", counting)
+    code = main(["sft", "--set", "sft.steps=50", "--out", str(tmp_path / "file" / "out")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: out_dir: cannot create ")
+    assert not steps
 
 
 @pytest.mark.parametrize("argv", [["eval", "--episodes", "abc"], ["run", "--seed", "x"],

@@ -174,7 +174,11 @@ FILE_CASES = {
         [{**AGENT, "cost": float("nan")}], "registry_cards[0].cost: must be finite"),
     "card file path with a NUL byte": (
         {"task_classes": [TASK], "registry_cards": "x\0y.json", "agents": [AGENT]},
-        None, "registry_cards: cannot read x\0y.json: embedded null byte"),
+        None, "registry_cards: cannot read x\\x00y.json: embedded null byte"),
+    # the path prints escaped, so that the error stays on one line
+    "card file path with a newline": (
+        {"task_classes": [TASK], "registry_cards": "a\nb.json", "agents": [AGENT]},
+        None, "registry_cards: cannot read a\\nb.json: "),
 }
 
 
@@ -199,7 +203,7 @@ def test_an_out_dir_with_a_nul_byte_is_a_config_error(command, source, tmp_path,
     args = (["--config", "config.json"] if source == "config file"
             else ["--set", 'out_dir="x\\u0000y"'])
     assert_config_error(main([*command, *args]), capsys.readouterr().err,
-                        "out_dir: cannot create x\0y: embedded null byte")
+                        "out_dir: cannot create x\\x00y: embedded null byte")
 
 
 @pytest.mark.parametrize("key, message", [
@@ -300,6 +304,8 @@ INPUT_CASES = {
                            "override 'foo' is not of the form key=value"),
     "out_dir inside a file": (["run", "--out", "file/out"], {"file": ""},
                               "out_dir: cannot create file/out"),
+    "out_dir with a newline inside a file": (["run", "--out", "file/a\nb"], {"file": ""},
+                                             "out_dir: cannot create file/a\\nb: "),
 }
 
 

@@ -1,6 +1,10 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+starting the command line imports no more than it needs."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -63,3 +67,18 @@ def test_every_imported_name_is_used(module):
 ])
 def test_the_check_finds_exactly_the_unread_names(source, unused):
     assert unused_imports(source) == unused
+
+
+def test_starting_and_loading_a_config_do_not_import_numpy_random():
+    # numpy.random adds about 20 ms to each start; simenv imports it on
+    # first use. A fresh interpreter, since the suite has imported it.
+    code = ("import sys\n"
+            "import agentmesh.cli\n"
+            "from agentmesh.config import load_config\n"
+            "load_config()\n"
+            "print('numpy.random' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"

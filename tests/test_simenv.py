@@ -210,7 +210,7 @@ class TestSeedStates:
         seeds = episode_seeds(prefix, np.array(episodes, dtype=np.uint32), streams)
         for e, episode in enumerate(episodes):
             for s in range(streams):
-                ours = stream(PrecomputedSeed(seeds[e * streams + s]))
+                ours = stream(PrecomputedSeed(seeds[e, s]))
                 theirs = np.random.default_rng([*prefix, *episode, s])
                 assert ours.bit_generator.state == theirs.bit_generator.state
 
@@ -219,9 +219,14 @@ class TestSeedStates:
         episodes = np.arange(2 * n, dtype=np.uint32).reshape(n, 2)
         seeds = episode_seeds([7], episodes, streams)
         assert type(seeds) is np.ndarray
-        assert seeds.shape == (n * streams, 4) and seeds.dtype == np.uint64
+        assert seeds.shape == (n, streams, 4) and seeds.dtype == np.uint64
         with pytest.raises(ValueError):
-            seeds[-1, 0] = 1
+            seeds[-1, 0, 0] = 1
+        for e, episode in enumerate(episodes):  # one row per (episode, stream)
+            for s in range(streams):
+                words = [7, *map(int, episode), s]
+                assert np.array_equal(seeds[e, s],
+                                      np.random.SeedSequence(words).generate_state(4, np.uint64))
 
     def test_a_negative_seed_is_rejected_as_default_rng_rejects_it(self):
         with pytest.raises(ValueError):

@@ -466,7 +466,7 @@ class TestSeedBlocks:
             groups.add(gi)
             for i in range(group_size):
                 for s in range(2):
-                    drawn.append(stream(PrecomputedSeed(seeds[2 * i + s])).random(3).tobytes())
+                    drawn.append(stream(PrecomputedSeed(seeds[i, s])).random(3).tobytes())
                     words = [seed, k + 1, gi, i, s]
                     expected.append(np.random.default_rng(words).random(3).tobytes())
             return rollout_group(task, theta, spec, registry, router_weights, group_size,
@@ -551,6 +551,30 @@ class TestRolloutGroup:
         table = DecisionTable(theta, spec)
         assert run(table=table) == own
         assert run(table=table) == own  # from the rows the first group filled
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), tail=st.lists(st.integers(0, 2**32 - 1), max_size=2),
+           size=st.integers(2, 6), in_rows=st.booleans())
+    def test_given_rows_give_the_episodes_of_its_own_rows(self, seed, tail, size, in_rows):
+        # train hashes a group's rows ahead, with the words after the seed in
+        # each row's words rather than in the prefix: the rows must not differ
+        world = preset_case_study()
+        spec = default_policy_spec(world, max_steps=4)
+        theta = np.random.default_rng(2).normal(size=(spec.num_actions, spec.encoded_dim))
+        task = sample_task(world.generator, np.random.default_rng(0))
+        base_seed = [seed, *tail]
+
+        def run(**kwargs):
+            return rollout_group(task, theta, spec, world.build_registry(), WEIGHTS, size,
+                                 world, base_seed, REWARDS, 4, NoveltyLedger(),
+                                 **kwargs).episodes
+
+        if in_rows:
+            words = np.column_stack([np.full(size, w) for w in tail] + [np.arange(size)])
+            seeds = episode_seeds([seed], words, 2)
+        else:
+            seeds = episode_seeds(base_seed, np.arange(size)[:, None], 2)
+        assert run(seeds=seeds) == run()
 
     def test_a_table_of_a_copy_of_theta_is_rejected(self, world, spec):
         theta = spec.zero_params()
