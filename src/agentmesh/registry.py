@@ -3,16 +3,19 @@
 Agents are described by unified cards regardless of which interoperability
 protocol they were announced on; the config loader reads each protocol's
 spelling of a card (``config.CARD_SPELLINGS``). Discovery is by action type,
-never by identity, through an index per action type that is rebuilt after a
-card supporting it is registered. Once routed, an index also keeps every
-card's routing score for the weights it was last routed with.
+never by identity, and returns the registry's live list of that type's
+cards, built on the first ``discover`` after a card supporting it is
+registered. The list stays valid, and current, until the next
+``register_card`` of its action type; callers must not mutate it. Once
+routed, it also keeps every card's routing score under the weights it was
+last routed with. Nothing is locked: a registry is not safe to share across
+threads.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from bisect import bisect_left
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -82,87 +85,72 @@ def score(metrics: AgentMetrics, weights: RoutingWeights, cost: float = 0.0) -> 
     )
 
 
-class Candidates(list):
-    """What ``discover`` returns: the ``(card, metrics)`` pairs, ascending by
-    card id, and when asked with weights each pair's ``score`` as ``scores``,
-    a float64 array in the same order."""
-
-    scores: np.ndarray | None = None
-
-
 def _card_id(entry: tuple[AgentCard, AgentMetrics]) -> str:
     return entry[0].card_id
 
 
-class _ActionIndex:
-    """The entries of one action type's cards, ascending by card id, and
-    once routed the score of each card under ``weights``, the weights of the
-    last scored ``discover`` (one slot, kept by identity: other weights score the set afresh)."""
+class Candidates(list):
+    """What ``discover`` returns: the registry's live list of one action
+    type's ``(card, metrics)`` pairs, ascending by card id. Callers must not
+    mutate it, nor share it across threads.
 
-    def __init__(self, entries: list[tuple[AgentCard, AgentMetrics]]):
-        entries.sort(key=_card_id)
-        self.entries = entries
+    ``update_metrics`` writes a card's new pair, and its new score, at its
+    row ``rows[card_id]``. A ``register_card`` of the type retires the list,
+    which keeps its pairs, and the next ``discover`` builds a new one. Once
+    ``discover`` is asked with weights, ``scores`` holds each pair's
+    ``score`` under ``weights``, those of the last scored ``discover`` (kept
+    by identity), as a float64 array in the same order.
+    """
+
+    def __init__(self, entries: Iterable[tuple[AgentCard, AgentMetrics]]):
+        super().__init__(sorted(entries, key=_card_id))
+        self.rows = {card.card_id: row for row, (card, _) in enumerate(self)}
         self.weights = self.scores = None
-
-    def put(self, entry: tuple[AgentCard, AgentMetrics]) -> None:
-        """Replace the entry of a card the index holds, and its score."""
-        row = bisect_left(self.entries, entry[0].card_id, key=_card_id)
-        self.entries[row] = entry
-        if self.scores is not None:
-            card, m = entry
-            self.scores[row] = score(m, self.weights, cost=card.cost)
-
-    def candidates(self, weights: RoutingWeights | None) -> Candidates:
-        found = Candidates(self.entries)
-        if weights is not None:
-            if weights is not self.weights:
-                self.scores = np.array([score(m, weights, cost=c.cost) for c, m in self.entries])
-                self.weights = weights
-            found.scores = self.scores.copy()
-        return found
 
 
 class Registry:
     """Card store with action-type discovery and EWMA metric tracking.
 
-    Every operation, reads included, holds one lock, so operations from
-    several threads are serialized and no read sees a half-done mutation.
-    ``_entries`` owns each card's entry; ``_indexes`` holds an index of them
-    per action type, dropped when a card of that type is registered and
-    built again by the next ``discover`` of the type. An index keeps its
-    cards' scores under the weights of its last scored ``discover``, and
-    ``update_metrics`` rescores just the card it changed. The kept scores
-    are reused only when the same ``RoutingWeights`` object is passed
-    again; an equal but distinct object scores the whole set afresh.
+    ``_entries`` owns each card's entry; ``_indexes`` holds the live
+    ``Candidates`` of each action type, which ``discover`` returns and
+    callers must not mutate. A list is dropped when a card of its type is
+    registered and built again by the next ``discover`` of the type. It
+    keeps its cards' scores under the weights of its last scored
+    ``discover``; only the same ``RoutingWeights`` object reuses them, and
+    ``update_metrics`` rescores just the card it changed. Nothing is locked,
+    so a registry is not safe to share across threads.
     """
 
     def __init__(self):
         self._entries: dict[str, tuple[AgentCard, AgentMetrics]] = {}
-        self._indexes: dict[str, _ActionIndex] = {}
-        self._lock = threading.Lock()
+        self._indexes: dict[str, Candidates] = {}
 
     def register_card(self, card: AgentCard, initial_metrics: AgentMetrics | None = None) -> str:
         if not card.supported_actions:
             raise EmptyActions(f"card {card.card_id!r} declares no supported actions")
-        with self._lock:
-            if card.card_id in self._entries:
-                raise DuplicateId(f"card id {card.card_id!r} already registered")
-            self._entries[card.card_id] = (card, initial_metrics or _NO_METRICS)
-            for action_type in card.supported_actions:
-                self._indexes.pop(action_type, None)
+        if card.card_id in self._entries:
+            raise DuplicateId(f"card id {card.card_id!r} already registered")
+        self._entries[card.card_id] = (card, initial_metrics or _NO_METRICS)
+        for action_type in card.supported_actions:
+            self._indexes.pop(action_type, None)
         return card.card_id
 
     def discover(self, action_type: str, weights: RoutingWeights | None = None) -> Candidates:
-        """All cards supporting ``action_type``, ascending by card_id; a
-        snapshot that later changes to the registry leave as it is. Given
-        ``weights``, it also carries every card's ``score``."""
-        with self._lock:
-            index = self._indexes.get(action_type)
-            if index is None:
-                index = self._indexes[action_type] = _ActionIndex(
-                    [entry for entry in self._entries.values()
-                     if action_type in entry[0].supported_actions])
-            return index.candidates(weights)
+        """All cards supporting ``action_type``, ascending by card_id: the
+        registry's live list, which callers must not mutate, valid until the
+        next ``register_card`` of the type. Given ``weights``, its ``scores``
+        hold every card's ``score`` under them, and follow the weights of the
+        last scored ``discover`` after that. Not safe to share across
+        threads."""
+        found = self._indexes.get(action_type)
+        if found is None:
+            found = self._indexes[action_type] = Candidates(
+                entry for entry in self._entries.values()
+                if action_type in entry[0].supported_actions)
+        if weights is not None and weights is not found.weights:
+            found.scores = np.array([score(m, weights, cost=c.cost) for c, m in found])
+            found.weights = weights
+        return found
 
     def update_metrics(self, card_id: str, latency_ms: float, success: bool,
                        load_now: float) -> AgentMetrics:
@@ -170,23 +158,27 @@ class Registry:
 
         Latency and accuracy follow an EWMA with factor ``EWMA_ALPHA``; the
         first observation overwrites the configured prior entirely. Load is a
-        point measurement and is replaced, not smoothed.
+        point measurement and is replaced, not smoothed. The new pair, and its
+        score, go to the card's row of each live list that holds it.
         """
-        with self._lock:
-            try:
-                card, prev = self._entries[card_id]
-            except KeyError:
-                raise UnknownCard(f"card id {card_id!r} is not registered") from None
-            a = 1.0 if prev.sample_count == 0 else EWMA_ALPHA
-            observed_acc = 1.0 if success else 0.0
-            updated = AgentMetrics(
-                load=min(max(load_now, 0.0), 1.0),
-                historical_accuracy=(1 - a) * prev.historical_accuracy + a * observed_acc,
-                avg_latency_ms=(1 - a) * prev.avg_latency_ms + a * latency_ms,
-                sample_count=prev.sample_count + 1,
-            )
-            self._entries[card_id] = (card, updated)
-            for action_type in card.supported_actions:
-                if action_type in self._indexes:
-                    self._indexes[action_type].put((card, updated))
-            return updated
+        try:
+            card, prev = self._entries[card_id]
+        except KeyError:
+            raise UnknownCard(f"card id {card_id!r} is not registered") from None
+        a = 1.0 if prev.sample_count == 0 else EWMA_ALPHA
+        observed_acc = 1.0 if success else 0.0
+        updated = AgentMetrics(
+            load=min(max(load_now, 0.0), 1.0),
+            historical_accuracy=(1 - a) * prev.historical_accuracy + a * observed_acc,
+            avg_latency_ms=(1 - a) * prev.avg_latency_ms + a * latency_ms,
+            sample_count=prev.sample_count + 1,
+        )
+        entry = self._entries[card_id] = (card, updated)
+        for action_type in card.supported_actions:
+            found = self._indexes.get(action_type)
+            if found is not None:
+                row = found.rows[card_id]
+                found[row] = entry
+                if found.scores is not None:
+                    found.scores[row] = score(updated, found.weights, cost=card.cost)
+        return updated

@@ -3,9 +3,11 @@
 Candidates are discovered by action type and ranked by a weighted combination
 of load headroom, historical accuracy, and normalized latency. Ties break on
 the lexicographically smallest card id, so identical inputs always select the
-same agent. The candidates come with their scores, which the registry
-computes the first time it is asked with these weights and then rescores
-card by card as metrics change.
+same agent. The candidates are the registry's live list, not a copy, and
+come with their scores, which the registry computes the first time it is
+asked with these weights and then rescores card by card, at the card's row,
+as metrics change. Like the registry, routing is not safe to share across
+threads.
 """
 
 from __future__ import annotations

@@ -399,6 +399,10 @@ def preset_case_study(
         raise BadConfig("case-study preset takes exactly three class probabilities")
     if not 0.0 <= agent_success <= 1.0:
         raise BadConfig("agent_success must be in [0, 1]")
+    # so that the protocol-query agent's 1.2 × stays within MAX_LATENCY_MS
+    if not 0 < latency_base_ms <= MAX_LATENCY_MS / 1.2:
+        raise BadConfig(f"latency_base_ms {latency_base_ms!r} must be in "
+                        f"(0, {MAX_LATENCY_MS / 1.2!r}]")
     na_card = AgentCard("na-agent", "native", frozenset({ACTION_NETWORK_ANALYSIS}),
                         endpoint="sim://na-agent")
     pq_card = AgentCard("pq-agent", "native", frozenset({ACTION_PROTOCOL_QUERY}),

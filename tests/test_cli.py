@@ -335,12 +335,14 @@ class TestLatencyBound:
     @pytest.mark.parametrize("command", ["run", "sft", "train", "eval"])
     @pytest.mark.parametrize("key, value, error", [
         ("env.latency_base_ms", "1e308",
-         "env: latency_base_ms 1e+308 of card 'na-agent' must be in (0, 1e+09]"),
+         "env: latency_base_ms 1e+308 must be in (0, 833333333.3333334]"),
         ("env.latency_jitter_ms", "1000000001.0",
          "env: latency_jitter_ms 1000000001.0 of card 'na-agent' must be in [0, 1e+09]"),
-        # the protocol-query agent's base latency is 1.2 times the preset's
+        # the protocol-query agent's base latency is 1.2 times the preset's,
+        # so the preset's bound is MAX_LATENCY_MS / 1.2, and the error names
+        # the value the user wrote
         ("env.latency_base_ms", "900000000.0",
-         "env: latency_base_ms 1080000000.0 of card 'pq-agent' must be in (0, 1e+09]"),
+         "env: latency_base_ms 900000000.0 must be in (0, 833333333.3333334]"),
     ])
     def test_a_preset_latency_above_the_bound_names_its_key(self, tmp_path, capsys, command,
                                                            key, value, error):

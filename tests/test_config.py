@@ -300,6 +300,10 @@ INPUT_CASES = {
                              "checkpoint: ckpt.json is not valid JSON"),
     "dataset not UTF-8": (SFT, {"data.jsonl": b'{"last_outcome": "caf\xe9"}\n'},
                           "bad dataset line 1: 'utf-8' codec can't decode byte 0xe9"),
+    # the preset builds the protocol-query agent at 1.2 times this value
+    "preset latency whose 1.2 times exceeds the bound": (
+        ["run", "--set", "env.latency_base_ms=9e8"], {},
+        "env: latency_base_ms 900000000.0 must be in (0, 833333333.3333334]"),
     "override without =": (["run", "--set", "foo"], {},
                            "override 'foo' is not of the form key=value"),
     "out_dir inside a file": (["run", "--out", "file/out"], {"file": ""},

@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-starting the command line imports no more than it needs."""
+"""Every name a module of the package imports is used in that module, the
+package starts no thread or process, and starting the command line imports
+no more than it needs."""
 
 import ast
 import os
@@ -67,6 +68,45 @@ def test_every_imported_name_is_used(module):
 ])
 def test_the_check_finds_exactly_the_unread_names(source, unused):
     assert unused_imports(source) == unused
+
+
+# The registry and the decision table take no lock: they rely on this.
+CONCURRENCY = {"threading", "_thread", "multiprocessing", "concurrent"}
+
+
+def concurrency_imports(source: str) -> list[tuple[int, str]]:
+    """The line and module of each import in ``source`` of a module that
+    starts threads or processes."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if name.partition(".")[0] in CONCURRENCY]
+    return found
+
+
+@pytest.mark.parametrize("module", MODULES, ids=[m.name for m in MODULES])
+def test_no_module_imports_threads_or_processes(module):
+    found = [f"{name} (line {line})" for line, name in concurrency_imports(module.read_text())]
+    assert not found, (f"{module.name} imports {', '.join(found)}; the registry's docstrings "
+                       "say it is not safe to share across threads, so revisit it first")
+
+
+@pytest.mark.parametrize("source, found", [
+    ("import threading\n", [(1, "threading")]),
+    ("import os, _thread\n", [(1, "_thread")]),
+    ("from concurrent.futures import ThreadPoolExecutor\n", [(1, "concurrent.futures")]),
+    ("def f():\n    import multiprocessing.pool\n", [(2, "multiprocessing.pool")]),
+    ("from . import threading\n", []),
+    ("import threadpoolctl\n", []),
+])
+def test_the_concurrency_check_finds_exactly_those_imports(source, found):
+    assert concurrency_imports(source) == found
 
 
 def test_starting_and_loading_a_config_do_not_import_numpy_random():

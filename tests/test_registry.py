@@ -1,7 +1,3 @@
-import sys
-import threading
-import time
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -76,19 +72,67 @@ class TestDiscover:
         assert scored == found
         assert scored.scores.tolist() == [score(m, weights, cost=c.cost) for c, m in found]
 
+    def test_discover_returns_the_same_list_until_a_registration(self):
+        reg = Registry()
+        reg.register_card(card("na-1"))
+        weights = RoutingWeights()
+        found = reg.discover("network_analysis")
+        assert reg.discover("network_analysis", weights) is found
+        reg.update_metrics("na-1", latency_ms=30.0, success=True, load_now=0.5)
+        assert reg.discover("network_analysis", weights) is found
+        reg.register_card(card("pq-1", actions=("protocol_query",)))
+        assert reg.discover("network_analysis") is found
+
     @pytest.mark.parametrize("n_cards", [1, 100])
-    def test_scores_are_a_snapshot(self, n_cards):
+    def test_a_held_list_shows_each_update_at_its_row(self, n_cards):
         reg = Registry()
         for i in range(n_cards):
             reg.register_card(card(f"na-{i:03d}"))
-        weights = RoutingWeights()
+        weights = RoutingWeights(w_cost=0.5)
         found = reg.discover("network_analysis", weights)
-        kept = found.scores.copy()
-        reg.update_metrics("na-000", latency_ms=300.0, success=False, load_now=0.9)
-        reg.register_card(card("na-000x"))
-        assert np.array_equal(found.scores.view(np.uint64), kept.view(np.uint64))
-        # the update did move the registry's score of na-000
-        assert reg.discover("network_analysis", weights).scores[0] < kept[0]
+        row = n_cards // 2
+        cid = found[row][0].card_id
+        got = reg.update_metrics(cid, latency_ms=300.0, success=False, load_now=0.9)
+        assert found[row] == (card(cid), got)
+        assert float(found.scores[row]).hex() == score(got, weights).hex()
+        assert found.scores.tolist() == [score(m, weights, cost=c.cost) for c, m in found]
+
+    def test_a_card_of_two_action_types_is_rescored_at_its_row_in_each(self):
+        reg = Registry()
+        for cid in ("a-1", "a-2", "a-3"):
+            reg.register_card(card(cid, actions=("network_analysis",)))
+        reg.register_card(card("z-1", actions=("protocol_query",)))
+        both = card("m-1", actions=("network_analysis", "protocol_query"))
+        reg.register_card(both)
+        weights = RoutingWeights()
+        lists = [reg.discover(action, weights) for action in ("network_analysis", "protocol_query")]
+        assert [lst.rows["m-1"] for lst in lists] == [3, 0]
+        before = [(list(lst), lst.scores.copy()) for lst in lists]
+        got = reg.update_metrics("m-1", latency_ms=250.0, success=False, load_now=0.7)
+        for lst, (pairs, scores) in zip(lists, before):
+            row = lst.rows["m-1"]
+            assert lst[row] == (both, got)
+            assert float(lst.scores[row]).hex() == score(got, weights).hex()
+            others = [i for i in range(len(lst)) if i != row]
+            assert [lst[i] for i in others] == [pairs[i] for i in others]
+            assert np.array_equal(lst.scores[others].view(np.uint64),
+                                  scores[others].view(np.uint64))
+
+    def test_a_registration_retires_a_held_list(self):
+        reg = Registry()
+        for cid in ("na-1", "na-3"):
+            reg.register_card(card(cid))
+        weights = RoutingWeights()
+        held = reg.discover("network_analysis", weights)
+        pairs, scores = list(held), held.scores.copy()
+        reg.register_card(card("na-2"))
+        reg.update_metrics("na-1", latency_ms=300.0, success=False, load_now=0.9)
+        assert list(held) == pairs and np.array_equal(held.scores, scores)
+        found = reg.discover("network_analysis", weights)
+        assert found is not held
+        assert [c.card_id for c, _ in found] == ["na-1", "na-2", "na-3"]
+        assert found[0][1].sample_count == 1
+        assert found.scores.tolist() == [score(m, weights) for _, m in found]
 
 
 class TestUpdateMetrics:
@@ -141,92 +185,3 @@ def test_discover_always_sorted_without_duplicates(entries):
         ids = [c.card_id for c, _ in reg.discover(action)]
         assert ids == sorted(ids)
         assert len(ids) == len(set(ids))
-
-
-# Fresh ids that a writer thread registers in this order; they sort after
-# the "na-" ids that a test registers first.
-TEMPS = [f"temp-{i:05d}" for i in range(1000)]
-
-
-def register_temps(reg, stop, errors):
-    try:
-        for cid in TEMPS:
-            if stop.is_set():
-                return
-            reg.register_card(card(cid))
-    except Exception as exc:
-        errors.append(exc)
-
-
-def assert_stable_then_temps(found, stable):
-    """``found`` holds the ``stable`` ids and then an in-order prefix of TEMPS."""
-    ids = [c.card_id for c, _ in found]
-    assert ids[:len(stable)] == stable
-    assert ids[len(stable):] == TEMPS[:len(ids) - len(stable)]
-
-
-def test_discover_while_another_thread_registers():
-    reg = Registry()
-    stable = [f"na-{i:02d}" for i in range(20)]
-    for cid in stable:
-        reg.register_card(card(cid))
-    stop = threading.Event()
-    writer_errors = []
-    writer = threading.Thread(target=register_temps, args=(reg, stop, writer_errors))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # interleave the threads often
-    try:
-        writer.start()
-        deadline = time.monotonic() + 60
-        while writer.is_alive() and time.monotonic() < deadline:
-            assert_stable_then_temps(reg.discover("network_analysis"), stable)
-    finally:
-        stop.set()
-        writer.join(timeout=60)
-        sys.setswitchinterval(interval)
-    assert not writer.is_alive()
-    assert writer_errors == []
-    assert [c.card_id for c, _ in reg.discover("network_analysis")] == stable + TEMPS
-
-
-def test_wide_discover_while_other_threads_churn_and_update_metrics():
-    # Each scored discover() result's scores must be those of its own pairs,
-    # whatever a registering and a metric-updating thread do meanwhile.
-    reg = Registry()
-    weights = RoutingWeights()
-    stable = [f"na-{i:03d}" for i in range(90)]
-    for cid in stable:
-        reg.register_card(card(cid))
-    stop = threading.Event()
-    errors = []
-
-    def update():
-        try:
-            for i in range(20_000):
-                if stop.is_set():
-                    return
-                reg.update_metrics(stable[i % len(stable)], latency_ms=float(i % 97),
-                                   success=i % 3 > 0, load_now=(i % 11) / 10)
-        except Exception as exc:
-            errors.append(exc)
-
-    writers = [threading.Thread(target=register_temps, args=(reg, stop, errors)),
-               threading.Thread(target=update)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # interleave the threads often
-    try:
-        for writer in writers:
-            writer.start()
-        deadline = time.monotonic() + 60
-        while any(w.is_alive() for w in writers) and time.monotonic() < deadline:
-            found = reg.discover("network_analysis", weights)
-            assert_stable_then_temps(found, stable)
-            assert found.scores.tolist() == [score(m, weights, cost=c.cost) for c, m in found]
-    finally:
-        stop.set()
-        for writer in writers:
-            writer.join(timeout=60)
-        sys.setswitchinterval(interval)
-    assert not any(w.is_alive() for w in writers)
-    assert errors == []
-    assert [c.card_id for c, _ in reg.discover("network_analysis")] == stable + TEMPS
