@@ -24,7 +24,7 @@ from .orchestrator import execute_episode, make_warmup_dataset
 from .policy import (diverged, load_checkpoint, load_sft_dataset, save_checkpoint, sft_loss,
                      sft_update)
 from .rewards import NoveltyLedger, episode_reward, scalarize
-from .simenv import GeneratorConfig, sample_task, stream
+from .simenv import GeneratorConfig, sample_task
 from .trainer import MAX_EVAL_EPISODES, evaluate_policy, train
 from .trajectory import to_log_record
 
@@ -129,10 +129,10 @@ def cmd_run(args) -> int:
                        for c in generator.classes)
         generator = GeneratorConfig(classes=forced)
 
-    task = sample_task(generator, stream([cfg.seed, 2]))
+    task = sample_task(generator, np.random.default_rng([cfg.seed, 2]))
     registry = cfg.world.build_registry()
     env = cfg.world.build_env([cfg.seed, 3, 0])
-    rng = stream([cfg.seed, 3, 1])
+    rng = np.random.default_rng([cfg.seed, 3, 1])
     traj, outcome, _ = execute_episode(
         task, theta, cfg.policy_spec, registry, cfg.router_weights, env, rng)
     vector = episode_reward(traj, outcome, task, cfg.max_steps, NoveltyLedger())
@@ -169,7 +169,7 @@ def cmd_sft(args) -> int:
         samples = load_sft_dataset(args.dataset, cfg.policy_spec)
     else:
         samples = make_warmup_dataset(cfg.world.generator, cfg.policy_spec, 200,
-                                      stream([cfg.seed, 4]))
+                                      np.random.default_rng([cfg.seed, 4]))
     if not samples:
         raise BadDataset(0, "dataset is empty")
     theta = _theta(cfg, args.checkpoint)

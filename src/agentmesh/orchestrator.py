@@ -220,20 +220,20 @@ def execute_episode(
         total_latency += response.latency_ms
         try:
             # a malformed reply raises here and leaves the trajectory unchanged
-            traj.insert_agent_response(card_id, response.raw_tokens)
-            traj.append_system([SYS_AGENT_SUCCESS if response.succeeded else SYS_AGENT_FAILURE])
-            malformed = False
+            span = traj.insert_agent_response(card_id, response.raw_tokens)
         except MalformedAgentResponse:
-            malformed = True
+            span = None
         # a malformed reply is a failed call, so routing learns of it too
-        registry.update_metrics(card_id, response.latency_ms, response.succeeded and not malformed,
+        registry.update_metrics(card_id, response.latency_ms,
+                                response.succeeded and span is not None,
                                 load_now=env.loads.get(card_id, 0.0))
-        if malformed:
+        if span is None:
             failure = FailureReport(MALFORMED_AGENT_RESPONSE)
             break
+        traj.append_system([SYS_AGENT_SUCCESS if response.succeeded else SYS_AGENT_FAILURE])
         if response.succeeded:
             # the informative span is a single answer token by construction
-            relay_source = traj.segments[-2].tokens[-1]
+            relay_source = span[-1]
             last_outcome = OUTCOME_AGENT_SUCCESS
         else:
             last_outcome = OUTCOME_AGENT_FAILURE

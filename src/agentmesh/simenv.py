@@ -2,10 +2,10 @@
 
 Agent latencies are simulated, not measured, and all randomness is seeded,
 so a (seed, config) pair reproduces every task and agent response
-bit-for-bit. Every stream is ``np.random.default_rng(seed words)``. A seed
-row is the 4-word uint64 PCG64 state that ``SeedSequence(words)`` generates:
-``episode_seeds`` hashes the rows of many streams in one pass, and
-``stream(PrecomputedSeed(row))`` is the stream of the row's words.
+bit-for-bit. Every stream is ``np.random.default_rng(seed)``, where a seed
+is words or an ``episode_seeds`` seed: that hashes the words of many streams
+in one pass into the PCG64 state ``SeedSequence(words)`` generates, which
+``default_rng`` takes without hashing again.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ def _register_seed_class() -> None:
 
 
 class PrecomputedSeed:
-    """A seed row as the ``SeedSequence(words)`` it was hashed from: an
+    """The PCG64 state that ``SeedSequence(words)`` generates, as an
     ``ISeedSequence`` that ``PCG64`` and ``default_rng`` take, building the
     generator ``default_rng(words)`` builds without hashing again. It
     answers only PCG64's request for its state."""
@@ -72,19 +72,10 @@ class PrecomputedSeed:
     def generate_state(self, n_words, dtype=np.uint32):
         if n_words == _POOL_SIZE and np.dtype(dtype) == np.uint64:
             return self.state
-        raise ValueError("a seed row holds only PCG64's state: 4 uint64 words")
+        raise ValueError("a precomputed seed holds only PCG64's state: 4 uint64 words")
 
 
 Seed = int | Sequence[int] | PrecomputedSeed
-
-
-def stream(seed: Seed) -> np.random.Generator:
-    """``np.random.default_rng(seed)``. A ``PrecomputedSeed`` goes to
-    ``PCG64`` directly, which is what ``default_rng`` builds from it,
-    without its argument checks."""
-    if type(seed) is PrecomputedSeed:
-        return np.random.Generator(np.random.PCG64(seed))
-    return np.random.default_rng(seed)
 
 
 @cache
@@ -142,15 +133,16 @@ def seed_states(words: np.ndarray) -> np.ndarray:
     return state.astype("<u4", copy=False).view("<u8").astype(np.uint64)
 
 
-def episode_seeds(prefix: Sequence[int], episodes: np.ndarray, streams: int) -> np.ndarray:
-    """The seed rows of ``streams`` streams per episode, hashed in one pass:
-    a read-only (n, streams, 4) uint64 array whose row ``[e, s]`` is the
-    PCG64 state of ``default_rng([*prefix, *episodes[e], s])``, so
-    ``stream(PrecomputedSeed(seeds[e, s]))`` is that stream.
+def episode_seeds(prefix: Sequence[int], *axes: Sequence[int]) -> np.ndarray:
+    """The seeds of many streams, hashed in one pass: a read-only object
+    array shaped by the axes' lengths, whose element ``[j0, j1, ...]`` is
+    the seed of ``default_rng([*prefix, axes[0][j0], axes[1][j1], ...])``.
+    ``default_rng`` and ``WorldConfig.build_env`` take it as they take the
+    words.
 
-    ``episodes`` is an (n, m) array of each episode's words, each in
-    [0, 2**32). A prefix int is split into little-endian 32-bit words, as
-    ``SeedSequence`` splits it, so a seed of 2**32 or more keeps its stream.
+    Each axis word is in [0, 2**32). A prefix int is split into
+    little-endian 32-bit words, as ``SeedSequence`` splits it, so a seed of
+    2**32 or more keeps its stream.
     """
     head: list[int] = []
     for w in map(int, prefix):
@@ -160,14 +152,16 @@ def episode_seeds(prefix: Sequence[int], episodes: np.ndarray, streams: int) -> 
         while w > _MASK32:
             w >>= 32
             head.append(w & _MASK32)
-    n, m = episodes.shape
-    words = np.empty((n * streams, len(head) + m + 1), dtype=np.uint32)
-    words[:, :len(head)] = head
-    words[:, len(head):-1] = np.repeat(episodes, streams, axis=0)
-    words[:, -1] = np.tile(np.arange(streams), n)
-    states = seed_states(words).reshape(n, streams, _POOL_SIZE)
+    shape = tuple(map(len, axes))
+    words = np.empty((*shape, len(head) + len(axes)), dtype=np.uint32)
+    words[..., :len(head)] = head
+    for d, axis in enumerate(axes):  # axis d varies along dimension d
+        words[..., len(head) + d] = np.reshape(axis, (-1,) + (1,) * (len(axes) - 1 - d))
+    states = seed_states(words.reshape(-1, words.shape[-1]))
     states.flags.writeable = False  # PCG64 reads a row in place
-    return states
+    seeds = np.fromiter(map(PrecomputedSeed, states), object, len(states)).reshape(shape)
+    seeds.flags.writeable = False
+    return seeds
 
 
 def choice_cdf(probs: Sequence[float]) -> list[float]:
@@ -314,7 +308,7 @@ class SimEnv:
 
     @cached_property
     def rng(self) -> np.random.Generator:
-        return stream(self.seed)
+        return np.random.default_rng(self.seed)
 
     def invoke_agent(self, card_id: str, action_type: str, task: TaskSpec) -> AgentResponse:
         """Simulate one delegation round-trip for ``task``.

@@ -23,7 +23,7 @@ from .registry import Registry
 from .rewards import (NoveltyLedger, RewardVector, RewardWeights, accuracy_reward,
                       episode_reward, scalarize)
 from .router import RoutingWeights
-from .simenv import PrecomputedSeed, TaskSpec, WorldConfig, episode_seeds, sample_task, stream
+from .simenv import TaskSpec, WorldConfig, episode_seeds, sample_task
 from .trajectory import Trajectory
 
 ADVANTAGE_EPS = 1e-8
@@ -145,11 +145,11 @@ def rollout_group(
     """G episodes of one task over derived seed streams, in rollout-index order.
 
     Rollout i uses env stream (base_seed, i, 0) and policy stream
-    (base_seed, i, 1): seed rows ``seeds[i, 0]`` and ``seeds[i, 1]``, the
-    PCG64 states that ``episode_seeds`` hashes from those words. ``train``
-    hashes them ahead for the first group of a block of iterations and once
-    per iteration for its branch groups, and this function for its group
-    when they are not given. The episodes are not independent: each routes on
+    (base_seed, i, 1): seeds ``seeds[i, 0]`` and ``seeds[i, 1]``, which
+    ``episode_seeds`` hashes from those words. ``train`` hashes them ahead
+    for the first group of a block of iterations and once per iteration for
+    its branch groups, and this function for its group when they are not
+    given. The episodes are not independent: each routes on
     the metrics the earlier ones left in the shared ``registry`` and sees
     their ``ledger`` updates. They decide from one ``DecisionTable`` of
     ``theta``: ``table``, which ``train`` shares between all groups of an
@@ -158,13 +158,13 @@ def rollout_group(
     if group_size < 2:
         raise BadConfig("group_size must be >= 2")
     if seeds is None:
-        seeds = episode_seeds(base_seed, np.arange(group_size)[:, None], 2)
+        seeds = episode_seeds(base_seed, range(group_size), range(2))
     if table is None:
         table = DecisionTable(theta, spec)
     episodes = []
     for i in range(group_size):
-        env = world.build_env(PrecomputedSeed(seeds[i, 0]))
-        rng = stream(PrecomputedSeed(seeds[i, 1]))
+        env = world.build_env(seeds[i, 0])
+        rng = np.random.default_rng(seeds[i, 1])
         traj, outcome, steps = execute_episode(
             task, theta, spec, registry, router_weights, env, rng,
             max_steps=max_steps, table=table,
@@ -266,17 +266,17 @@ def train(
     ``checkpoint_callback(iteration, theta)`` is invoked every
     ``checkpoint_every`` iterations when configured. Rollout i of group gi
     at iteration k draws from streams (seed, k + 1, gi, i, 0 and 1). The
-    first group's size is fixed, so its streams are hashed for
-    ``SEED_BLOCK // group_size`` iterations (at least 1) in one pass; branch
-    groups exist only after a trigger, so theirs are hashed once per
-    iteration that has them.
+    first group's size is fixed, so one ``episode_seeds`` pass seeds it for
+    ``SEED_BLOCK // group_size`` iterations (at least 1), one iteration per
+    row; branch groups exist only after a trigger, so theirs are hashed
+    once per iteration that has them, one group per row.
     """
     cfg = trainer_config
     exploration = cfg.exploration or ExplorationConfig.defaults(spec.num_actions)
     theta = spec.zero_params() if initial_theta is None else np.array(initial_theta, dtype=float)
     registry = world.build_registry()
     ledger = NoveltyLedger()
-    task_rng = stream([seed, 0])
+    task_rng = np.random.default_rng([seed, 0])
     report = TrainingReport()
     pending_tasks: list[TaskSpec] = []
     size, branch = cfg.group_size, exploration.branch_factor
@@ -284,16 +284,15 @@ def train(
 
     for iteration in range(cfg.iterations):
         at = iteration % per_block
-        if at == 0:  # the first group's words (k + 1, 0, i) for the block's iterations k
-            k, i = np.divmod(np.arange(min(per_block, cfg.iterations - iteration) * size), size)
-            words = np.column_stack((k + iteration + 1, np.zeros_like(i), i))
-            first = episode_seeds([seed], words, 2)
+        if at == 0:  # the first group's words (k + 1, 0, i, s) for the block's iterations k
+            ks = range(iteration + 1, min(iteration + per_block, cfg.iterations) + 1)
+            first = episode_seeds([seed], ks, [0], range(size), range(2))
         task = sample_task(world.generator, task_rng)
-        plans: list[tuple[TaskSpec, np.ndarray]] = [(task, first[size * at:size * (at + 1)])]
-        if pending_tasks:  # branch group gi = 1, 2, ...: words (k + 1, gi, i)
-            g, i = np.divmod(np.arange(len(pending_tasks) * branch), branch)
-            rows = episode_seeds([seed, iteration + 1], np.column_stack((g + 1, i)), 2)
-            plans += [(t, rows[branch * j:branch * (j + 1)]) for j, t in enumerate(pending_tasks)]
+        plans: list[tuple[TaskSpec, np.ndarray]] = [(task, first[at, 0])]
+        if pending_tasks:  # branch group gi = 1, 2, ...: words (k + 1, gi, i, s)
+            branches = episode_seeds([seed, iteration + 1], range(1, len(pending_tasks) + 1),
+                                     range(branch), range(2))
+            plans += zip(pending_tasks, branches)
         pending_tasks = []
         table = DecisionTable(theta, spec)  # every group of the iteration decides under theta
 
@@ -375,7 +374,7 @@ def evaluate_policy(
     if not 1 <= n_episodes <= MAX_EVAL_EPISODES:
         raise BadConfig(f"n_episodes must be in [1, {MAX_EVAL_EPISODES}]")
     registry = world.build_registry()
-    task_rng = stream([seed, 2])
+    task_rng = np.random.default_rng([seed, 2])
     correct = 0
     latencies = np.empty(n_episodes)
     sla_violations = 0
@@ -387,11 +386,11 @@ def evaluate_policy(
     for i in range(n_episodes):
         at = i % SEED_BLOCK
         if at == 0:
-            block = np.arange(i, min(i + SEED_BLOCK, n_episodes))
-            seeds = episode_seeds([seed, 3], block[:, None], 1 if greedy else 2)
+            block = range(i, min(i + SEED_BLOCK, n_episodes))
+            seeds = episode_seeds([seed, 3], block, range(1 if greedy else 2))
         task = sample_task(world.generator, task_rng)
-        env = world.build_env(PrecomputedSeed(seeds[at, 0]))
-        rng = None if greedy else stream(PrecomputedSeed(seeds[at, 1]))
+        env = world.build_env(seeds[at, 0])
+        rng = None if greedy else np.random.default_rng(seeds[at, 1])
         traj, outcome, _ = execute_episode(
             task, theta, spec, registry, router_weights, env, rng,
             max_steps=max_steps, greedy=greedy, table=table,
@@ -407,7 +406,7 @@ def evaluate_policy(
     return EvalSummary(
         n_episodes=n_episodes,
         success_rate=correct / n_episodes,
-        mean_latency_ms=float(np.mean(latencies)),
+        mean_latency_ms=math.fsum(latencies) / n_episodes,
         sla_violation_rate=sla_violations / n_episodes,
         mean_invocations=invocations / n_episodes,
         failure_modes=failure_modes,

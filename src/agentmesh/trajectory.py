@@ -77,8 +77,8 @@ class Trajectory:
             self.segments.append(system_segment(tokens))
         return self
 
-    def insert_agent_response(self, card_id: str, raw_tokens) -> "Trajectory":
-        """Keep only the informative span of an agent response.
+    def insert_agent_response(self, card_id: str, raw_tokens) -> tuple[str, ...]:
+        """Keep only the informative span of an agent response, and return it.
 
         The raw response must contain exactly one non-empty span delimited by
         the answer tags; everything outside the delimiters is dropped and the
@@ -86,7 +86,7 @@ class Trajectory:
         """
         span = extract_answer_span(raw_tokens)
         self.segments.append(agent_segment(card_id, span))
-        return self
+        return span
 
     def loss_mask(self) -> list[bool]:
         """One flag per token in segment order; true only for core tokens."""

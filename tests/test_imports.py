@@ -122,3 +122,44 @@ def test_starting_and_loading_a_config_do_not_import_numpy_random():
                             text=True, timeout=300)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "False\n"
+
+
+# simenv alone hashes seed words and holds what it hashes them into; every
+# other module hands an episode_seeds seed to default_rng or build_env as it is.
+SEED_INTERNALS = {"PrecomputedSeed", "seed_states"}
+
+
+def seed_internals(source: str) -> list[tuple[int, str]]:
+    """The line and name of each place ``source`` names a seed internal: an
+    import, a name or an attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.alias):
+            name = node.name
+        elif isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        else:
+            continue
+        if name in SEED_INTERNALS:
+            found.append((node.lineno, name))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m.name != "simenv.py"],
+                         ids=[m.name for m in MODULES if m.name != "simenv.py"])
+def test_only_simenv_names_the_seed_internals(module):
+    found = [f"{name} (line {line})" for line, name in seed_internals(module.read_text())]
+    assert not found, f"{module.name} names {', '.join(found)}, which belong to simenv"
+
+
+@pytest.mark.parametrize("source, found", [
+    ("from .simenv import PrecomputedSeed, episode_seeds\n", [(1, "PrecomputedSeed")]),
+    ("from .simenv import seed_states as hash_words\n", [(1, "seed_states")]),
+    ("from . import simenv\nsimenv.PrecomputedSeed(row)\n", [(2, "PrecomputedSeed")]),
+    ("x = 'PrecomputedSeed'\n", []),
+    ("from .simenv import episode_seeds\n", []),
+])
+def test_the_seed_check_finds_exactly_those_names(source, found):
+    assert seed_internals(source) == found

@@ -23,7 +23,6 @@ from agentmesh.simenv import (
     preset_case_study,
     sample_task,
     seed_states,
-    stream,
 )
 from agentmesh.trajectory import SOURCE_CORE, extract_answer_span
 from agentmesh.vocab import ACTION_OPEN, WRONG
@@ -137,10 +136,13 @@ seed_words = st.sampled_from([0, 2**32 - 1, 2**32, 2**64]) | st.integers(0, 2**7
 
 
 class TestStream:
+    """An env's stream, and every stream the program draws from, is
+    ``np.random.default_rng`` of its seed: words or an ``episode_seeds`` seed."""
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(seed_words, max_size=6) | seed_words)
-    def test_is_the_stream_of_default_rng(self, seed):
-        ours, theirs = stream(seed), np.random.default_rng(seed)
+    def test_an_env_streams_as_default_rng_of_its_words(self, seed):
+        ours, theirs = preset_case_study().build_env(seed).rng, np.random.default_rng(seed)
         assert ours.bit_generator.state == theirs.bit_generator.state
         assert np.array_equal(ours.random(8), theirs.random(8))
 
@@ -149,18 +151,19 @@ class TestStream:
     def test_a_precomputed_seed_is_the_stream_of_default_rng(self, row):
         words = np.array(row, dtype=np.uint32)
         seed = PrecomputedSeed(seed_states(words[None])[0])
-        ours = stream(seed)
+        ours = np.random.default_rng(words)
         state, doubles = ours.bit_generator.state, ours.random(8)
-        for theirs in (np.random.default_rng(seed), np.random.default_rng(words)):
+        for theirs in (np.random.default_rng(seed), preset_case_study().build_env(seed).rng,
+                       np.random.Generator(np.random.PCG64(seed))):
             assert theirs.bit_generator.state == state
             assert np.array_equal(theirs.random(8), doubles)
 
-    def test_rejects_what_default_rng_rejects(self):
+    def test_an_env_rejects_what_default_rng_rejects(self):
         for seed in ([1, -1], -1, [1.5]):
             with pytest.raises((TypeError, ValueError)):
                 np.random.default_rng(seed)
             with pytest.raises((TypeError, ValueError)):
-                stream(seed)
+                preset_case_study().build_env(seed).rng
 
     def test_an_env_builds_its_stream_on_first_use(self):
         env = preset_case_study().build_env([3, 1, 0])
@@ -185,14 +188,15 @@ class TestSeedStates:
         assert states.shape == (len(rows), 4) and states.dtype == np.uint64
         for row, state in zip(words, states):
             assert np.array_equal(state, np.random.SeedSequence(row).generate_state(4, np.uint64))
-            ours, theirs = stream(PrecomputedSeed(state)), np.random.default_rng(row)
+            ours = np.random.default_rng(PrecomputedSeed(state))
+            theirs = np.random.default_rng(row)
             assert ours.bit_generator.state == theirs.bit_generator.state
             assert np.array_equal(ours.random(8), theirs.random(8))
 
     @settings(max_examples=100, deadline=None)
     @given(word_rows, st.integers(0, 12), st.sampled_from([np.uint32, np.uint64]))
     def test_any_other_state_request_is_rejected(self, rows, n_words, dtype):
-        # a seed row is PCG64's state and nothing else: no words to hash again
+        # a precomputed seed is PCG64's state and nothing else: no words to hash again
         seed = PrecomputedSeed(seed_states(np.array(rows[:1], dtype=np.uint32))[0])
         assert isinstance(seed, np.random.bit_generator.ISeedSequence)
         if n_words == 4 and dtype == np.uint64:
@@ -203,36 +207,25 @@ class TestSeedStates:
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(seed_words, min_size=1, max_size=3),
-           st.lists(st.lists(uint32_words, min_size=2, max_size=2), min_size=1, max_size=3),
-           st.integers(1, 2))
-    def test_episode_seeds_are_the_streams_of_their_words(self, prefix, episodes, streams):
+           st.lists(st.lists(uint32_words, min_size=1, max_size=3), min_size=1, max_size=4))
+    def test_episode_seeds_are_the_streams_of_their_words(self, prefix, axes):
         # a prefix int of 2**32 or more is split into words as SeedSequence splits it
-        seeds = episode_seeds(prefix, np.array(episodes, dtype=np.uint32), streams)
-        for e, episode in enumerate(episodes):
-            for s in range(streams):
-                ours = stream(PrecomputedSeed(seeds[e, s]))
-                theirs = np.random.default_rng([*prefix, *episode, s])
-                assert ours.bit_generator.state == theirs.bit_generator.state
-
-    @pytest.mark.parametrize("n, streams", [(1, 1), (3, 2), (5, 1)])
-    def test_episode_seeds_are_one_read_only_array_of_states(self, n, streams):
-        episodes = np.arange(2 * n, dtype=np.uint32).reshape(n, 2)
-        seeds = episode_seeds([7], episodes, streams)
-        assert type(seeds) is np.ndarray
-        assert seeds.shape == (n, streams, 4) and seeds.dtype == np.uint64
+        seeds = episode_seeds(prefix, *axes)
+        assert type(seeds) is np.ndarray and seeds.dtype == object
+        assert seeds.shape == tuple(map(len, axes))
         with pytest.raises(ValueError):
-            seeds[-1, 0, 0] = 1
-        for e, episode in enumerate(episodes):  # one row per (episode, stream)
-            for s in range(streams):
-                words = [7, *map(int, episode), s]
-                assert np.array_equal(seeds[e, s],
-                                      np.random.SeedSequence(words).generate_state(4, np.uint64))
+            seeds[(0,) * len(axes)] = None
+        for index in np.ndindex(seeds.shape):  # one seed per word of each axis
+            words = [*prefix, *(axis[j] for axis, j in zip(axes, index))]
+            ours, theirs = np.random.default_rng(seeds[index]), np.random.default_rng(words)
+            assert ours.bit_generator.state == theirs.bit_generator.state
+            assert np.array_equal(ours.random(8), theirs.random(8))
 
     def test_a_negative_seed_is_rejected_as_default_rng_rejects_it(self):
         with pytest.raises(ValueError):
             np.random.default_rng([-1, 0])
         with pytest.raises(ValueError):
-            episode_seeds([-1], np.zeros((1, 1), dtype=np.uint32), 1)
+            episode_seeds([-1], [0])
 
 
 class TestInvokeAgent:

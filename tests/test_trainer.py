@@ -13,8 +13,7 @@ from agentmesh.policy import (OUTCOMES, Decision, Observation, action_distributi
                               log_prob_and_grad)
 from agentmesh.rewards import NoveltyLedger, RewardWeights, episode_reward, scalarize
 from agentmesh.router import RoutingWeights
-from agentmesh.simenv import (PrecomputedSeed, episode_seeds, preset_case_study, sample_task,
-                              stream)
+from agentmesh.simenv import episode_seeds, preset_case_study, sample_task
 from agentmesh.trainer import (
     ADVANTAGE_EPS,
     MAX_EVAL_EPISODES,
@@ -388,7 +387,7 @@ def test_sampled_evaluation_keeps_its_streams(world, spec):
     summary = evaluate_policy(world, spec, spec.zero_params(), WEIGHTS, n_episodes=200,
                               seed=606, greedy=False)
     assert summary.as_dict() == {
-        "n_episodes": 200, "success_rate": 0.255, "mean_latency_ms": 52.485593352707326,
+        "n_episodes": 200, "success_rate": 0.255, "mean_latency_ms": 52.48559335270734,
         "sla_violation_rate": 0.055, "mean_invocations": 0.86, "failure_modes": {}}
 
 
@@ -466,7 +465,7 @@ class TestSeedBlocks:
             groups.add(gi)
             for i in range(group_size):
                 for s in range(2):
-                    drawn.append(stream(PrecomputedSeed(seeds[i, s])).random(3).tobytes())
+                    drawn.append(np.random.default_rng(seeds[i, s]).random(3).tobytes())
                     words = [seed, k + 1, gi, i, s]
                     expected.append(np.random.default_rng(words).random(3).tobytes())
             return rollout_group(task, theta, spec, registry, router_weights, group_size,
@@ -506,8 +505,9 @@ class TestSeedBlocks:
         assert branched == (iterations - 1 if branching else 0)
         assert len(calls) == passes
         # a block ends with the run: no first group is hashed for an iteration that never comes
-        first = [episodes for prefix, episodes, _ in calls if len(prefix) == 1]
-        assert sum(map(len, first)) == iterations * cfg.group_size
+        first = [axes for prefix, *axes in calls if len(prefix) == 1]
+        assert [k for ks, *_ in first for k in ks] == list(range(1, iterations + 1))
+        assert all(list(map(len, rest)) == [1, cfg.group_size, 2] for _, *rest in first)
 
 
 class TestRolloutGroup:
@@ -556,8 +556,8 @@ class TestRolloutGroup:
     @given(seed=st.integers(0, 2**64 - 1), tail=st.lists(st.integers(0, 2**32 - 1), max_size=2),
            size=st.integers(2, 6), in_rows=st.booleans())
     def test_given_rows_give_the_episodes_of_its_own_rows(self, seed, tail, size, in_rows):
-        # train hashes a group's rows ahead, with the words after the seed in
-        # each row's words rather than in the prefix: the rows must not differ
+        # train hashes a group's seeds ahead, with the words after the seed on
+        # axes of their own rather than in the prefix: the seeds must not differ
         world = preset_case_study()
         spec = default_policy_spec(world, max_steps=4)
         theta = np.random.default_rng(2).normal(size=(spec.num_actions, spec.encoded_dim))
@@ -570,10 +570,10 @@ class TestRolloutGroup:
                                  **kwargs).episodes
 
         if in_rows:
-            words = np.column_stack([np.full(size, w) for w in tail] + [np.arange(size)])
-            seeds = episode_seeds([seed], words, 2)
+            seeds = episode_seeds([seed], *([w] for w in tail), range(size), range(2))
+            seeds = seeds[(0,) * len(tail)]
         else:
-            seeds = episode_seeds(base_seed, np.arange(size)[:, None], 2)
+            seeds = episode_seeds(base_seed, range(size), range(2))
         assert run(seeds=seeds) == run()
 
     def test_a_table_of_a_copy_of_theta_is_rejected(self, world, spec):
