@@ -106,28 +106,17 @@ class DecisionTable:
 
     Every rollout of a training iteration, whatever its group, decides from
     the iteration's one table, and every episode of an evaluation from the
-    evaluation's. The table also interns observations: ``observation``
-    returns one ``Observation`` per ``(features, step, last_outcome)``, so
-    an episode builds none on a step the table has seen, and its lookups and
-    the update's gradient keys hit by identity. A table serves only the
-    ``theta`` object it was built for: ``execute_episode`` rejects one built
-    for a copy. Not safe to share across threads, and ``theta`` must not
-    change while the table is in use.
+    evaluation's. Rows are keyed by the observation's value, so equal
+    observations share a row. A table serves only the ``theta`` object it
+    was built for: ``execute_episode`` rejects one built for a copy. Not
+    safe to share across threads, and ``theta`` must not change while the
+    table is in use.
     """
 
     def __init__(self, theta: np.ndarray, spec: PolicySpec):
         self.theta = theta
         self.spec = spec
         self._rows: dict[Observation, DecisionRow] = {}
-        self._observations: dict[tuple[tuple[float, ...], int, str], Observation] = {}
-
-    def observation(self, features: tuple[float, ...], step: int, last_outcome: str) -> Observation:
-        """The table's one ``Observation(features, step, last_outcome)``."""
-        key = (features, step, last_outcome)
-        obs = self._observations.get(key)
-        if obs is None:
-            obs = self._observations[key] = Observation(features, step, last_outcome)
-        return obs
 
     def row(self, obs: Observation) -> DecisionRow:
         row = self._rows.get(obs)
@@ -195,7 +184,7 @@ def execute_episode(
     payload = goal_token(task.task_class.name)
 
     for step in range(max_steps):
-        obs = table.observation(task.feature_vector, step, last_outcome)
+        obs = Observation(task.feature_vector, step, last_outcome)
         decision, index, row = decide(obs, theta, spec, rng, greedy=greedy, table=table)
         records.append(StepRecord(obs=obs, action_index=index, entropy=row.entropy))
 
@@ -258,11 +247,9 @@ def make_warmup_dataset(generator: GeneratorConfig, spec: PolicySpec, n: int,
     action type. Later-step behavior (retry, report) is left to RL.
     """
     samples = []
-    # one per class: step 0, no prior agent outcome
-    observations = {features: Observation(features) for features in generator.one_hots}
     for _ in range(n):
         task = sample_task(generator, rng)
-        obs = observations[task.feature_vector]
+        obs = Observation(task.feature_vector)  # step 0, no prior agent outcome
         if task.task_class.required_action is None:
             if task.ground_truth not in spec.actions.answer_tokens:
                 raise BadConfig(f"policy.answer_tokens: the warm-up demonstrates the answer "

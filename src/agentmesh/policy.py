@@ -12,6 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,17 +29,14 @@ KIND_ANSWER = "answer"
 KIND_DELEGATE = "delegate"
 
 
-@dataclass(frozen=True)
-class Observation:
+class Observation(NamedTuple):
+    """What the policy sees at one step: the task's features, the step index
+    and the outcome of the last agent call. A plain value, compared and
+    hashed as a tuple; ``PolicySpec.encode`` checks it."""
+
     features: tuple[float, ...]
     step_index: int = 0
     last_outcome: str = OUTCOME_NONE
-
-    def __post_init__(self):
-        if self.step_index < 0:
-            raise ValueError("step_index must be nonnegative")
-        if self.last_outcome not in OUTCOMES:
-            raise ValueError(f"unknown outcome flag {self.last_outcome!r}")
 
 
 @dataclass(frozen=True)
@@ -117,8 +115,12 @@ class PolicySpec:
     def encode(self, obs: Observation) -> np.ndarray:
         if len(obs.features) != self.feature_dim:
             raise ValueError("observation feature dimension mismatch")
+        if obs.step_index < 0:
+            raise ValueError("step_index must be nonnegative")
         if obs.step_index >= self.max_steps:
             raise ValueError("step_index must be < max_steps")
+        if obs.last_outcome not in OUTCOMES:
+            raise ValueError(f"unknown outcome flag {obs.last_outcome!r}")
         x = np.zeros(self.encoded_dim)
         x[: self.feature_dim] = obs.features
         x[self.feature_dim + obs.step_index] = 1.0

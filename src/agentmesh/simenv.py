@@ -140,7 +140,7 @@ def episode_seeds(prefix: Sequence[int], *axes: Sequence[int]) -> np.ndarray:
     ``default_rng`` and ``WorldConfig.build_env`` take it as they take the
     words.
 
-    Each axis word is in [0, 2**32). A prefix int is split into
+    Each axis word must be in [0, 2**32). A prefix int is split into
     little-endian 32-bit words, as ``SeedSequence`` splits it, so a seed of
     2**32 or more keeps its stream.
     """
@@ -152,11 +152,16 @@ def episode_seeds(prefix: Sequence[int], *axes: Sequence[int]) -> np.ndarray:
         while w > _MASK32:
             w >>= 32
             head.append(w & _MASK32)
-    shape = tuple(map(len, axes))
+    columns = [np.arange(a.start, a.stop, a.step) if isinstance(a, range) else np.array(a)
+               for a in axes]
+    for column in columns:
+        if column.size and not (0 <= column.min() and column.max() <= _MASK32):
+            raise ValueError("axis words must be in [0, 2**32)")
+    shape = tuple(map(len, columns))
     words = np.empty((*shape, len(head) + len(axes)), dtype=np.uint32)
     words[..., :len(head)] = head
-    for d, axis in enumerate(axes):  # axis d varies along dimension d
-        words[..., len(head) + d] = np.reshape(axis, (-1,) + (1,) * (len(axes) - 1 - d))
+    for d, column in enumerate(columns):  # axis d varies along dimension d
+        words[..., len(head) + d] = column.reshape((-1,) + (1,) * (len(axes) - 1 - d))
     states = seed_states(words.reshape(-1, words.shape[-1]))
     states.flags.writeable = False  # PCG64 reads a row in place
     seeds = np.fromiter(map(PrecomputedSeed, states), object, len(states)).reshape(shape)

@@ -237,25 +237,26 @@ class TestDecisionRowMath:
 
 
 class TestInterning:
-    def test_a_table_interns_one_observation_per_key(self, spec):
-        table = DecisionTable(spec.zero_params(), spec)
-        obs = table.observation((1.0, 0.0, 0.0), 1, "agent_success")
-        assert obs == Observation((1.0, 0.0, 0.0), 1, "agent_success")
-        assert table.observation((1.0, 0.0, 0.0), 1, "agent_success") is obs
-        assert table.observation((1, 0, 0), 1, "agent_success") is obs  # an equal key
-        assert table.observation((1.0, 0.0, 0.0), 2, "agent_success") is not obs
+    """A table keys its rows by an observation's value, and checks each one
+    it computes a row for."""
 
-    def test_an_interned_observation_validates_as_a_fresh_one(self, spec):
+    @pytest.mark.parametrize("step, outcome, message", [
+        (-1, "none", "step_index must be nonnegative"),
+        (4, "none", "step_index must be < max_steps"),  # the spec's max_steps
+        (0, "maybe", "unknown outcome flag 'maybe'"),
+    ])
+    def test_decide_rejects_an_observation_the_encoding_cannot_hold(self, spec, step, outcome,
+                                                                     message):
+        obs = Observation((1.0, 0.0, 0.0), step, outcome)
         table = DecisionTable(spec.zero_params(), spec)
-        with pytest.raises(ValueError, match="outcome"):
-            table.observation((1.0, 0.0, 0.0), 0, "maybe")
-        with pytest.raises(ValueError, match="nonnegative"):
-            table.observation((1.0, 0.0, 0.0), -1, "none")
+        for _ in range(2):  # a rejected observation leaves no row behind
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                decide(obs, table.theta, spec, np.random.default_rng(0), table=table)
 
     def test_an_equal_but_distinct_observation_gets_the_same_row(self, spec):
         table = DecisionTable(spec.zero_params(), spec)
-        row = table.row(table.observation((1.0, 0.0, 0.0), 0, "none"))
-        assert table.row(Observation((1, 0, 0))) is row
+        row = table.row(Observation((1, 0, 0), 0, "none"))
+        assert table.row(Observation((1.0, 0.0, 0.0))) is row
 
     def test_decide_is_still_called_once_per_step(self, world, spec, monkeypatch):
         calls = []
@@ -494,8 +495,5 @@ class TestWarmupDataset:
 
     def test_samples_of_one_class_share_one_observation(self, world, spec):
         samples = make_warmup_dataset(world.generator, spec, 200, np.random.default_rng(1))
-        by_class: dict[tuple, Observation] = {}
-        for s in samples:
-            assert by_class.setdefault(s.obs.features, s.obs) is s.obs
-            assert s.obs == Observation(s.obs.features)
-        assert len(by_class) == len(world.generator.classes)
+        assert all(s.obs == Observation(s.obs.features) for s in samples)  # step 0, no outcome
+        assert len({s.obs for s in samples}) == len(world.generator.classes)

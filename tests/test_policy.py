@@ -44,6 +44,29 @@ def random_instance(rng, scale=1.0):
     return theta, obs
 
 
+def test_an_observation_hashes_and_compares_as_a_tuple():
+    # rows and gradients are keyed by value; hashing in C is why no table interns them
+    assert Observation.__hash__ is tuple.__hash__ and Observation.__eq__ is tuple.__eq__
+
+
+# what each check of ``encode`` says of an observation outside the encoding
+OUT_OF_ENCODING = [
+    (Observation((1.0, 0, 0), -1), "step_index must be nonnegative"),
+    (Observation((1.0, 0, 0), SPEC.max_steps), "step_index must be < max_steps"),
+    (Observation((1.0, 0, 0), 0, "maybe"), "unknown outcome flag 'maybe'"),
+]
+
+
+@pytest.mark.parametrize("obs, message", OUT_OF_ENCODING)
+@pytest.mark.parametrize("call", [
+    lambda obs: action_distribution(SPEC.zero_params(), SPEC, obs),
+    lambda obs: log_prob_and_grad(SPEC.zero_params(), SPEC, obs, 0),
+], ids=["action_distribution", "log_prob_and_grad"])
+def test_the_encoding_rejects_an_observation_it_cannot_hold(call, obs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(obs)
+
+
 class TestActionDistribution:
     def test_zero_params_uniform(self):
         probs = action_distribution(SPEC.zero_params(), SPEC, Observation((0, 0, 1.0)))

@@ -179,6 +179,14 @@ word_rows = st.integers(1, 9).flatmap(lambda k: st.lists(
     st.lists(uint32_words, min_size=k, max_size=k), min_size=1, max_size=4))
 
 
+@st.composite
+def word_ranges(draw):
+    """A range of at most 3 words in [0, 2**32)."""
+    n, step = draw(st.integers(0, 3)), draw(st.integers(1, 2**30))
+    start = draw(st.integers(0, 2**32 - 1 - max(n - 1, 0) * step))
+    return range(start, start + n * step, step)
+
+
 class TestSeedStates:
     @settings(max_examples=200, deadline=None)
     @given(word_rows)
@@ -207,8 +215,14 @@ class TestSeedStates:
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(seed_words, min_size=1, max_size=3),
-           st.lists(st.lists(uint32_words, min_size=1, max_size=3), min_size=1, max_size=4))
-    def test_episode_seeds_are_the_streams_of_their_words(self, prefix, axes):
+           st.lists(st.lists(uint32_words, min_size=1, max_size=3), min_size=1, max_size=4),
+           word_ranges())
+    def test_episode_seeds_are_the_streams_of_their_words(self, prefix, axes, span):
+        # a range axis gives the seeds of the equal list axis
+        by_range = episode_seeds(prefix, span, axes[0])
+        by_list = episode_seeds(prefix, list(span), axes[0])
+        assert by_range.shape == by_list.shape == (len(span), len(axes[0]))
+        assert all(np.array_equal(r.state, w.state) for r, w in zip(by_range.flat, by_list.flat))
         # a prefix int of 2**32 or more is split into words as SeedSequence splits it
         seeds = episode_seeds(prefix, *axes)
         assert type(seeds) is np.ndarray and seeds.dtype == object
@@ -226,6 +240,12 @@ class TestSeedStates:
             np.random.default_rng([-1, 0])
         with pytest.raises(ValueError):
             episode_seeds([-1], [0])
+
+    @pytest.mark.parametrize("axis", [[2**32], [-1], [2**64], range(2**32 - 1, 2**32 + 1)])
+    def test_an_axis_word_outside_32_bits_is_rejected(self, axis):
+        # not wrapped into 32 bits, which would hand out the stream of another word
+        with pytest.raises(ValueError, match=r"axis words must be in \[0, 2\*\*32\)"):
+            episode_seeds([1], axis)
 
 
 class TestInvokeAgent:

@@ -700,30 +700,6 @@ class TestTrain:
         assert [n_groups for n_groups, _, _ in per_iteration] == [1, 2, 3]
         assert [n_calls for _, n_calls, _ in per_iteration] == [n for _, _, n in per_iteration]
 
-    def test_steps_of_an_iteration_that_share_a_key_hold_one_observation(self, world, spec,
-                                                                         monkeypatch):
-        groups, checked = [], []
-
-        def recording(*args, **kwargs):
-            groups.append(rollout_group(*args, **kwargs))
-            return groups[-1]
-
-        def end_of_iteration(iteration, theta):
-            seen: dict[tuple, Observation] = {}
-            steps = [s for g in groups for ep in g.episodes for s in ep.steps]
-            for step in steps:
-                obs = step.obs
-                key = (obs.features, obs.step_index, obs.last_outcome)
-                assert seen.setdefault(key, obs) is obs
-                assert obs == Observation(*key)
-            checked.append(len(steps) > len(seen))
-            groups.clear()
-
-        monkeypatch.setattr(trainer, "rollout_group", recording)
-        train(world, spec, TrainerConfig(iterations=3, checkpoint_every=1), REWARDS, WEIGHTS,
-              seed=4, checkpoint_callback=end_of_iteration)
-        assert checked == [True] * 3
-
     def test_csv_shape(self, world, spec):
         cfg = TrainerConfig(iterations=3)
         _, report = train(world, spec, cfg, REWARDS, WEIGHTS, seed=5)
