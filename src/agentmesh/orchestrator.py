@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -43,8 +43,12 @@ from .trajectory import (
 from .vocab import ACTION_CLOSE, ACTION_OPEN, RELAY_ANSWER, SYS_AGENT_FAILURE, SYS_AGENT_SUCCESS, WRONG
 
 
-@dataclass(frozen=True)
-class EpisodeOutcome:
+class EpisodeOutcome(NamedTuple):
+    """How one episode ended and what its calls cost. Like every per-episode
+    record (``StepRecord``, ``AgentResponse``, ``TaskSpec``, ``RewardVector``,
+    ``EpisodeResult``) it is an immutable ``NamedTuple``, built positionally
+    on the hot path, and compares as the tuple of its fields."""
+
     final_answer: Optional[str]
     total_latency_ms: float
     invocation_count: int
@@ -65,8 +69,7 @@ class EpisodeOutcome:
         return {"kind": "truncated"}
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     obs: Observation
     action_index: int
     entropy: float
@@ -169,7 +172,7 @@ def execute_episode(
         raise ValueError(f"max_steps must be in [1, {spec.max_steps}]")
     if table is None:
         table = DecisionTable(theta, spec)
-    elif table.theta is not theta or table.spec != spec:
+    elif table.theta is not theta or (table.spec is not spec and table.spec != spec):
         raise ValueError("the decision table was built for another theta or spec")
     traj = Trajectory()
     records: list[StepRecord] = []
@@ -186,17 +189,17 @@ def execute_episode(
     for step in range(max_steps):
         obs = Observation(task.feature_vector, step, last_outcome)
         decision, index, row = decide(obs, theta, spec, rng, greedy=greedy, table=table)
-        records.append(StepRecord(obs=obs, action_index=index, entropy=row.entropy))
+        records.append(StepRecord(obs, index, row.entropy))
 
         if decision.kind == KIND_ANSWER:
             token = decision.token
             if token == RELAY_ANSWER:
                 token = relay_source if relay_source is not None else WRONG
-            traj.append_core([token])
+            traj.append_core((token,))
             final_answer = token
             break
 
-        traj.append_core([ACTION_OPEN, decision.action_type, payload, ACTION_CLOSE])
+        traj.append_core((ACTION_OPEN, decision.action_type, payload, ACTION_CLOSE))
         delegations.append(decision.action_type)
         try:
             card_id = route(decision.action_type, registry, weights)
@@ -219,7 +222,7 @@ def execute_episode(
         if span is None:
             failure = FailureReport(MALFORMED_AGENT_RESPONSE)
             break
-        traj.append_system([SYS_AGENT_SUCCESS if response.succeeded else SYS_AGENT_FAILURE])
+        traj.append_system((SYS_AGENT_SUCCESS if response.succeeded else SYS_AGENT_FAILURE,))
         if response.succeeded:
             # the informative span is a single answer token by construction
             relay_source = span[-1]
@@ -227,14 +230,9 @@ def execute_episode(
         else:
             last_outcome = OUTCOME_AGENT_FAILURE
 
-    outcome = EpisodeOutcome(
-        final_answer=final_answer,
-        total_latency_ms=total_latency,
-        invocation_count=invocations,
-        sla_met=total_latency <= task.task_class.sla_deadline_ms,
-        failure=failure,
-        delegations=tuple(delegations),
-    )
+    outcome = EpisodeOutcome(final_answer, total_latency, invocations,
+                             total_latency <= task.task_class.sla_deadline_ms,
+                             failure, tuple(delegations))
     return traj, outcome, records
 
 

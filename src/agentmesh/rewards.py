@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidWeights
 from .orchestrator import EpisodeOutcome
@@ -25,8 +26,10 @@ from .trajectory import Trajectory, WELL_FORMED, validate
 MAX_WEIGHT_SUM = math.sqrt(sys.float_info.max / sys.maxsize)
 
 
-@dataclass(frozen=True)
-class RewardVector:
+class RewardVector(NamedTuple):
+    """One episode's reward components; a ``NamedTuple``, so immutable and
+    compared as a tuple."""
+
     accuracy: float
     format: float
     efficiency: float
@@ -34,7 +37,7 @@ class RewardVector:
     exploration: float
 
     def as_dict(self) -> dict[str, float]:
-        return asdict(self)
+        return self._asdict()
 
 
 @dataclass(frozen=True)
@@ -115,10 +118,6 @@ def scalarize(vector: RewardVector, weights: RewardWeights) -> float:
 def episode_reward(traj: Trajectory, outcome: EpisodeOutcome, task: TaskSpec,
                    max_steps: int, ledger: NoveltyLedger) -> RewardVector:
     """Full reward vector for one finished episode (records its signature)."""
-    return RewardVector(
-        accuracy=accuracy_reward(outcome, task),
-        format=format_reward(traj),
-        efficiency=efficiency_reward(outcome, max_steps),
-        qos=qos_reward(outcome, task),
-        exploration=exploration_reward(ledger, outcome.delegations),
-    )
+    return RewardVector(accuracy_reward(outcome, task), format_reward(traj),
+                        efficiency_reward(outcome, max_steps), qos_reward(outcome, task),
+                        exploration_reward(ledger, outcome.delegations))

@@ -15,7 +15,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import accumulate
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -206,9 +206,9 @@ class TaskClass:
             raise ValueError("answer_pool and required_action must not be reserved tokens")
 
 
-@dataclass(frozen=True)
-class TaskSpec:
-    """A drawn task; its class owns its delegation need, deadline and goal token."""
+class TaskSpec(NamedTuple):
+    """A drawn task; its class owns its delegation need, deadline and goal
+    token. A ``NamedTuple``: immutable, and it compares as a tuple."""
 
     task_id: str
     feature_vector: tuple[float, ...]
@@ -249,12 +249,7 @@ def sample_task(config: GeneratorConfig, rng: np.random.Generator) -> TaskSpec:
     cls = config.classes[idx]
     answer = cls.answer_pool[int(rng.integers(len(cls.answer_pool)))]
     serial = int(rng.integers(1 << 30))
-    return TaskSpec(
-        task_id=f"{cls.name}-{serial}",
-        feature_vector=config.one_hots[idx],
-        task_class=cls,
-        ground_truth=answer,
-    )
+    return TaskSpec(f"{cls.name}-{serial}", config.one_hots[idx], cls, answer)
 
 
 @dataclass(frozen=True)
@@ -288,8 +283,7 @@ class SimAgentConfig:
             raise ValueError("load_per_call must be in [0, 1]")
 
 
-@dataclass(frozen=True)
-class AgentResponse:
+class AgentResponse(NamedTuple):
     raw_tokens: tuple[str, ...]
     latency_ms: float
     succeeded: bool
@@ -342,7 +336,7 @@ class SimEnv:
         on_target = succeeded and action_type == task.task_class.required_action
         answer = task.ground_truth if on_target else WRONG
         raw = (NOISE, ANS_OPEN, answer, ANS_CLOSE)
-        return AgentResponse(raw_tokens=raw, latency_ms=latency, succeeded=succeeded)
+        return AgentResponse(raw, latency, succeeded)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ updates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 from .errors import MalformedAgentResponse
@@ -40,8 +41,15 @@ class Segment:
         return self.source == SOURCE_CORE
 
 
+@lru_cache(maxsize=1024)
+def _shared_segment(tokens: tuple[str, ...], source: str) -> Segment:
+    """One segment object per equal (tokens, source): a segment is a frozen
+    value, and most core and system segments repeat from episode to episode."""
+    return Segment(tokens, source)
+
+
 def core_segment(tokens) -> Segment:
-    return Segment(tuple(tokens), SOURCE_CORE)
+    return _shared_segment(tuple(tokens), SOURCE_CORE)
 
 
 def agent_segment(card_id: str, tokens) -> Segment:
@@ -49,7 +57,7 @@ def agent_segment(card_id: str, tokens) -> Segment:
 
 
 def system_segment(tokens) -> Segment:
-    return Segment(tuple(tokens), SOURCE_SYSTEM)
+    return _shared_segment(tuple(tokens), SOURCE_SYSTEM)
 
 
 @dataclass(frozen=True)
@@ -98,16 +106,16 @@ class Trajectory:
 
 def extract_answer_span(raw_tokens) -> tuple[str, ...]:
     """The tokens strictly between the unique answer-delimiter pair."""
-    raw = list(raw_tokens)
-    opens = [i for i, t in enumerate(raw) if t == ANS_OPEN]
-    closes = [i for i, t in enumerate(raw) if t == ANS_CLOSE]
-    if len(opens) != 1 or len(closes) != 1:
+    raw = tuple(raw_tokens)
+    opens, closes = raw.count(ANS_OPEN), raw.count(ANS_CLOSE)
+    if opens != 1 or closes != 1:
         raise MalformedAgentResponse(
-            f"expected exactly one answer span, got {len(opens)} opens / {len(closes)} closes"
+            f"expected exactly one answer span, got {opens} opens / {closes} closes"
         )
-    if closes[0] < opens[0]:
+    start, end = raw.index(ANS_OPEN), raw.index(ANS_CLOSE)
+    if end < start:
         raise MalformedAgentResponse("answer delimiters out of order")
-    span = tuple(raw[opens[0] + 1:closes[0]])
+    span = raw[start + 1:end]
     if not span:
         raise MalformedAgentResponse("empty answer span")
     if any(t in CONTROL_TAGS for t in span):

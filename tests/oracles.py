@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from agentmesh.errors import MalformedAgentResponse
 from agentmesh.policy import (
     OUTCOME_AGENT_FAILURE,
     OUTCOME_AGENT_SUCCESS,
@@ -26,7 +27,7 @@ from agentmesh.policy import (
 )
 from agentmesh.rewards import RewardWeights
 from agentmesh.simenv import TaskClass, WorldConfig
-from agentmesh.vocab import RELAY_ANSWER
+from agentmesh.vocab import ANS_CLOSE, ANS_OPEN, CONTROL_TAGS, RELAY_ANSWER
 
 
 def exact_sum(values) -> float:
@@ -40,6 +41,26 @@ def exact_entropy(probs: np.ndarray) -> float:
     exactly: -inf when a probability is infinite, and NaN entries skipped."""
     terms = [p * math.log(p) for p in probs.tolist() if p > 0]
     return -math.inf if math.inf in terms else -exact_sum(terms)
+
+
+def listed_answer_span(raw_tokens) -> tuple[str, ...]:
+    """``trajectory.extract_answer_span`` as it was written first: the
+    delimiters' positions listed by comprehensions over a list copy."""
+    raw = list(raw_tokens)
+    opens = [i for i, t in enumerate(raw) if t == ANS_OPEN]
+    closes = [i for i, t in enumerate(raw) if t == ANS_CLOSE]
+    if len(opens) != 1 or len(closes) != 1:
+        raise MalformedAgentResponse(
+            f"expected exactly one answer span, got {len(opens)} opens / {len(closes)} closes"
+        )
+    if closes[0] < opens[0]:
+        raise MalformedAgentResponse("answer delimiters out of order")
+    span = tuple(raw[opens[0] + 1:closes[0]])
+    if not span:
+        raise MalformedAgentResponse("empty answer span")
+    if any(t in CONTROL_TAGS for t in span):
+        raise MalformedAgentResponse("control tag inside answer span")
+    return span
 
 
 def finite_difference_log_prob_grad(theta: np.ndarray, spec: PolicySpec,

@@ -9,10 +9,12 @@ from agentmesh.trajectory import (
     Trajectory,
     agent_segment,
     core_segment,
+    extract_answer_span,
     system_segment,
     validate,
 )
 from agentmesh.vocab import ACTION_CLOSE, ACTION_OPEN, ANS_CLOSE, ANS_OPEN, CONTROL_TAGS
+from oracles import listed_answer_span
 
 
 class TestAppendCore:
@@ -139,3 +141,16 @@ def test_mask_matches_source_for_random_segment_sequences(layout):
 def test_segment_invariants_enforced():
     with pytest.raises(ValueError):
         Segment(("x",), "agent")  # missing card_id
+
+
+def outcome_of(extract, raw):
+    try:
+        return extract(raw)
+    except MalformedAgentResponse as err:
+        return str(err)
+
+
+@given(st.lists(st.sampled_from([ANS_OPEN, ANS_CLOSE, ACTION_OPEN, "x", "y"]), max_size=8))
+def test_answer_span_matches_the_listed_reference(raw):
+    """The same span, or the same error message, as the reference."""
+    assert outcome_of(extract_answer_span, raw) == outcome_of(listed_answer_span, raw)
