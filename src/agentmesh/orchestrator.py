@@ -39,8 +39,13 @@ from .trajectory import (
     NO_AGENT_FOR_ACTION,
     FailureReport,
     Trajectory,
+    system_segment,
 )
 from .vocab import ACTION_CLOSE, ACTION_OPEN, RELAY_ANSWER, SYS_AGENT_FAILURE, SYS_AGENT_SUCCESS, WRONG
+
+# the system marker that follows each answered agent call, by its success
+_SUCCESS_MARKER = system_segment((SYS_AGENT_SUCCESS,))
+_FAILURE_MARKER = system_segment((SYS_AGENT_FAILURE,))
 
 
 class EpisodeOutcome(NamedTuple):
@@ -185,10 +190,11 @@ def execute_episode(
     last_outcome = OUTCOME_NONE
 
     payload = goal_token(task.task_class.name)
+    features = task.feature_vector
 
     for step in range(max_steps):
-        obs = Observation(task.feature_vector, step, last_outcome)
-        decision, index, row = decide(obs, theta, spec, rng, greedy=greedy, table=table)
+        obs = Observation(features, step, last_outcome)
+        decision, index, row = decide(obs, theta, spec, rng, greedy, table=table)
         records.append(StepRecord(obs, index, row.entropy))
 
         if decision.kind == KIND_ANSWER:
@@ -199,35 +205,36 @@ def execute_episode(
             final_answer = token
             break
 
-        traj.append_core((ACTION_OPEN, decision.action_type, payload, ACTION_CLOSE))
-        delegations.append(decision.action_type)
+        action_type = decision.action_type
+        traj.append_core((ACTION_OPEN, action_type, payload, ACTION_CLOSE))
+        delegations.append(action_type)
         try:
-            card_id = route(decision.action_type, registry, weights)
+            card_id = route(action_type, registry, weights)
         except NoAgentForAction:
             failure = FailureReport(NO_AGENT_FOR_ACTION)
             break
 
-        response = env.invoke_agent(card_id, decision.action_type, task)
+        raw_tokens, latency_ms, succeeded = env.invoke_agent(card_id, action_type, task)
         invocations += 1
-        total_latency += response.latency_ms
+        total_latency += latency_ms
         try:
             # a malformed reply raises here and leaves the trajectory unchanged
-            span = traj.insert_agent_response(card_id, response.raw_tokens)
+            span = traj.insert_agent_response(card_id, raw_tokens)
         except MalformedAgentResponse:
             span = None
         # a malformed reply is a failed call, so routing learns of it too
-        registry.update_metrics(card_id, response.latency_ms,
-                                response.succeeded and span is not None,
-                                load_now=env.loads.get(card_id, 0.0))
+        registry.update_metrics(card_id, latency_ms, succeeded and span is not None,
+                                env.loads.get(card_id, 0.0))
         if span is None:
             failure = FailureReport(MALFORMED_AGENT_RESPONSE)
             break
-        traj.append_system((SYS_AGENT_SUCCESS if response.succeeded else SYS_AGENT_FAILURE,))
-        if response.succeeded:
+        if succeeded:
+            traj.append(_SUCCESS_MARKER)
             # the informative span is a single answer token by construction
             relay_source = span[-1]
             last_outcome = OUTCOME_AGENT_SUCCESS
         else:
+            traj.append(_FAILURE_MARKER)
             last_outcome = OUTCOME_AGENT_FAILURE
 
     outcome = EpisodeOutcome(final_answer, total_latency, invocations,

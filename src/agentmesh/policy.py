@@ -130,12 +130,21 @@ class PolicySpec:
     def zero_params(self) -> np.ndarray:
         return np.zeros((self.num_actions, self.encoded_dim))
 
+    @cached_property
+    def indicators(self) -> np.ndarray:
+        """Row a is the one-hot of action index a; read-only, built once per spec."""
+        eye = np.eye(self.num_actions)
+        eye.flags.writeable = False
+        return eye
+
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    """The softmax of ``logits``, which it shifts in place to a maximum of 0."""
-    logits -= logits.max()
+    """The softmax of the 1-D ``logits``, which it shifts in place to a maximum
+    of 0, through the ufunc reductions that ``ndarray.max()`` and ``.sum()``
+    reach after a Python call: the same bits, without that call."""
+    logits -= np.maximum.reduce(logits)
     exp = np.exp(logits)
-    return exp / exp.sum()
+    return exp / np.add.reduce(exp)
 
 
 def action_distribution(theta: np.ndarray, spec: PolicySpec, obs: Observation) -> np.ndarray:
@@ -149,9 +158,7 @@ def log_prob_and_grad(theta: np.ndarray, spec: PolicySpec, obs: Observation,
     x = spec.encode(obs)
     logits = theta @ x
     probs = _softmax(logits)
-    indicator = np.zeros(spec.num_actions)
-    indicator[action_index] = 1.0
-    grad = (indicator - probs)[:, None] * x  # np.outer's elementwise product
+    grad = (spec.indicators[action_index] - probs)[:, None] * x  # np.outer's elementwise product
     if probs[action_index] == 0:  # underflowed; the log-softmax is still finite
         return float(logits[action_index] - np.log(np.exp(logits).sum())), grad
     return float(np.log(probs[action_index])), grad

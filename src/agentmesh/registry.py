@@ -148,7 +148,7 @@ class Registry:
                 entry for entry in self._entries.values()
                 if action_type in entry[0].supported_actions)
         if weights is not None and weights is not found.weights:
-            found.scores = np.array([score(m, weights, cost=c.cost) for c, m in found])
+            found.scores = np.array([score(m, weights, c.cost) for c, m in found])
             found.weights = weights
         return found
 
@@ -167,12 +167,10 @@ class Registry:
             raise UnknownCard(f"card id {card_id!r} is not registered") from None
         a = 1.0 if prev.sample_count == 0 else EWMA_ALPHA
         observed_acc = 1.0 if success else 0.0
-        updated = AgentMetrics(
-            load=min(max(load_now, 0.0), 1.0),
-            historical_accuracy=(1 - a) * prev.historical_accuracy + a * observed_acc,
-            avg_latency_ms=(1 - a) * prev.avg_latency_ms + a * latency_ms,
-            sample_count=prev.sample_count + 1,
-        )
+        updated = AgentMetrics(min(max(load_now, 0.0), 1.0),
+                               (1 - a) * prev.historical_accuracy + a * observed_acc,
+                               (1 - a) * prev.avg_latency_ms + a * latency_ms,
+                               prev.sample_count + 1)
         entry = self._entries[card_id] = (card, updated)
         for action_type in card.supported_actions:
             found = self._indexes.get(action_type)
@@ -180,5 +178,5 @@ class Registry:
                 row = found.rows[card_id]
                 found[row] = entry
                 if found.scores is not None:
-                    found.scores[row] = score(updated, found.weights, cost=card.cost)
+                    found.scores[row] = score(updated, found.weights, card.cost)
         return updated

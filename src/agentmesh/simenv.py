@@ -247,7 +247,9 @@ def sample_task(config: GeneratorConfig, rng: np.random.Generator) -> TaskSpec:
     one-hot. The class is the one ``rng.choice(len(classes), p=probabilities)`` would draw."""
     idx = bisect_right(config.class_cdf, rng.random())
     cls = config.classes[idx]
-    answer = cls.answer_pool[int(rng.integers(len(cls.answer_pool)))]
+    pool = cls.answer_pool
+    # rng.integers(1) returns 0 without drawing, so a one-answer pool skips it
+    answer = pool[int(rng.integers(len(pool)))] if len(pool) > 1 else pool[0]
     serial = int(rng.integers(1 << 30))
     return TaskSpec(f"{cls.name}-{serial}", config.one_hots[idx], cls, answer)
 
@@ -294,20 +296,25 @@ class SimEnv:
     """One episode-scoped environment instance: it answers agent calls.
 
     Holds the load of every agent called so far (any other agent's load is
-    0) and a private RNG stream seeded by ``seed``, built on the first agent
-    call, since only calls draw from it. ``agents`` is the world's map,
-    shared by every instance and never mutated. Each rollout runs in its own
-    instance, one after another, with a seed derived from its place in the
-    run.
+    0) and a private RNG stream ``default_rng(seed)``, a plain attribute
+    built on the first read of ``rng``: the first agent call, since only
+    calls draw from it. ``agents`` is the world's map, shared by every
+    instance and never mutated. Each rollout runs in its own instance, one
+    after another, with a seed derived from its place in the run.
     """
 
     agents: Mapping[str, SimAgentConfig]
     seed: Seed
     loads: dict[str, float] = field(default_factory=dict)
+    _rng: Optional[np.random.Generator] = field(default=None, init=False, repr=False,
+                                                compare=False)
 
-    @cached_property
+    @property
     def rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed)
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = np.random.default_rng(self.seed)
+        return rng
 
     def invoke_agent(self, card_id: str, action_type: str, task: TaskSpec) -> AgentResponse:
         """Simulate one delegation round-trip for ``task``.
@@ -322,17 +329,18 @@ class SimEnv:
         agent = self.agents.get(card_id)
         if agent is None:
             raise UnknownCard(f"no simulated agent for card {card_id!r}")
+        rng, loads = self.rng, self.loads
 
-        for cid in self.loads:
-            self.loads[cid] *= LOAD_DECAY
-        load = self.loads.get(card_id, 0.0)
+        for cid in loads:
+            loads[cid] *= LOAD_DECAY
+        load = loads.get(card_id, 0.0)
         latency = agent.latency_base_ms * (1.0 + load)
         if agent.latency_jitter_ms > 0:
             # rng.uniform(0.0, j) is 0.0 + j * u for its one double u
-            latency += agent.latency_jitter_ms * self.rng.random()
-        self.loads[card_id] = min(1.0, load + agent.load_per_call)
+            latency += agent.latency_jitter_ms * rng.random()
+        loads[card_id] = min(1.0, load + agent.load_per_call)
 
-        succeeded = bool(self.rng.random() < agent.success_prob.get(action_type, 0.0))
+        succeeded = bool(rng.random() < agent.success_prob.get(action_type, 0.0))
         on_target = succeeded and action_type == task.task_class.required_action
         answer = task.ground_truth if on_target else WRONG
         raw = (NOISE, ANS_OPEN, answer, ANS_CLOSE)

@@ -16,6 +16,8 @@ from typing import Optional
 from .errors import MalformedAgentResponse
 from .vocab import ACTION_CLOSE, ACTION_OPEN, ANS_CLOSE, ANS_OPEN, CONTROL_TAGS
 
+_CONTROL_TAGS = frozenset(CONTROL_TAGS)
+
 SOURCE_CORE = "core"
 SOURCE_AGENT = "agent"
 SOURCE_SYSTEM = "system"
@@ -53,7 +55,7 @@ def core_segment(tokens) -> Segment:
 
 
 def agent_segment(card_id: str, tokens) -> Segment:
-    return Segment(tuple(tokens), SOURCE_AGENT, card_id=card_id)
+    return Segment(tuple(tokens), SOURCE_AGENT, card_id)
 
 
 def system_segment(tokens) -> Segment:
@@ -79,10 +81,9 @@ class Trajectory:
             self.segments.append(core_segment(tokens))
         return self
 
-    def append_system(self, tokens) -> "Trajectory":
-        tokens = tuple(tokens)
-        if tokens:
-            self.segments.append(system_segment(tokens))
+    def append(self, segment: Segment) -> "Trajectory":
+        """Append a segment built once and shared, such as a system marker."""
+        self.segments.append(segment)
         return self
 
     def insert_agent_response(self, card_id: str, raw_tokens) -> tuple[str, ...]:
@@ -118,7 +119,7 @@ def extract_answer_span(raw_tokens) -> tuple[str, ...]:
     span = raw[start + 1:end]
     if not span:
         raise MalformedAgentResponse("empty answer span")
-    if any(t in CONTROL_TAGS for t in span):
+    if not _CONTROL_TAGS.isdisjoint(span):
         raise MalformedAgentResponse("control tag inside answer span")
     return span
 

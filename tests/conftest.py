@@ -40,3 +40,18 @@ def gradient_calls(monkeypatch):
         monkeypatch.setattr(module, "log_prob_and_grad", recording)
         return calls
     return record
+
+
+@pytest.fixture
+def streams_built(monkeypatch):
+    """The seed of each ``np.random.default_rng`` call made from here on, in
+    order: the streams built, whatever holds them."""
+    seeds = []
+    real = np.random.default_rng
+
+    def recording(seed=None):
+        seeds.append(seed)
+        return real(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    return seeds

@@ -80,6 +80,39 @@ def finite_difference_log_prob_grad(theta: np.ndarray, spec: PolicySpec,
     return grad
 
 
+# --- the policy kernels as they were first written -------------------------
+
+
+def reference_softmax(logits: np.ndarray) -> np.ndarray:
+    """``policy._softmax`` as it was: the maximum and the sum through
+    ``ndarray.max()`` and ``ndarray.sum()``, on a copy of ``logits``."""
+    shifted = logits - logits.max()
+    exp = np.exp(shifted)
+    return exp / exp.sum()
+
+
+def reference_action_distribution(theta: np.ndarray, spec: PolicySpec,
+                                  obs: Observation) -> np.ndarray:
+    return reference_softmax(theta @ spec.encode(obs))
+
+
+def reference_log_prob_and_grad(theta: np.ndarray, spec: PolicySpec, obs: Observation,
+                                action_index: int) -> tuple[float, np.ndarray]:
+    """``policy.log_prob_and_grad`` as it was: the indicator is written into
+    ``np.zeros`` on each call, and the log-softmax of an underflowed
+    probability sums with ``ndarray.sum()``."""
+    x = spec.encode(obs)
+    logits = theta @ x
+    logits = logits - logits.max()
+    probs = reference_softmax(logits)
+    indicator = np.zeros(spec.num_actions)
+    indicator[action_index] = 1.0
+    grad = (indicator - probs)[:, None] * x
+    if probs[action_index] == 0:
+        return float(logits[action_index] - np.log(np.exp(logits).sum())), grad
+    return float(np.log(probs[action_index])), grad
+
+
 # --- exhaustive policy enumeration -----------------------------------------
 #
 # Observations within one task class are (step, outcome_flag) pairs; a

@@ -2,7 +2,8 @@
 
 Seed-42 training from zero, a greedy evaluation of its checkpoint, seed-7
 episodes that answer, delegate, run out of steps or find no card, and short
-runs at seeds of more than 32 bits must reproduce exactly. A change that
+runs at seeds of more than 32 bits, and greedy and sampled evaluations over
+a world of 100 cards per action must reproduce exactly. A change that
 announces a new RNG stream or new statistics regenerates the files and
 commits them with it:
 
@@ -15,12 +16,17 @@ import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from agentmesh import trainer
 from agentmesh.cli import main
-from agentmesh.config import load_config
-from agentmesh.policy import Decision, save_checkpoint
+from agentmesh.config import default_policy_spec, load_config
+from agentmesh.policy import OUTCOME_AGENT_SUCCESS, OUTCOMES, Decision, save_checkpoint
+from agentmesh.registry import AgentCard, AgentMetrics
+from agentmesh.router import RoutingWeights
+from agentmesh.simenv import SimAgentConfig, WorldConfig, preset_case_study
+from agentmesh.vocab import RELAY_ANSWER
 
 GOLDEN = Path(__file__).parent / "golden"
 TASK_CLASSES = ("direct", "network_analysis", "protocol_query")
@@ -67,6 +73,48 @@ def large_seed(seed: int) -> dict[str, bytes]:
             f"seed_{seed}_sampled_eval.json": summary_json.encode()}
 
 
+def many_card_world(seed: int = 30, cards_per_action: int = 100) -> WorldConfig:
+    """The preset's task classes served by ``cards_per_action`` cards per
+    action, each with its success, latency, jitter, per-call load and cost
+    drawn from ``seed``; every third card starts from drawn metrics, and the
+    rest from none, so those of equal cost tie until they are called."""
+    rng = np.random.default_rng(seed)
+    agents, priors = [], {}
+    for action in preset_case_study().action_types:
+        for i in range(cards_per_action):
+            card = AgentCard(f"{action}-{i:03d}", "native", frozenset({action}),
+                             cost=float(rng.choice([0.0, 0.5, 1.0])))
+            agents.append(SimAgentConfig(
+                card, {action: float(rng.uniform(0.5, 1.0))},
+                latency_base_ms=float(rng.uniform(10.0, 150.0)),
+                latency_jitter_ms=float(rng.choice([0.0, 5.0, 20.0])),
+                load_per_call=float(rng.uniform(0.0, 0.5))))
+            if i % 3 == 0:
+                priors[card.card_id] = AgentMetrics(
+                    float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.5, 1.0)),
+                    float(rng.uniform(10.0, 150.0)), int(rng.integers(0, 3)))
+    return WorldConfig(tuple(agents), preset_case_study().generator, priors)
+
+
+def many_cards() -> dict[str, bytes]:
+    """Greedy and sampled 2,000-episode evaluations of a relay policy over
+    ``many_card_world()``, routed with a cost weight."""
+    world = many_card_world()
+    spec = default_policy_spec(world, max_steps=4)
+    theta = spec.zero_params()
+    for k, cls in enumerate(world.generator.classes):
+        demo = (Decision.answer(cls.answer_pool[0]) if cls.required_action is None
+                else Decision.delegate(cls.required_action))
+        theta[spec.actions.index_of(demo), k] = 3.0
+    success = spec.feature_dim + spec.max_steps + OUTCOMES.index(OUTCOME_AGENT_SUCCESS)
+    theta[spec.actions.index_of(Decision.answer(RELAY_ANSWER)), success] = 6.0
+    weights = RoutingWeights(w_cost=0.2)
+    summaries = {mode: trainer.evaluate_policy(world, spec, theta, weights, n_episodes=2000,
+                                               seed=11, greedy=mode == "greedy").as_dict()
+                 for mode in ("greedy", "sampled")}
+    return {"many_cards_eval.json": (json.dumps(summaries, indent=2) + "\n").encode()}
+
+
 def produce(work: Path) -> dict[str, bytes]:
     """Every artifact, keyed by its file name under ``golden/``."""
     train, runs = work / "train", work / "runs"
@@ -92,6 +140,7 @@ def produce(work: Path) -> dict[str, bytes]:
     artifacts["episodes.jsonl"] = (runs / "episodes.jsonl").read_bytes()
     for seed in LARGE_SEEDS:
         artifacts.update(large_seed(seed))
+    artifacts.update(many_cards())
     return artifacts
 
 

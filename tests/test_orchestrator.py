@@ -320,15 +320,19 @@ class TestExecuteEpisode:
         assert len(records) == 1
         assert not any(t in CONTROL_TAGS for s in traj.segments for t in s.tokens)
 
-    def test_only_an_agent_call_builds_the_env_stream(self, world, spec):
+    def test_only_an_agent_call_builds_the_env_stream(self, world, spec, streams_built):
         task = task_of_class(world, "network_analysis")
         answer = spec.actions.index_of(Decision.answer("ack"))
         delegate = spec.actions.index_of(Decision.delegate("network_analysis"))
         for index, called in ((answer, False), (delegate, True)):
+            rng = np.random.default_rng(1)
+            streams_built.clear()
             env = world.build_env([0, 0])
-            execute_episode(task, forced(spec, index), spec, world.build_registry(), WEIGHTS,
-                            env, np.random.default_rng(1))
-            assert ("rng" in env.__dict__) is called
+            _, outcome, _ = execute_episode(task, forced(spec, index), spec,
+                                            world.build_registry(), WEIGHTS, env, rng)
+            # the delegating episode calls an agent at every step, from one stream
+            assert outcome.invocation_count == (spec.max_steps if called else 0)
+            assert streams_built == ([env.seed] if called else [])
 
     def test_unroutable_delegation_fails_without_invocations(self, world):
         wide = PolicySpec(

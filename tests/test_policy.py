@@ -25,7 +25,13 @@ from agentmesh.policy import (
     sft_loss,
     sft_update,
 )
-from oracles import exact_entropy, finite_difference_log_prob_grad
+from agentmesh.orchestrator import DecisionRow, DecisionTable
+from oracles import (
+    exact_entropy,
+    finite_difference_log_prob_grad,
+    reference_action_distribution,
+    reference_log_prob_and_grad,
+)
 from sft_files import save_sft_dataset
 
 SPEC = PolicySpec(
@@ -156,6 +162,51 @@ def two_encode_log_prob_and_grad(theta, spec, obs, action_index):
         logits -= logits.max()
         return float(logits[action_index] - np.log(np.exp(logits).sum())), grad
     return float(np.log(probs[action_index])), grad
+
+
+def kernel_instance(rng, scale):
+    """Rounded parameters, so entries tie, with actions 0 and 1 tied on every
+    observation; features of 0.0, -0.0 and +-1."""
+    theta = np.round(rng.normal(scale=scale, size=(SPEC.num_actions, SPEC.encoded_dim)))
+    theta[1] = theta[0]
+    features = tuple(rng.choice([-0.0, 0.0, 0.5, -1.0, 1.0], size=SPEC.feature_dim).tolist())
+    obs = Observation(features, int(rng.integers(SPEC.max_steps)),
+                      policy.OUTCOMES[int(rng.integers(len(policy.OUTCOMES)))])
+    return theta, obs
+
+
+def float_bytes(value: float) -> bytes:
+    return np.float64(value).tobytes()
+
+
+def test_the_kernels_are_the_reference_formulas_byte_for_byte():
+    # at scale 1000 most probabilities underflow to 0, taking the log-softmax branch
+    underflowed = tied = 0
+    for scale in (0.1, 1.0, 30.0, 1000.0):
+        rng = np.random.default_rng([30, int(scale * 10)])
+        for _ in range(300):
+            theta, obs = kernel_instance(rng, scale)
+            ref = reference_action_distribution(theta, SPEC, obs)
+            assert action_distribution(theta, SPEC, obs).tobytes() == ref.tobytes()
+            row, ref_row = DecisionTable(theta, SPEC).row(obs), DecisionRow.of(ref)
+            assert row.probs.tobytes() == ref.tobytes()
+            assert float_bytes(row.entropy) == float_bytes(ref_row.entropy)
+            assert row.cdf == ref_row.cdf and row.greedy == ref_row.greedy
+            tied += ref[0] == ref[1] == ref.max()
+            for action in range(SPEC.num_actions):
+                lp, grad = log_prob_and_grad(theta, SPEC, obs, action)
+                ref_lp, ref_grad = reference_log_prob_and_grad(theta, SPEC, obs, action)
+                assert float_bytes(lp) == float_bytes(ref_lp)
+                assert grad.tobytes() == ref_grad.tobytes()
+                underflowed += ref[action] == 0
+    assert underflowed and tied
+
+
+def test_the_indicators_are_a_read_only_identity():
+    assert SPEC.indicators is SPEC.indicators
+    assert SPEC.indicators.tobytes() == np.eye(SPEC.num_actions).tobytes()
+    with pytest.raises(ValueError):
+        SPEC.indicators[0, 0] = 2.0
 
 
 class TestEntropy:

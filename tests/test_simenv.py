@@ -92,6 +92,16 @@ class TestSampleTask:
             assert sample_task(config, ours) == choice_sample_task(config, theirs)
         assert ours.bit_generator.state == theirs.bit_generator.state
 
+    def test_a_one_answer_pool_draws_nothing_for_its_answer(self):
+        # rng.integers(1) returns 0 without drawing; classes of pools of 1 to 5
+        config = GeneratorConfig(tuple(
+            TaskClass(f"c{n}", 0.2, None, tuple(f"t{j}" for j in range(n))) for n in range(1, 6)))
+        for seed in range(200):
+            ours, theirs = np.random.default_rng([seed, 5]), np.random.default_rng([seed, 5])
+            for _ in range(100):
+                assert sample_task(config, ours) == choice_sample_task(config, theirs)
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=1,
                     max_size=6).filter(lambda w: sum(w) > 0),
@@ -165,11 +175,13 @@ class TestStream:
             with pytest.raises((TypeError, ValueError)):
                 preset_case_study().build_env(seed).rng
 
-    def test_an_env_builds_its_stream_on_first_use(self):
+    def test_an_env_builds_its_stream_on_first_use(self, streams_built):
         env = preset_case_study().build_env([3, 1, 0])
-        assert "rng" not in env.__dict__
-        assert env.rng.bit_generator.state == np.random.default_rng([3, 1, 0]).bit_generator.state
-        assert env.rng is env.rng
+        assert streams_built == []
+        first = env.rng
+        assert streams_built == [[3, 1, 0]]
+        assert env.rng is first and streams_built == [[3, 1, 0]]
+        assert first.bit_generator.state == np.random.default_rng([3, 1, 0]).bit_generator.state
 
 
 # One uint32 word, with both ends; rows of 1 to 9 words, shorter and longer

@@ -363,15 +363,18 @@ class TestStepBudget:
                             n_episodes=3, seed=0, max_steps=4)
 
     @pytest.mark.parametrize("max_steps", [0, 3])
-    def test_bad_budget_is_rejected_before_the_episode_starts(self, world, max_steps):
+    def test_bad_budget_is_rejected_before_the_episode_starts(self, world, max_steps,
+                                                              streams_built):
         spec = default_policy_spec(world, max_steps=2)
         registry = world.build_registry()
-        env = world.build_env(0)
         task = sample_task(world.generator, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        streams_built.clear()
+        env = world.build_env(0)
         with pytest.raises(ValueError, match="max_steps"):
-            execute_episode(task, always_delegate(spec), spec, registry, WEIGHTS, env,
-                            np.random.default_rng(1), max_steps=max_steps)
-        assert env.loads == {} and "rng" not in env.__dict__
+            execute_episode(task, always_delegate(spec), spec, registry, WEIGHTS, env, rng,
+                            max_steps=max_steps)
+        assert env.loads == {} and streams_built == []
         assert all(m.sample_count == 0
                    for action in world.action_types for _, m in registry.discover(action))
 
