@@ -116,15 +116,27 @@ class DecisionTable:
     the iteration's one table, and every episode of an evaluation from the
     evaluation's. Rows are keyed by the observation's value, so equal
     observations share a row. A table serves only the ``theta`` object it
-    was built for: ``execute_episode`` rejects one built for a copy. Not
-    safe to share across threads, and ``theta`` must not change while the
-    table is in use.
+    was built for: ``serving`` rejects one built for a copy. Not safe to
+    share across threads, and ``theta`` must not change while the table is
+    in use.
     """
 
     def __init__(self, theta: np.ndarray, spec: PolicySpec):
         self.theta = theta
         self.spec = spec
         self._rows: dict[Observation, DecisionRow] = {}
+
+    @staticmethod
+    def serving(theta: np.ndarray, spec: PolicySpec,
+                table: Optional["DecisionTable"]) -> "DecisionTable":
+        """``table``, or a new table of ``theta`` and ``spec`` when it is None.
+        A table built for another ``theta`` object, or for a spec that is not
+        equal to ``spec``, raises ``ValueError``."""
+        if table is None:
+            return DecisionTable(theta, spec)
+        if table.theta is not theta or (table.spec is not spec and table.spec != spec):
+            raise ValueError("the decision table was built for another theta or spec")
+        return table
 
     def row(self, obs: Observation) -> DecisionRow:
         row = self._rows.get(obs)
@@ -175,10 +187,7 @@ def execute_episode(
         max_steps = spec.max_steps
     if not 1 <= max_steps <= spec.max_steps:
         raise ValueError(f"max_steps must be in [1, {spec.max_steps}]")
-    if table is None:
-        table = DecisionTable(theta, spec)
-    elif table.theta is not theta or (table.spec is not spec and table.spec != spec):
-        raise ValueError("the decision table was built for another theta or spec")
+    table = DecisionTable.serving(theta, spec, table)
     traj = Trajectory()
     records: list[StepRecord] = []
     delegations: list[str] = []

@@ -151,14 +151,22 @@ def action_distribution(theta: np.ndarray, spec: PolicySpec, obs: Observation) -
     return _softmax(theta @ spec.encode(obs))
 
 
+def grad_log_prob(spec: PolicySpec, action_index: int | list[int], probs: np.ndarray,
+                  x: np.ndarray) -> np.ndarray:
+    """The exact gradient (onehot(a) - p) outer x of log pi(a|o), from the
+    distribution ``probs`` and the encoding ``x`` of o: np.outer's
+    elementwise product. It broadcasts over a leading key axis, where
+    ``action_index`` holds one index per key."""
+    return (spec.indicators[action_index] - probs)[..., None] * x[..., None, :]
+
+
 def log_prob_and_grad(theta: np.ndarray, spec: PolicySpec, obs: Observation,
                       action_index: int) -> tuple[float, np.ndarray]:
-    """log pi(a|o) and its exact gradient (onehot(a) - p) outer encode(o),
-    from one encode of ``obs``."""
+    """log pi(a|o) and its exact gradient, from one encode of ``obs``."""
     x = spec.encode(obs)
     logits = theta @ x
     probs = _softmax(logits)
-    grad = (spec.indicators[action_index] - probs)[:, None] * x  # np.outer's elementwise product
+    grad = grad_log_prob(spec, action_index, probs, x)
     if probs[action_index] == 0:  # underflowed; the log-softmax is still finite
         return float(logits[action_index] - np.log(np.exp(logits).sum())), grad
     return float(np.log(probs[action_index])), grad

@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import BadConfig
 from .orchestrator import DecisionTable, EpisodeOutcome, StepRecord, execute_episode
-from .policy import Observation, PolicySpec, distinct, diverged, log_prob_and_grad
+# log_prob_and_grad is bound here only for bench/workloads.py, which wraps this binding
+from .policy import Observation, PolicySpec, distinct, diverged, grad_log_prob, log_prob_and_grad
 from .registry import Registry
 from .rewards import (NoveltyLedger, RewardVector, RewardWeights, accuracy_reward,
                       episode_reward, scalarize)
@@ -160,8 +161,7 @@ def rollout_group(
         raise BadConfig("group_size must be >= 2")
     if seeds is None:
         seeds = episode_seeds(base_seed, range(group_size), range(2))
-    if table is None:
-        table = DecisionTable(theta, spec)
+    table = DecisionTable.serving(theta, spec, table)
     episodes = []
     for i in range(group_size):
         env = world.build_env(seeds[i, 0])
@@ -217,13 +217,17 @@ def masked_policy_update(
     spec: PolicySpec,
     episodes: list[tuple[list[StepRecord], list[float] | np.ndarray]],
     learning_rate: float,
+    table: DecisionTable | None = None,
 ) -> np.ndarray:
     """One ascent step on mean per-episode sum of A'_t * grad log pi.
 
     The gradient depends only on recorded decision steps; agent and system
     trajectory content carries no log-prob terms, so the update is invariant
     to any mutation of masked segments. Each distinct (observation, action)
-    gradient is computed once, and the terms are added in step order.
+    gradient is computed once, from the distribution of its observation's
+    row in ``table`` (``train`` passes the iteration's, whose rows its
+    rollouts filled; without one, a table of ``theta`` is built), and the
+    terms are added in step order.
     """
     if learning_rate < 0:
         raise ValueError("learning_rate must be >= 0")
@@ -236,12 +240,16 @@ def masked_policy_update(
                 coefs.append(adv)
     if not coefs:
         return theta
+    table = DecisionTable.serving(theta, spec, table)
     keys, picked = distinct(pairs)
-    grads = [log_prob_and_grad(theta, spec, *key)[1] for key in keys]
+    observations, actions = zip(*keys)
+    probs = np.array([table.row(obs).probs for obs in observations])
+    encoded = np.array([spec.encode(obs) for obs in observations])
+    grads = grad_log_prob(spec, list(actions), probs, encoded)
     # A gradient has more than one entry (encoded_dim > 1), so numpy adds
     # whole terms over the first axis one after another, as a running sum
     # from zeros would, rather than summing each entry pairwise.
-    grad = np.add.reduce(np.array(coefs)[:, None, None] * np.array(grads)[picked], axis=0)
+    grad = np.add.reduce(np.array(coefs)[:, None, None] * grads[picked], axis=0)
     if not np.any(grad):
         return theta
     return theta + learning_rate * grad / len(episodes)
@@ -314,7 +322,7 @@ def train(
                 pending_tasks.append(task)
 
         with np.errstate(over="ignore"):  # reported just below, as an error
-            theta = masked_policy_update(theta, spec, updates, cfg.learning_rate)
+            theta = masked_policy_update(theta, spec, updates, cfg.learning_rate, table)
         if diverged(theta):
             raise BadConfig(f"trainer.learning_rate: {cfg.learning_rate!r} made the policy "
                             f"parameters overflow at iteration {iteration}")

@@ -3,7 +3,8 @@
 These deliberately avoid the code paths they check: gradients come from
 central finite differences, and expected episode rewards come from exhaustive
 enumeration of deterministic tabular policies with closed-form branching over
-agent success probabilities, and float sums are checked against exact
+agent success probabilities, a parameter matrix's greedy policy is scored
+exactly as such a tabular policy, and float sums are checked against exact
 rational arithmetic.
 """
 
@@ -250,3 +251,45 @@ def optimal_action_sets(world: WorldConfig, cls: TaskClass, spec: PolicySpec,
                 ok.add(a)
         sets[obs] = ok
     return sets
+
+
+# --- exact greedy scores ----------------------------------------------------
+
+
+def greedy_policy(theta: np.ndarray, spec: PolicySpec, cls: int) -> dict[tuple[int, str], int]:
+    """The deterministic tabular policy that greedy decisions under ``theta``
+    follow for the task class of index ``cls``, whose features are its
+    one-hot: at each (step, outcome flag), the argmax of the action
+    distribution, with the first index on ties."""
+    features = tuple(float(i == cls) for i in range(spec.feature_dim))
+    return {(step, flag): int(np.argmax(action_distribution(theta, spec,
+                                                           Observation(features, step, flag))))
+            for step, flag in class_observations(spec.max_steps)}
+
+
+@dataclass(frozen=True)
+class GreedyScores:
+    """Exact class-weighted scores of ``theta``'s greedy policy over the
+    spec's step budget (exploration at steady state, qos within deadline)."""
+
+    reward: float    # J: expected scalar reward under the given weights
+    accuracy: float  # J_acc: expected accuracy, the greedy success rate
+    regret: float    # the optimal expected reward minus J
+
+
+def greedy_scores(world: WorldConfig, spec: PolicySpec, weights: RewardWeights,
+                  theta: np.ndarray) -> GreedyScores:
+    """Score ``theta``'s greedy policy exactly, with no sampling: each
+    class's ``greedy_policy`` through ``ClassOracle.expected_reward``."""
+    max_steps = spec.max_steps
+    accuracy_only = RewardWeights(1.0, 0.0, 0.0, 0.0, 0.0)
+    reward = accuracy = 0.0
+    for index, cls in enumerate(world.generator.classes):
+        _check_latency_bound(world, cls, max_steps)
+        policy = greedy_policy(theta, spec, index)
+        reward += cls.probability * ClassOracle(
+            world, cls, spec, weights, max_steps).expected_reward(policy)
+        accuracy += cls.probability * ClassOracle(
+            world, cls, spec, accuracy_only, max_steps).expected_reward(policy)
+    optimal = optimal_expected_reward(world, spec, weights, max_steps)
+    return GreedyScores(reward, accuracy, optimal - reward)

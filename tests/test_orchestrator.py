@@ -11,6 +11,7 @@ from agentmesh.config import default_policy_spec
 from agentmesh.orchestrator import (
     DecisionRow,
     DecisionTable,
+    StepRecord,
     decide,
     execute_episode,
     make_warmup_dataset,
@@ -20,6 +21,7 @@ from agentmesh.registry import AgentCard
 from agentmesh.router import RoutingWeights, route
 from agentmesh.simenv import (AgentResponse, SimAgentConfig, goal_token, preset_case_study,
                               sample_task)
+from agentmesh.trainer import masked_policy_update
 from agentmesh.trajectory import WELL_FORMED, validate
 from agentmesh.vocab import (
     ACTION_CLOSE,
@@ -188,6 +190,14 @@ class TestDecisionTable:
                 execute_episode(task, theta, spec, world.build_registry(), WEIGHTS,
                                 world.build_env([0]), np.random.default_rng(0),
                                 table=table)
+
+    def test_an_update_rejects_a_table_of_another_theta_or_spec(self, world, spec):
+        theta = spec.zero_params()
+        steps = [StepRecord(Observation((1.0, 0.0, 0.0)), 0, 0.5)]
+        for table in (DecisionTable(theta.copy(), spec),
+                      DecisionTable(theta, default_policy_spec(world, max_steps=3))):
+            with pytest.raises(ValueError, match="another theta or spec"):
+                masked_policy_update(theta, spec, [(steps, [1.0])], 0.05, table)
 
 
 def bits(value) -> bytes:

@@ -29,7 +29,7 @@ from agentmesh.trainer import (
     train,
 )
 from agentmesh.trajectory import agent_segment
-from oracles import exact_sum, optimal_action_sets
+from oracles import exact_sum, greedy_policy, greedy_scores, optimal_action_sets
 
 WEIGHTS = RoutingWeights()
 REWARDS = RewardWeights()
@@ -237,6 +237,16 @@ def reference_update(theta, spec, episodes, learning_rate):
     return theta + learning_rate * grad / len(episodes)
 
 
+def tables(theta, spec, episodes):
+    """The ``table`` inputs of an update: none, a fresh table of ``theta``,
+    and one whose rows the episodes' observations already filled."""
+    filled = DecisionTable(theta, spec)
+    for steps, _ in episodes:
+        for step in steps:
+            filled.row(step.obs)
+    return [None, DecisionTable(theta, spec), filled]
+
+
 def random_episodes(spec, rng, n_episodes, zero_share):
     """Episodes of 1 to 4 steps over 6 observations, so that (observation,
     action) keys repeat, with about ``zero_share`` of the advantages 0."""
@@ -294,10 +304,12 @@ class TestMaskedPolicyUpdate:
         rng = np.random.default_rng(seed)
         theta = rng.normal(scale=3.0, size=(spec.num_actions, spec.encoded_dim))
         episodes = random_episodes(spec, rng, n_episodes, zero_share)
-        assert bits(masked_policy_update(theta, spec, episodes, 0.05)) == bits(
-            reference_update(theta, spec, episodes, 0.05))
+        expected = bits(reference_update(theta, spec, episodes, 0.05))
+        for table in tables(theta, spec, episodes):
+            assert bits(masked_policy_update(theta, spec, episodes, 0.05, table)) == expected
 
-    def test_one_gradient_per_distinct_step_in_first_seen_order(self, spec, gradient_calls):
+    def test_one_gradient_per_distinct_step_in_first_seen_order(self, spec, gradient_calls,
+                                                                 monkeypatch):
         # repeated keys, one through an equal but distinct Observation; a key
         # whose every advantage is 0 is skipped
         a, a_copy = Observation((1.0, 0.0, 0.0)), Observation((1.0, 0.0, 0.0))
@@ -308,19 +320,31 @@ class TestMaskedPolicyUpdate:
             ([StepRecord(b, 2, 0.5), StepRecord(a_copy, 0, 0.5), StepRecord(a, 1, 0.5),
               StepRecord(c, 3, 0.5)], [2.0, 0.3, 0.7, 0.0]),
         ]
-        calls = gradient_calls(trainer)
+        calls, rows = gradient_calls(trainer), []
+        real = orchestrator.action_distribution
+        monkeypatch.setattr(orchestrator, "action_distribution",
+                            lambda theta, spec, obs: rows.append(obs) or real(theta, spec, obs))
         theta = np.random.default_rng(5).normal(size=(spec.num_actions, spec.encoded_dim))
-        masked_policy_update(theta, spec, episodes, 0.05)
-        assert calls == [(b, 2), (a, 0), (a, 1)]
-        assert calls[1][0] is a
+        updated = masked_policy_update(theta, spec, episodes, 0.05)
+        assert calls == []
+        # the keys (b, 2), (a, 0) and (a, 1) read one row per observation
+        assert rows == [b, a]
+        assert rows[1] is a
+        table = DecisionTable(theta, spec)
+        table.row(a), table.row(b)
+        rows.clear()
+        assert bits(masked_policy_update(theta, spec, episodes, 0.05, table)) == bits(updated)
+        assert rows == []
+        assert bits(updated) == bits(reference_update(theta, spec, episodes, 0.05))
 
     def test_more_than_128_terms_are_added_in_step_order(self, spec):
         rng = np.random.default_rng(7)
         theta = rng.normal(size=(spec.num_actions, spec.encoded_dim))
         episodes = random_episodes(spec, rng, 120, 0.2)
         assert sum(adv != 0.0 for _, advantages in episodes for adv in advantages) > 128
-        assert bits(masked_policy_update(theta, spec, episodes, 0.05)) == bits(
-            reference_update(theta, spec, episodes, 0.05))
+        expected = bits(reference_update(theta, spec, episodes, 0.05))
+        for table in tables(theta, spec, episodes):
+            assert bits(masked_policy_update(theta, spec, episodes, 0.05, table)) == expected
 
 
 def always_delegate(spec):
@@ -736,11 +760,38 @@ class TestOracleOptimalityGap:
         total, matched = 0, 0
         for ci, cls in enumerate(world.generator.classes):
             sets = optimal_action_sets(world, cls, spec, REWARDS, 2)
-            feats = tuple(1.0 if i == ci else 0.0 for i in range(3))
-            for (step, flag), accepted in sets.items():
-                probs = action_distribution(theta, spec,
-                                            Observation(feats, step, flag))
+            greedy = greedy_policy(theta, spec, ci)
+            for obs, accepted in sets.items():
                 total += 1
-                if int(np.argmax(probs)) in accepted:
+                if greedy[obs] in accepted:
                     matched += 1
         assert matched / total >= 0.95
+
+
+def relay_theta(world, spec):
+    """Greedy decisions that answer a direct task, delegate a task to its
+    required action until a call succeeds, then relay the answer."""
+    theta = spec.zero_params()
+    for ci, cls in enumerate(world.generator.classes):
+        if cls.required_action is None:
+            decision = Decision.answer(cls.answer_pool[0])
+        else:
+            decision = Decision.delegate(cls.required_action)
+        theta[spec.actions.index_of(decision), ci] = 1.0
+    success = spec.feature_dim + spec.max_steps + OUTCOMES.index("agent_success")
+    theta[spec.actions.index_of(Decision.answer("relay_answer")), success] = 2.0
+    return theta
+
+
+class TestGreedyScores:
+    def test_exact_greedy_accuracy_is_the_sampled_greedy_success_rate(self, world, spec):
+        n = 2000
+        thetas = [spec.zero_params(), relay_theta(world, spec),
+                  np.random.default_rng(10).normal(size=(spec.num_actions, spec.encoded_dim))]
+        for theta in thetas:
+            scores = greedy_scores(world, spec, REWARDS, theta)
+            assert 0 < scores.accuracy < 1
+            assert scores.regret >= 0
+            sampled = evaluate_policy(world, spec, theta, WEIGHTS, n_episodes=n, seed=11)
+            standard_error = math.sqrt(scores.accuracy * (1 - scores.accuracy) / n)
+            assert abs(sampled.success_rate - scores.accuracy) <= 4 * standard_error
