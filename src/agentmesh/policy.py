@@ -193,17 +193,14 @@ def distinct(keys: list) -> tuple[list, list[int]]:
     among them: the update loops compute one gradient per distinct
     (observation, action) key."""
     rows: dict = {}
-    index: list[int] = []
-    for key in keys:
-        row = rows.get(key)
-        if row is None:
-            row = rows[key] = len(rows)
-        index.append(row)
+    index = [rows.setdefault(key, len(rows)) for key in keys]
     return list(rows), index
 
 
-@dataclass(frozen=True)
-class SftSample:
+class SftSample(NamedTuple):
+    """One demonstration: an immutable value that is its own
+    (observation, action) key for ``distinct``."""
+
     obs: Observation
     demo_action_index: int
 
@@ -215,7 +212,7 @@ def sft_update(theta: np.ndarray, spec: PolicySpec, batch: list[SftSample],
         raise ValueError("learning_rate must be positive")
     if not batch:
         return theta
-    keys, picked = distinct([(sample.obs, sample.demo_action_index) for sample in batch])
+    keys, picked = distinct(batch)
     grads = [log_prob_and_grad(theta, spec, *key)[1] for key in keys]
     # numpy adds whole gradients over the first axis in sample order, as
     # ``grad += g`` from zeros would; initial=0.0 makes that sum's +0.0 start
@@ -226,7 +223,7 @@ def sft_update(theta: np.ndarray, spec: PolicySpec, batch: list[SftSample],
 
 def sft_loss(theta: np.ndarray, spec: PolicySpec, batch: list[SftSample]) -> float:
     """Negative mean log-likelihood of the demo actions."""
-    keys, picked = distinct([(sample.obs, sample.demo_action_index) for sample in batch])
+    keys, picked = distinct(batch)
     log_probs = [log_prob_and_grad(theta, spec, *key)[0] for key in keys]
     total = 0.0
     for row in picked:  # added in sample order

@@ -118,6 +118,7 @@ def scalarize(vector: RewardVector, weights: RewardWeights) -> float:
 def episode_reward(traj: Trajectory, outcome: EpisodeOutcome, task: TaskSpec,
                    max_steps: int, ledger: NoveltyLedger) -> RewardVector:
     """Full reward vector for one finished episode (records its signature)."""
-    return RewardVector(accuracy_reward(outcome, task), format_reward(traj),
-                        efficiency_reward(outcome, max_steps), qos_reward(outcome, task),
-                        exploration_reward(ledger, outcome.delegations))
+    return tuple.__new__(RewardVector, (
+        accuracy_reward(outcome, task), format_reward(traj),
+        efficiency_reward(outcome, max_steps), qos_reward(outcome, task),
+        exploration_reward(ledger, outcome.delegations)))

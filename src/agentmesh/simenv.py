@@ -344,7 +344,7 @@ class SimEnv:
         on_target = succeeded and action_type == task.task_class.required_action
         answer = task.ground_truth if on_target else WRONG
         raw = (NOISE, ANS_OPEN, answer, ANS_CLOSE)
-        return AgentResponse(raw, latency, succeeded)
+        return tuple.__new__(AgentResponse, (raw, latency, succeeded))
 
 
 @dataclass(frozen=True)

@@ -147,32 +147,35 @@ def rollout_group(
     """G episodes of one task over derived seed streams, in rollout-index order.
 
     Rollout i uses env stream (base_seed, i, 0) and policy stream
-    (base_seed, i, 1): seeds ``seeds[i, 0]`` and ``seeds[i, 1]``, which
-    ``episode_seeds`` hashes from those words. ``train`` hashes them ahead
-    for the first group of a block of iterations and once per iteration for
-    its branch groups, and this function for its group when they are not
-    given. The episodes are not independent: each routes on
-    the metrics the earlier ones left in the shared ``registry`` and sees
-    their ``ledger`` updates. They decide from one ``DecisionTable`` of
-    ``theta``: ``table``, which ``train`` shares between all groups of an
-    iteration, or a table of this group's own when it is not given.
+    (base_seed, i, 1): the pair ``seeds[i]``, which ``episode_seeds`` hashes
+    from those words. ``train`` hashes them ahead for the first group of a
+    block of iterations and once per iteration for its branch groups, and
+    this function for its group when they are not given; given ``seeds``
+    must be shaped ``(group_size, 2)``, or ``ValueError`` is raised. The
+    episodes are not independent: each routes on the metrics the earlier
+    ones left in the shared ``registry`` and sees their ``ledger`` updates.
+    They decide from one ``DecisionTable`` of ``theta``: ``table``, which
+    ``train`` shares between all groups of an iteration, or a table of this
+    group's own when it is not given.
     """
     if group_size < 2:
         raise BadConfig("group_size must be >= 2")
     if seeds is None:
         seeds = episode_seeds(base_seed, range(group_size), range(2))
+    elif seeds.shape != (group_size, 2):
+        raise ValueError(f"seeds are shaped {seeds.shape}, not ({group_size}, 2)")
     table = DecisionTable.serving(theta, spec, table)
     episodes = []
-    for i in range(group_size):
-        env = world.build_env(seeds[i, 0])
-        rng = np.random.default_rng(seeds[i, 1])
+    for env_seed, policy_seed in seeds.tolist():
+        env = world.build_env(env_seed)
+        rng = np.random.default_rng(policy_seed)
         traj, outcome, steps = execute_episode(
             task, theta, spec, registry, router_weights, env, rng,
             max_steps=max_steps, table=table,
         )
         vector = episode_reward(traj, outcome, task, max_steps, ledger)
-        episodes.append(EpisodeResult(traj, outcome, steps, vector,
-                                      scalarize(vector, reward_weights)))
+        episodes.append(tuple.__new__(EpisodeResult, (
+            traj, outcome, steps, vector, scalarize(vector, reward_weights))))
     return RolloutGroup(episodes=episodes)
 
 

@@ -278,9 +278,12 @@ class GreedyScores:
 
 
 def greedy_scores(world: WorldConfig, spec: PolicySpec, weights: RewardWeights,
-                  theta: np.ndarray) -> GreedyScores:
+                  theta: np.ndarray, optimal: float | None = None) -> GreedyScores:
     """Score ``theta``'s greedy policy exactly, with no sampling: each
-    class's ``greedy_policy`` through ``ClassOracle.expected_reward``."""
+    class's ``greedy_policy`` through ``ClassOracle.expected_reward``.
+    ``optimal`` is the world's ``optimal_expected_reward`` over the spec's
+    step budget, computed here when it is not given: a caller scoring many
+    thetas of one world computes it once."""
     max_steps = spec.max_steps
     accuracy_only = RewardWeights(1.0, 0.0, 0.0, 0.0, 0.0)
     reward = accuracy = 0.0
@@ -291,5 +294,6 @@ def greedy_scores(world: WorldConfig, spec: PolicySpec, weights: RewardWeights,
             world, cls, spec, weights, max_steps).expected_reward(policy)
         accuracy += cls.probability * ClassOracle(
             world, cls, spec, accuracy_only, max_steps).expected_reward(policy)
-    optimal = optimal_expected_reward(world, spec, weights, max_steps)
+    if optimal is None:
+        optimal = optimal_expected_reward(world, spec, weights, max_steps)
     return GreedyScores(reward, accuracy, optimal - reward)

@@ -277,6 +277,14 @@ class TestDistinct:
         assert unique == [(a, 0), (b, 1)] and unique[0][0] is a
         assert index == [0, 0, 1]
 
+    def test_a_demo_is_its_own_key(self):
+        a, b = Observation((1.0, 0, 0)), Observation((1.0, 0, 0))
+        pairs = [(a, 0), (b, 0), (b, 1), (a, 2), (b, 1)]
+        batch = [SftSample(obs, action) for obs, action in pairs]
+        unique, index = distinct(batch)
+        assert index == distinct(pairs)[1] == [0, 0, 1, 2, 1]
+        assert list(map(id, unique)) == [id(batch[0]), id(batch[2]), id(batch[3])]
+
 
 # (observation, action) keys that repeat, once through an equal but distinct
 # Observation: the first-seen ones are (B, 2), (A, 0) and (A, 1)

@@ -29,7 +29,8 @@ from agentmesh.trainer import (
     train,
 )
 from agentmesh.trajectory import agent_segment
-from oracles import exact_sum, greedy_policy, greedy_scores, optimal_action_sets
+from oracles import (exact_sum, greedy_policy, greedy_scores, optimal_action_sets,
+                     optimal_expected_reward)
 
 WEIGHTS = RoutingWeights()
 REWARDS = RewardWeights()
@@ -603,6 +604,16 @@ class TestRolloutGroup:
             seeds = episode_seeds(base_seed, range(size), range(2))
         assert run(seeds=seeds) == run()
 
+    @pytest.mark.parametrize("rows, streams", [(3, 2), (1, 2), (2, 1)],
+                             ids=["extra rows", "too few rows", "one stream per rollout"])
+    def test_seeds_not_shaped_by_the_group_are_rejected(self, world, spec, rows, streams):
+        # iterating the rows would run as many episodes as there are rows
+        task = sample_task(world.generator, np.random.default_rng(0))
+        seeds = episode_seeds([1], range(rows), range(streams))
+        with pytest.raises(ValueError, match=r"not \(2, 2\)"):
+            rollout_group(task, spec.zero_params(), spec, world.build_registry(), WEIGHTS, 2,
+                          world, [1], REWARDS, 4, NoveltyLedger(), seeds=seeds)
+
     def test_a_table_of_a_copy_of_theta_is_rejected(self, world, spec):
         theta = spec.zero_params()
         task = sample_task(world.generator, np.random.default_rng(0))
@@ -788,8 +799,9 @@ class TestGreedyScores:
         n = 2000
         thetas = [spec.zero_params(), relay_theta(world, spec),
                   np.random.default_rng(10).normal(size=(spec.num_actions, spec.encoded_dim))]
+        optimal = optimal_expected_reward(world, spec, REWARDS, spec.max_steps)  # once per world
         for theta in thetas:
-            scores = greedy_scores(world, spec, REWARDS, theta)
+            scores = greedy_scores(world, spec, REWARDS, theta, optimal=optimal)
             assert 0 < scores.accuracy < 1
             assert scores.regret >= 0
             sampled = evaluate_policy(world, spec, theta, WEIGHTS, n_episodes=n, seed=11)
