@@ -41,9 +41,9 @@ class SftConfig:
 
     def __post_init__(self):
         if self.steps < 1:
-            raise BadConfig("sft steps must be >= 1")
+            raise BadConfig("steps must be >= 1")
         if self.learning_rate <= 0:
-            raise BadConfig("sft learning_rate must be > 0")
+            raise BadConfig("learning_rate must be > 0")
 
 
 @dataclass(frozen=True, kw_only=True)

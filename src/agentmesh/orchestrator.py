@@ -37,15 +37,16 @@ from .simenv import GeneratorConfig, SimEnv, TaskSpec, choice_cdf, goal_token, s
 from .trajectory import (
     MALFORMED_AGENT_RESPONSE,
     NO_AGENT_FOR_ACTION,
+    SOURCE_SYSTEM,
     FailureReport,
+    Segment,
     Trajectory,
-    system_segment,
 )
 from .vocab import ACTION_CLOSE, ACTION_OPEN, RELAY_ANSWER, SYS_AGENT_FAILURE, SYS_AGENT_SUCCESS, WRONG
 
 # the system marker that follows each answered agent call, by its success
-_SUCCESS_MARKER = system_segment((SYS_AGENT_SUCCESS,))
-_FAILURE_MARKER = system_segment((SYS_AGENT_FAILURE,))
+_SUCCESS_MARKER = Segment((SYS_AGENT_SUCCESS,), SOURCE_SYSTEM)
+_FAILURE_MARKER = Segment((SYS_AGENT_FAILURE,), SOURCE_SYSTEM)
 
 
 class EpisodeOutcome(NamedTuple):

@@ -223,6 +223,8 @@ def sft_update(theta: np.ndarray, spec: PolicySpec, batch: list[SftSample],
 
 def sft_loss(theta: np.ndarray, spec: PolicySpec, batch: list[SftSample]) -> float:
     """Negative mean log-likelihood of the demo actions."""
+    if not batch:
+        raise ValueError("sft_loss of an empty batch")
     keys, picked = distinct(batch)
     log_probs = [log_prob_and_grad(theta, spec, *key)[0] for key in keys]
     total = 0.0

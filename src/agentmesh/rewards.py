@@ -17,7 +17,7 @@ from typing import NamedTuple
 from .errors import InvalidWeights
 from .orchestrator import EpisodeOutcome
 from .simenv import TaskSpec
-from .trajectory import Trajectory, WELL_FORMED, validate
+from .trajectory import Trajectory, validate
 
 # Every component lies in [-1, 1], so a scalar reward lies in [-W, W] for the
 # weight sum W, and a group's squared deviations from its mean add up to at
@@ -82,7 +82,7 @@ def accuracy_reward(outcome: EpisodeOutcome, task: TaskSpec) -> float:
 
 
 def format_reward(traj: Trajectory) -> float:
-    return 1.0 if validate(traj) == WELL_FORMED else 0.0
+    return 1.0 if validate(traj) is None else 0.0
 
 
 def efficiency_reward(outcome: EpisodeOutcome, max_steps: int) -> float:

@@ -44,22 +44,14 @@ class Segment:
 
 
 @lru_cache(maxsize=1024)
-def _shared_segment(tokens: tuple[str, ...], source: str) -> Segment:
-    """One segment object per equal (tokens, source): a segment is a frozen
-    value, and most core and system segments repeat from episode to episode."""
-    return Segment(tokens, source)
-
-
-def core_segment(tokens) -> Segment:
-    return _shared_segment(tuple(tokens), SOURCE_CORE)
+def _core_segment(tokens: tuple[str, ...]) -> Segment:
+    """One core segment object per equal token tuple: a segment is a frozen
+    value, and most core segments repeat from episode to episode."""
+    return Segment(tokens, SOURCE_CORE)
 
 
 def agent_segment(card_id: str, tokens) -> Segment:
     return Segment(tuple(tokens), SOURCE_AGENT, card_id)
-
-
-def system_segment(tokens) -> Segment:
-    return _shared_segment(tuple(tokens), SOURCE_SYSTEM)
 
 
 @dataclass(frozen=True)
@@ -78,7 +70,7 @@ class Trajectory:
         """Append a loss-included core segment; empty appends are dropped."""
         tokens = tuple(tokens)
         if tokens:
-            self.segments.append(core_segment(tokens))
+            self.segments.append(_core_segment(tokens))
         return self
 
     def append(self, segment: Segment) -> "Trajectory":
@@ -124,17 +116,15 @@ def extract_answer_span(raw_tokens) -> tuple[str, ...]:
     return span
 
 
-WELL_FORMED = "well_formed"
-
-
-def validate(traj: Trajectory):
+def validate(traj: Trajectory) -> Optional[FailureReport]:
     """Structural check for control-tag discipline.
 
     Within core segments, every action-open tag must be followed in the same
     segment by exactly one close tag with a nonempty action type in between;
     tags must not nest and no control tag may appear outside that pattern.
     Non-core segments must contain no control tags at all (insertion already
-    consumes the answer delimiters). Returns WELL_FORMED or a FailureReport.
+    consumes the answer delimiters). Returns None for a well-formed
+    trajectory, else a FailureReport at the first offending tag.
     """
     for si, seg in enumerate(traj.segments):
         if seg.source != SOURCE_CORE:
@@ -156,7 +146,7 @@ def validate(traj: Trajectory):
                 open_at = None
         if open_at is not None:
             return FailureReport(INDICATOR_DISORDER, (si, open_at))
-    return WELL_FORMED
+    return None
 
 
 def to_log_record(traj: Trajectory, terminal: dict[str, str], episode_id: str,

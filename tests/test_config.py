@@ -54,6 +54,12 @@ OVERRIDE_CASES = {
     "negative seed": ("seed=-1", "seed must be >= 0"),
     "negative checkpoint_every": ("trainer.checkpoint_every=-3",
                                   "trainer: checkpoint_every must be >= 0"),
+    "zero sft steps": ("sft.steps=0", "sft: steps must be >= 1"),
+    "zero sft learning rate": ("sft.learning_rate=0", "sft: learning_rate must be > 0"),
+    "negative learning rate": ("trainer.learning_rate=-1", "trainer: learning_rate must be >= 0"),
+    "negative entropy bonus": ("trainer.entropy_bonus=-1", "trainer: entropy_bonus must be >= 0"),
+    "two class probabilities": ("env.class_probs=[0.5,0.5]",
+                                "env: case-study preset takes exactly three class probabilities"),
     "huge max_steps": ("max_steps=1e30", "max_steps: must be in"),
     "control tag as answer token": ('policy.answer_tokens=["<action>"]', "policy: control tags"),
     "duplicate answer token": ('policy.answer_tokens=["ack","ack"]',
@@ -89,6 +95,29 @@ FILE_CASES = {
     "empty task class name": (
         {"task_classes": [{**TASK, "name": ""}], "agents": [AGENT]},
         None, "task_classes[0]: name must be nonempty"),
+    "zero deadline": (
+        {"task_classes": [{**TASK, "sla_deadline_ms": 0}], "agents": [AGENT]},
+        None, "task_classes[0]: sla_deadline_ms must be positive"),
+    "empty card id": (
+        {"task_classes": [TASK], "agents": [{**AGENT, "card_id": ""}]},
+        None, "agents[0]: card_id must be nonempty"),
+    "success probability above 1": (
+        {"task_classes": [TASK], "agents": [{**AGENT, "success_prob": {"a": 1.5}}]},
+        None, "agents[0]: success probabilities must be in [0, 1]"),
+    "negative card cost": (
+        {"task_classes": [TASK], "agents": [{**AGENT, "cost": -1}]},
+        None, "agents[0]: cost must be finite and >= 0"),
+    "load per call above 1": (
+        {"task_classes": [TASK], "agents": [{**AGENT, "load_per_call": 2}]},
+        None, "agents[0]: load_per_call must be in [0, 1]"),
+    "card accuracy above 1": (
+        {"task_classes": [TASK], "registry_cards": "cards.json", "agents": [AGENT]},
+        [{**AGENT, "metrics": {"historical_accuracy": 1.5}}],
+        "registry_cards[0].metrics: historical_accuracy must be in [0, 1]"),
+    "negative card latency": (
+        {"task_classes": [TASK], "registry_cards": "cards.json", "agents": [AGENT]},
+        [{**AGENT, "metrics": {"avg_latency_ms": -1}}],
+        "registry_cards[0].metrics: latency and sample_count must be >= 0"),
     "agent success_prob not an object": (
         {"task_classes": [TASK], "agents": [{**AGENT, "success_prob": [1.0]}]},
         None, "agents[0].success_prob: must be an object"),

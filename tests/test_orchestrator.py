@@ -22,7 +22,7 @@ from agentmesh.router import RoutingWeights, route
 from agentmesh.simenv import (AgentResponse, SimAgentConfig, goal_token, preset_case_study,
                               sample_task)
 from agentmesh.trainer import masked_policy_update
-from agentmesh.trajectory import WELL_FORMED, validate
+from agentmesh.trajectory import validate
 from agentmesh.vocab import (
     ACTION_CLOSE,
     ACTION_OPEN,
@@ -428,7 +428,7 @@ class TestExecuteEpisode:
         traj, outcome, _ = self.run(world_sure, spec, theta, task)
         assert outcome.final_answer == task.ground_truth
         assert outcome.invocation_count == 1
-        assert validate(traj) == WELL_FORMED
+        assert validate(traj) is None
         assert outcome.delegations == ("network_analysis",)
 
     def test_episode_determinism(self, world, spec):
@@ -485,7 +485,7 @@ class TestExecuteEpisode:
             traj, outcome, _ = execute_episode(
                 task, theta, spec, registry, WEIGHTS, env, ep_rng,
                 max_steps=4)
-            assert validate(traj) == WELL_FORMED
+            assert validate(traj) is None
             assert outcome.failure is None
             assert outcome.delegations == tuple(
                 seg.tokens[1] for seg in traj.segments

@@ -60,6 +60,7 @@ OUT_OF_ENCODING = [
     (Observation((1.0, 0, 0), -1), "step_index must be nonnegative"),
     (Observation((1.0, 0, 0), SPEC.max_steps), "step_index must be < max_steps"),
     (Observation((1.0, 0, 0), 0, "maybe"), "unknown outcome flag 'maybe'"),
+    (Observation((1.0, 0), 0), "observation feature dimension mismatch"),
 ]
 
 
@@ -348,6 +349,15 @@ class TestSftUpdate:
         theta = np.ones((SPEC.num_actions, SPEC.encoded_dim))
         assert sft_update(theta, SPEC, [], 0.1) is theta
 
+    def test_the_loss_of_an_empty_batch_is_an_error(self):
+        with pytest.raises(ValueError, match="^sft_loss of an empty batch$"):
+            sft_loss(SPEC.zero_params(), SPEC, [])
+
+    def test_learning_rate_must_be_positive(self):
+        sample = SftSample(Observation((1.0, 0, 0)), 0)
+        with pytest.raises(ValueError, match="^learning_rate must be positive$"):
+            sft_update(SPEC.zero_params(), SPEC, [sample], 0)
+
     def test_loss_decreases_monotonically(self):
         rng = np.random.default_rng(12)
         batch = []
@@ -429,6 +439,16 @@ class TestSftDatasetIO:
         with pytest.raises(BadDataset) as exc:
             load_sft_dataset(path, SPEC)
         assert exc.value.line_no == 3
+
+    def test_blank_lines_are_skipped_and_counted(self, tmp_path):
+        path = tmp_path / "demos.jsonl"
+        good = json.dumps({"features": [1, 0, 0], "step": 0,
+                           "last_outcome": "none", "demo_action": 0})
+        path.write_text(good + "\n\n")
+        assert len(load_sft_dataset(path, SPEC)) == 1
+        path.write_text(good + "\n\n{broken\n")
+        with pytest.raises(BadDataset, match="^bad dataset line 3: "):
+            load_sft_dataset(path, SPEC)
 
     def test_out_of_range_action_rejected(self, tmp_path):
         path = tmp_path / "demos.jsonl"

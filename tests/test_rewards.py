@@ -62,6 +62,10 @@ class TestEfficiencyReward:
     def test_formula(self, invocations, expected):
         assert efficiency_reward(outcome(invocations=invocations), 4) == expected
 
+    def test_budget_must_be_positive(self):
+        with pytest.raises(ValueError, match="^max_steps must be >= 1$"):
+            efficiency_reward(outcome(), 0)
+
 
 class TestQosReward:
     def test_exactly_at_deadline(self):

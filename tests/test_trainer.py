@@ -221,6 +221,9 @@ class TestEntropyControl:
         triggered, _ = entropy_control(records_with_entropies([0.2, 0.9]), 0.0, self.CFG)
         assert not triggered
 
+    def test_no_steps_no_trigger(self):
+        assert entropy_control([], 0.5, self.CFG) == (False, [])
+
     def test_floor_below_threshold_enforced(self):
         with pytest.raises(BadConfig):
             ExplorationConfig(entropy_high_threshold=0.1, entropy_floor=0.2)
@@ -274,6 +277,11 @@ class TestMaskedPolicyUpdate:
         assert updated is theta
         episodes = random_episodes(spec, np.random.default_rng(8), 50, 1.0)
         assert masked_policy_update(theta, spec, episodes, 0.1) is theta
+
+    def test_negative_learning_rate_rejected(self, spec):
+        steps = records_with_entropies([0.5])
+        with pytest.raises(ValueError, match="^learning_rate must be >= 0$"):
+            masked_policy_update(spec.zero_params(), spec, [(steps, [1.0])], -1)
 
     def test_single_step_matches_gradient(self, spec):
         theta = np.random.default_rng(1).normal(size=(spec.num_actions, spec.encoded_dim))

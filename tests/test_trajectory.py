@@ -4,13 +4,12 @@ from hypothesis import given, strategies as st
 from agentmesh.errors import MalformedAgentResponse
 from agentmesh.trajectory import (
     INDICATOR_DISORDER,
-    WELL_FORMED,
+    SOURCE_SYSTEM,
+    FailureReport,
     Segment,
     Trajectory,
     agent_segment,
-    core_segment,
     extract_answer_span,
-    system_segment,
     validate,
 )
 from agentmesh.vocab import ACTION_CLOSE, ACTION_OPEN, ANS_CLOSE, ANS_OPEN, CONTROL_TAGS
@@ -66,11 +65,15 @@ class TestInsertAgentResponse:
             traj.insert_agent_response("na-1", raw)
         assert traj.segments == []  # atomic
 
+    def test_control_tag_inside_the_span(self):
+        with pytest.raises(MalformedAgentResponse, match="^control tag inside answer span$"):
+            extract_answer_span((ANS_OPEN, ACTION_OPEN, ANS_CLOSE))
+
 
 class TestValidate:
     def test_well_formed_action_span(self):
         traj = Trajectory().append_core([ACTION_OPEN, "protocol_query", ACTION_CLOSE])
-        assert validate(traj) == WELL_FORMED
+        assert validate(traj) is None
 
     def test_close_before_open_is_disorder(self):
         traj = Trajectory().append_core([ACTION_CLOSE, "x", ACTION_OPEN])
@@ -96,7 +99,14 @@ class TestValidate:
 
     def test_plain_answer_is_well_formed(self):
         traj = Trajectory().append_core(["ack"])
-        assert validate(traj) == WELL_FORMED
+        assert validate(traj) is None
+
+    @pytest.mark.parametrize("segment", [agent_segment("na-1", ["a", ACTION_OPEN]),
+                                         Segment(("a", ACTION_OPEN), SOURCE_SYSTEM)],
+                             ids=["agent", "system"])
+    def test_control_tag_outside_the_core_is_disorder(self, segment):
+        traj = Trajectory().append_core(["x"]).append(segment)
+        assert validate(traj) == FailureReport(INDICATOR_DISORDER, (1, 1))
 
     def test_pure_and_total(self):
         traj = Trajectory().append_core([ACTION_OPEN, "x", ACTION_CLOSE])
@@ -109,10 +119,9 @@ class TestLossMask:
         assert traj.loss_mask() == [True, True, True]
 
     def test_mixed_sources(self):
-        traj = Trajectory()
-        traj.segments.append(core_segment(["a", "b", "c"]))
-        traj.segments.append(agent_segment("na-1", ["d", "e"]))
-        traj.segments.append(core_segment(["f"]))
+        traj = Trajectory().append_core(["a", "b", "c"])
+        traj.append(agent_segment("na-1", ["d", "e"]))
+        traj.append_core(["f"])
         assert traj.loss_mask() == [True, True, True, False, False, True]
 
     def test_empty_trajectory(self):
@@ -128,11 +137,11 @@ def test_mask_matches_source_for_random_segment_sequences(layout):
     traj = Trajectory()
     for source, tokens in layout:
         if source == "core":
-            traj.segments.append(core_segment(tokens))
+            traj.append_core(tokens)
         elif source == "agent":
-            traj.segments.append(agent_segment("a-1", tokens))
+            traj.append(agent_segment("a-1", tokens))
         else:
-            traj.segments.append(system_segment(tokens))
+            traj.append(Segment(tuple(tokens), SOURCE_SYSTEM))
     mask = traj.loss_mask()
     flat = [seg.source == "core" for seg in traj.segments for _ in seg.tokens]
     assert mask == flat
