@@ -1,8 +1,11 @@
 """Operator entry point.
 
 Commands: run (one seeded episode), sft (supervised warm-up), train (RL
-optimization), eval (greedy policy evaluation). Exit codes: 0 success,
-1 config/usage error, 2 episode-level failure.
+optimization), eval (greedy policy evaluation). Exit codes: 0 success;
+1 a usage error or a :class:`BadConfig`, whether from the config, a
+``--set``, the card file, the dataset, the checkpoint, an unwritable
+artifact or a learning rate that overflows; 2 a failed ``run`` episode or
+any other package error.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, load_config
-from .errors import AgentMeshError, BadCheckpoint, BadConfig, BadDataset, printable
+from .errors import AgentMeshError, BadConfig, BadDataset, printable
 from .orchestrator import execute_episode, make_warmup_dataset
 from .policy import (diverged, load_checkpoint, load_sft_dataset, save_checkpoint, sft_loss,
                      sft_update)
@@ -223,7 +226,7 @@ def cmd_eval(args) -> int:
         raise BadConfig(f"--episodes: must be <= {MAX_EVAL_EPISODES}")
     cfg = _load(args)
     if args.checkpoint is None:
-        raise BadCheckpoint("eval requires --checkpoint")
+        raise BadConfig("eval requires --checkpoint")
     theta = load_checkpoint(args.checkpoint, cfg.policy_spec)
     summary = evaluate_policy(
         cfg.world, cfg.policy_spec, theta, cfg.router_weights,
@@ -243,7 +246,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (BadConfig, BadDataset, BadCheckpoint) as exc:
+    except BadConfig as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except AgentMeshError as exc:

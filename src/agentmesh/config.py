@@ -115,7 +115,7 @@ def _explicit_world(raw: dict) -> WorldConfig:
         if cls.name in classes:
             raise BadConfig(f"{_dotted((key, 'name'))}: duplicate class name {cls.name!r}")
         classes[cls.name] = cls
-    generator = GeneratorConfig(classes=tuple(classes.values()))
+    generator = _build(GeneratorConfig, {}, "task_classes", classes=tuple(classes.values()))
 
     cards = []
     if "registry_cards" in raw:

@@ -1,5 +1,8 @@
 """Exception types shared across the package, and how a path shows in
-their messages."""
+their messages. Bad input is a :class:`BadConfig`, whether from the config,
+a ``--set``, the card file, the dataset, the checkpoint, an unwritable
+artifact or a learning rate that overflows: the command line exits 1 on it,
+and 2 on a failed ``run`` episode or any other package error."""
 
 
 def printable(path) -> str:
@@ -48,18 +51,10 @@ class BadConfig(AgentMeshError):
     pass
 
 
-class InvalidWeights(BadConfig):
-    pass
-
-
-class BadDataset(AgentMeshError):
+class BadDataset(BadConfig):
     def __init__(self, line_no: int, reason: str = ""):
         msg = f"bad dataset line {line_no}"
         if reason:
             msg += f": {reason}"
         super().__init__(msg)
         self.line_no = line_no
-
-
-class BadCheckpoint(AgentMeshError):
-    pass

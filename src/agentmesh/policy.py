@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadCheckpoint, BadConfig, BadDataset, printable
+from .errors import BadConfig, BadDataset, printable
 from .schema import _build, _read_json
 from .vocab import CONTROL_TAGS, RELAY_ANSWER, RESERVED_TOKENS
 
@@ -253,12 +253,9 @@ def _checkpoint(shape: tuple[int, ...], values: tuple[float, ...], spec: PolicyS
 
 
 def load_checkpoint(path, spec: PolicySpec) -> np.ndarray:
-    try:
-        theta = _build(_checkpoint, _read_json(path, "checkpoint"), "checkpoint", spec=spec)
-    except BadConfig as exc:
-        raise BadCheckpoint(str(exc)) from None
+    theta = _build(_checkpoint, _read_json(path, "checkpoint"), "checkpoint", spec=spec)
     if diverged(theta):
-        raise BadCheckpoint("checkpoint values are not finite, or so large that a logit overflows")
+        raise BadConfig("checkpoint values are not finite, or so large that a logit overflows")
     return theta
 
 

@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import InvalidWeights
+from .errors import BadConfig
 from .orchestrator import EpisodeOutcome
 from .simenv import TaskSpec
 from .trajectory import Trajectory, validate
@@ -51,14 +51,14 @@ class RewardWeights:
     def __post_init__(self):
         if min(self.lambda_acc, self.lambda_fmt, self.lambda_eff,
                self.lambda_qos, self.lambda_exp) < 0:
-            raise InvalidWeights("reward weights must be nonnegative")
+            raise BadConfig("reward weights must be nonnegative")
         if self.lambda_acc <= 0:
-            raise InvalidWeights("lambda_acc must be positive")
+            raise BadConfig("lambda_acc must be positive")
         if self.lambda_fmt >= self.lambda_acc:
-            raise InvalidWeights("lambda_fmt must be < lambda_acc")
+            raise BadConfig("lambda_fmt must be < lambda_acc")
         if (self.lambda_acc + self.lambda_fmt + self.lambda_eff
                 + self.lambda_qos + self.lambda_exp) > MAX_WEIGHT_SUM:
-            raise InvalidWeights(f"reward weights must sum to at most {MAX_WEIGHT_SUM:.3g}")
+            raise BadConfig(f"reward weights must sum to at most {MAX_WEIGHT_SUM:.3g}")
 
 
 class NoveltyLedger:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from agentmesh import cli
 from agentmesh.cli import main
 from agentmesh.config import load_cards, load_config
+from agentmesh.errors import UnknownCard
 from agentmesh.trainer import MAX_GROUP_SIZE
 
 TASK = {"name": "t", "probability": 1.0, "required_action": "a", "answer_pool": ["x"]}
@@ -52,6 +53,8 @@ OVERRIDE_CASES = {
                                   "trainer.entropy_bonus: must be finite"),
     "negative class probability": ("env.class_probs=[2,-1,0]", "env: probability"),
     "negative seed": ("seed=-1", "seed must be >= 0"),
+    # a value that is not JSON is read as a bare string
+    "bare string profile": ("profile=nope", "profile: unknown profile 'nope'"),
     "negative checkpoint_every": ("trainer.checkpoint_every=-3",
                                   "trainer: checkpoint_every must be >= 0"),
     "zero sft steps": ("sft.steps=0", "sft: steps must be >= 1"),
@@ -98,6 +101,12 @@ FILE_CASES = {
     "zero deadline": (
         {"task_classes": [{**TASK, "sla_deadline_ms": 0}], "agents": [AGENT]},
         None, "task_classes[0]: sla_deadline_ms must be positive"),
+    "no task classes": (
+        {"task_classes": [], "agents": [AGENT]},
+        None, "task_classes: task generator needs at least one class"),
+    "class probabilities summing to 0.5": (
+        {"task_classes": [{**TASK, "probability": 0.5}], "agents": [AGENT]},
+        None, "task_classes: class probabilities must sum to 1 (got 0.5)"),
     "empty card id": (
         {"task_classes": [TASK], "agents": [{**AGENT, "card_id": ""}]},
         None, "agents[0]: card_id must be nonempty"),
@@ -218,6 +227,15 @@ def test_bad_config_file_names_its_key(config, cards, message, tmp_path, monkeyp
     if cards is not None:
         (tmp_path / "cards.json").write_text(json.dumps(cards))
     assert_config_error(*run_cli(["--config", "config.json"], capsys), message)
+
+
+def test_any_other_package_error_exits_2(monkeypatch, capsys):
+    def command(args):
+        raise UnknownCard("card id 'x' is not registered")
+
+    monkeypatch.setitem(cli._COMMANDS, "run", command)
+    assert main(["run"]) == 2
+    assert capsys.readouterr().err == "error: card id 'x' is not registered\n"
 
 
 # out_dir is read from the config only without --out, which run_cli passes

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agentmesh import policy
-from agentmesh.errors import BadCheckpoint, BadDataset
+from agentmesh.errors import BadConfig, BadDataset
 from agentmesh.policy import (
     ActionSpace,
     Decision,
@@ -411,13 +411,13 @@ class TestCheckpointIO:
     def test_shape_mismatch_rejected(self, tmp_path):
         path = tmp_path / "ckpt.json"
         save_checkpoint(np.zeros((2, 3)), path)
-        with pytest.raises(BadCheckpoint):
+        with pytest.raises(BadConfig):
             load_checkpoint(path, SPEC)
 
     def test_garbage_rejected(self, tmp_path):
         path = tmp_path / "ckpt.json"
         path.write_text("not json")
-        with pytest.raises(BadCheckpoint):
+        with pytest.raises(BadConfig):
             load_checkpoint(path, SPEC)
 
 

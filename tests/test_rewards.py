@@ -1,6 +1,6 @@
 import pytest
 
-from agentmesh.errors import InvalidWeights
+from agentmesh.errors import BadConfig
 from agentmesh.orchestrator import EpisodeOutcome
 from agentmesh.rewards import (
     NoveltyLedger,
@@ -121,15 +121,15 @@ class TestScalarize:
 
 class TestRewardWeights:
     def test_format_weight_must_stay_below_accuracy(self):
-        with pytest.raises(InvalidWeights):
+        with pytest.raises(BadConfig):
             RewardWeights(lambda_acc=0.5, lambda_fmt=0.5)
 
     def test_accuracy_weight_must_be_positive(self):
-        with pytest.raises(InvalidWeights):
+        with pytest.raises(BadConfig):
             RewardWeights(lambda_acc=0.0, lambda_fmt=0.0)
 
     def test_negative_weight_rejected(self):
-        with pytest.raises(InvalidWeights):
+        with pytest.raises(BadConfig):
             RewardWeights(lambda_qos=-0.1)
 
     def test_anti_hacking_bound(self):
