@@ -5,13 +5,15 @@ so a (seed, config) pair reproduces every task and agent response
 bit-for-bit. Every stream is ``np.random.default_rng(seed)``, where a seed
 is words or an ``episode_seeds`` seed: that hashes the words of many streams
 in one pass into the PCG64 state ``SeedSequence(words)`` generates, which
-``default_rng`` takes without hashing again.
+``default_rng`` takes without hashing again. ``seed_rows`` yields those
+seeds row by row, hashing ``SEED_BLOCK`` rollouts per pass.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import accumulate
@@ -35,6 +37,10 @@ ACTION_NETWORK_ANALYSIS = "network_analysis"
 ACTION_PROTOCOL_QUERY = "protocol_query"
 
 _MASK32 = 0xFFFFFFFF
+# seed_rows hashes about this many rollouts per pass: a pass costs about 60
+# array operations whatever its row count, and the seeds held stay small
+# however long the run
+SEED_BLOCK = 1024
 
 # SeedSequence's constants (numpy/random/bit_generator.pyx).
 _POOL_SIZE = 4
@@ -167,6 +173,16 @@ def episode_seeds(prefix: Sequence[int], *axes: Sequence[int]) -> np.ndarray:
     seeds = np.fromiter(map(PrecomputedSeed, states), object, len(states)).reshape(shape)
     seeds.flags.writeable = False
     return seeds
+
+
+def seed_rows(prefix: Sequence[int], rows: Sequence[int],
+              *axes: Sequence[int]) -> Iterator[np.ndarray]:
+    """The rows of ``episode_seeds(prefix, rows, *axes)`` in order, hashed as
+    they are needed, ``SEED_BLOCK`` rollouts (at least one row) per pass; a
+    rollout is one element of every axis but the last, the stream axis."""
+    per_pass = max(SEED_BLOCK // max(math.prod(map(len, axes[:-1])), 1), 1)
+    for start in range(0, len(rows), per_pass):
+        yield from episode_seeds(prefix, rows[start:start + per_pass], *axes)
 
 
 def choice_cdf(probs: Sequence[float]) -> list[float]:

@@ -25,15 +25,10 @@ from .registry import Registry
 from .rewards import (NoveltyLedger, RewardVector, RewardWeights, accuracy_reward,
                       episode_reward, scalarize)
 from .router import RoutingWeights
-from .simenv import TaskSpec, WorldConfig, episode_seeds, sample_task
+from .simenv import TaskSpec, WorldConfig, episode_seeds, sample_task, seed_rows
 from .trajectory import Trajectory
 
 ADVANTAGE_EPS = 1e-8
-# evaluate_policy seeds this many episodes per hash pass, and train the first
-# groups of SEED_BLOCK // group_size iterations (at least one): a pass costs
-# about 60 array operations whatever its row count, and the seeds held stay
-# small however long the run
-SEED_BLOCK = 1024
 # evaluate_policy keeps 8 bytes per episode; past this a typo would ask for
 # gigabytes, and the run for hours
 MAX_EVAL_EPISODES = 10_000_000
@@ -42,8 +37,8 @@ MAX_EVAL_EPISODES = 10_000_000
 # 1.05 KB held and 1.44 KB peak per episode, so one group this size takes
 # about 15 MB and 0.5 s, where a typo could ask for more memory than the host has
 MAX_GROUP_SIZE = 10_000
-# iteration k's streams carry the seed word k + 1, which must fit in 32 bits
-# for a block of iterations to be hashed in one pass
+# iteration k's streams carry the seed word k + 1, an axis word of the first
+# groups' passes, which episode_seeds rejects at 2**32 or more
 MAX_ITERATIONS = 2**32 - 2
 
 
@@ -148,9 +143,8 @@ def rollout_group(
 
     Rollout i uses env stream (base_seed, i, 0) and policy stream
     (base_seed, i, 1): the pair ``seeds[i]``, which ``episode_seeds`` hashes
-    from those words. ``train`` hashes them ahead for the first group of a
-    block of iterations and once per iteration for its branch groups, and
-    this function for its group when they are not given; given ``seeds``
+    from those words. ``train`` takes them from ``seed_rows``, and this
+    function hashes its group's when they are not given; given ``seeds``
     must be shaped ``(group_size, 2)``, or ``ValueError`` is raised. The
     episodes are not independent: each routes on the metrics the earlier
     ones left in the shared ``registry`` and sees their ``ledger`` updates.
@@ -272,11 +266,7 @@ def train(
 
     ``checkpoint_callback(iteration, theta)`` is invoked every
     ``checkpoint_every`` iterations when configured. Rollout i of group gi
-    at iteration k draws from streams (seed, k + 1, gi, i, 0 and 1). The
-    first group's size is fixed, so one ``episode_seeds`` pass seeds it for
-    ``SEED_BLOCK // group_size`` iterations (at least 1), one iteration per
-    row; branch groups exist only after a trigger, so theirs are hashed
-    once per iteration that has them, one group per row.
+    at iteration k draws from streams (seed, k + 1, gi, i, 0 and 1).
     """
     cfg = trainer_config
     exploration = cfg.exploration or ExplorationConfig.defaults(spec.num_actions)
@@ -287,19 +277,15 @@ def train(
     report = TrainingReport()
     pending_tasks: list[TaskSpec] = []
     size, branch = cfg.group_size, exploration.branch_factor
-    per_block = max(SEED_BLOCK // size, 1)
+    first_seeds = seed_rows([seed], range(1, cfg.iterations + 1), [0], range(size), range(2))
 
-    for iteration in range(cfg.iterations):
-        at = iteration % per_block
-        if at == 0:  # the first group's words (k + 1, 0, i, s) for the block's iterations k
-            ks = range(iteration + 1, min(iteration + per_block, cfg.iterations) + 1)
-            first = episode_seeds([seed], ks, [0], range(size), range(2))
+    for iteration, first in enumerate(first_seeds):  # the first group's words (k + 1, 0, i, s)
         task = sample_task(world.generator, task_rng)
-        plans: list[tuple[TaskSpec, np.ndarray]] = [(task, first[at, 0])]
+        plans: list[tuple[TaskSpec, np.ndarray]] = [(task, first[0])]
         if pending_tasks:  # branch group gi = 1, 2, ...: words (k + 1, gi, i, s)
-            branches = episode_seeds([seed, iteration + 1], range(1, len(pending_tasks) + 1),
-                                     range(branch), range(2))
-            plans += zip(pending_tasks, branches)
+            rows = seed_rows([seed, iteration + 1], range(1, len(pending_tasks) + 1),
+                             range(branch), range(2))
+            plans += zip(pending_tasks, rows)
         pending_tasks = []
         table = DecisionTable(theta, spec)  # every group of the iteration decides under theta
 
@@ -390,14 +376,10 @@ def evaluate_policy(
     table = DecisionTable(theta, spec)
     # env stream (seed, 3, i, 0) and, unless greedy, policy stream (seed, 3, i, 1):
     # a greedy episode draws nothing from its policy stream
-    for i in range(n_episodes):
-        at = i % SEED_BLOCK
-        if at == 0:
-            block = range(i, min(i + SEED_BLOCK, n_episodes))
-            seeds = episode_seeds([seed, 3], block, range(1 if greedy else 2))
+    for i, seeds in enumerate(seed_rows([seed, 3], range(n_episodes), range(1 if greedy else 2))):
         task = sample_task(world.generator, task_rng)
-        env = world.build_env(seeds[at, 0])
-        rng = None if greedy else np.random.default_rng(seeds[at, 1])
+        env = world.build_env(seeds[0])
+        rng = None if greedy else np.random.default_rng(seeds[1])
         traj, outcome, _ = execute_episode(
             task, theta, spec, registry, router_weights, env, rng,
             max_steps=max_steps, greedy=greedy, table=table,

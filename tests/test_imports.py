@@ -128,9 +128,10 @@ def test_starting_and_loading_a_config_do_not_import_numpy_random():
     assert result.stdout == "False\n"
 
 
-# simenv alone hashes seed words and holds what it hashes them into; every
-# other module hands an episode_seeds seed to default_rng or build_env as it is.
-SEED_INTERNALS = {"PrecomputedSeed", "seed_states"}
+# simenv alone hashes seed words, holds what it hashes them into and decides
+# how many seeds a pass hashes; every other module hands an episode_seeds or
+# seed_rows seed to default_rng or build_env as it is.
+SEED_INTERNALS = {"PrecomputedSeed", "SEED_BLOCK", "seed_states"}
 
 
 def seed_internals(source: str) -> list[tuple[int, str]]:
@@ -164,6 +165,7 @@ def test_only_simenv_names_the_seed_internals(module):
     ("from . import simenv\nsimenv.PrecomputedSeed(row)\n", [(2, "PrecomputedSeed")]),
     ("x = 'PrecomputedSeed'\n", []),
     ("from .simenv import episode_seeds\n", []),
+    ("from .simenv import SEED_BLOCK\n", [(1, "SEED_BLOCK")]),
 ])
 def test_the_seed_check_finds_exactly_those_names(source, found):
     assert seed_internals(source) == found

@@ -2,9 +2,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from agentmesh import simenv
 from agentmesh.config import default_policy_spec
 from agentmesh.errors import BadConfig, UnknownCard
 from agentmesh.orchestrator import execute_episode
@@ -22,6 +23,7 @@ from agentmesh.simenv import (
     goal_token,
     preset_case_study,
     sample_task,
+    seed_rows,
     seed_states,
 )
 from agentmesh.trajectory import SOURCE_CORE, extract_answer_span
@@ -246,6 +248,48 @@ class TestSeedStates:
             ours, theirs = np.random.default_rng(seeds[index]), np.random.default_rng(words)
             assert ours.bit_generator.state == theirs.bit_generator.state
             assert np.array_equal(ours.random(8), theirs.random(8))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(seed_words, min_size=1, max_size=2), st.integers(1, 7),
+           st.integers(0, 2**32 - 21), st.integers(0, 20),
+           st.lists(st.lists(uint32_words, max_size=3), min_size=1, max_size=3))
+    @example([5], 3, 0, 7, [[], [0, 1]])  # an empty axis: empty rows, and no division by 0
+    @example([5], 1, 0, 4, [[0, 1, 2], [0, 1]])  # fewer rollouts per pass than a row holds
+    def test_seed_rows_are_the_rows_of_episode_seeds_a_pass_at_a_time(
+            self, prefix, block, start, n_rows, axes):
+        rows, calls = range(start, start + n_rows), []
+
+        def counting(*args):
+            calls.append(args)
+            return episode_seeds(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simenv, "SEED_BLOCK", block)
+            patch.setattr(simenv, "episode_seeds", counting)
+            yielded = list(seed_rows(prefix, rows, *axes))
+        expected = episode_seeds(prefix, rows, *axes)
+        assert len(yielded) == len(expected)
+        for ours, theirs in zip(yielded, expected):
+            assert ours.shape == theirs.shape
+            assert all(np.array_equal(o.state, t.state) for o, t in zip(ours.flat, theirs.flat))
+        per_pass = max(block // max(int(np.prod([len(a) for a in axes[:-1]])), 1), 1)
+        assert len(calls) == -(-len(rows) // per_pass)
+
+    def test_seed_rows_hash_a_pass_only_when_its_first_row_is_asked_for(self, monkeypatch):
+        # a train of MAX_ITERATIONS holds one pass of seeds, not all of them
+        passes = []
+
+        def counting(prefix, rows, *axes):
+            passes.append(rows)
+            return episode_seeds(prefix, rows, *axes)
+
+        monkeypatch.setattr(simenv, "episode_seeds", counting)
+        row = next(seed_rows([1], range(1, 2**32), [0], range(8), range(2)))
+        assert passes == [range(1, 129)]  # 1,024 rollouts of 8
+        assert row.shape == (1, 8, 2)
+        for (i, s), seed in np.ndenumerate(row[0]):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng([1, 1, 0, i, s])
+            assert ours.bit_generator.state == theirs.bit_generator.state
 
     def test_a_negative_seed_is_rejected_as_default_rng_rejects_it(self):
         with pytest.raises(ValueError):

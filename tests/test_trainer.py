@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from agentmesh import orchestrator, trainer
+from agentmesh import orchestrator, simenv, trainer
 from agentmesh.config import default_policy_spec, load_config
 from agentmesh.errors import BadConfig
 from agentmesh.orchestrator import DecisionTable, StepRecord, execute_episode
@@ -446,7 +446,7 @@ def test_evaluation_seeds_in_blocks_with_every_stream_kept(world, spec, monkeypa
         return result
 
     monkeypatch.setattr(trainer, "execute_episode", recording)
-    monkeypatch.setattr(trainer, "SEED_BLOCK", 3)  # blocks of 3, 3, 3 and 1
+    monkeypatch.setattr(simenv, "SEED_BLOCK", 3)  # blocks of 3, 3, 3 and 1
     evaluate_policy(world, spec, theta, WEIGHTS, n_episodes=10, seed=7, greedy=greedy)
     assert seen == outcomes
 
@@ -481,7 +481,7 @@ class TestSeedBlocks:
             return theta.tobytes(), report.to_csv(), [row.triggers for row in report.rows]
 
         unblocked = run()
-        monkeypatch.setattr(trainer, "SEED_BLOCK", per_block * cfg.group_size + 1)
+        monkeypatch.setattr(simenv, "SEED_BLOCK", per_block * cfg.group_size + 1)
         assert run() == unblocked
         triggers = unblocked[2]
         if initial is None:
@@ -512,7 +512,7 @@ class TestSeedBlocks:
             at["gi"] = 0
 
         monkeypatch.setattr(trainer, "rollout_group", recording)
-        monkeypatch.setattr(trainer, "SEED_BLOCK", 20)  # blocks of 2, 2 and 1 iterations
+        monkeypatch.setattr(simenv, "SEED_BLOCK", 20)  # blocks of 2, 2 and 1 iterations
         train(world, spec, TrainerConfig(iterations=5, checkpoint_every=1), REWARDS, WEIGHTS,
               seed, checkpoint_callback=next_iteration)
         assert groups == {0, 1, 2, 3, 4}  # branch groups ran
@@ -529,9 +529,9 @@ class TestSeedBlocks:
             calls.append(args)
             return episode_seeds(*args)
 
-        monkeypatch.setattr(trainer, "episode_seeds", counting)
+        monkeypatch.setattr(simenv, "episode_seeds", counting)
         if block is not None:
-            monkeypatch.setattr(trainer, "SEED_BLOCK", block)  # 3 iterations, or at least 1
+            monkeypatch.setattr(simenv, "SEED_BLOCK", block)  # 3 iterations, or at least 1
         # from zero every group triggers; above log A no decision can
         never = ExplorationConfig(entropy_high_threshold=np.log(spec.num_actions) + 1.0,
                                   entropy_floor=0.0)
