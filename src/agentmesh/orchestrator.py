@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import BadConfig, MalformedAgentResponse, NoAgentForAction
 from .policy import (
-    KIND_ANSWER,
     OUTCOME_AGENT_FAILURE,
     OUTCOME_AGENT_SUCCESS,
     OUTCOME_NONE,
@@ -155,8 +154,9 @@ def decide(obs: Observation, theta: np.ndarray, spec: PolicySpec,
     """Sample one decision from the policy's action distribution; returns
     the decision, its action index and the table row it was drawn from.
 
-    ``table`` keeps the rows of ``theta`` under ``spec`` across calls; a
-    one-call table is built without it. Greedy mode takes the argmax instead
+    ``table`` keeps the rows of ``theta`` under ``spec`` across calls, unchecked
+    (``execute_episode`` checks its table once, by ``DecisionTable.serving``);
+    a one-call table is built without it. Greedy mode takes the argmax instead
     (first index on exact ties) and never touches ``rng``.
     """
     if table is None:
@@ -211,7 +211,7 @@ def execute_episode(
         decision, index, row = decide(obs, theta, spec, rng, greedy, table=table)
         records.append(new(StepRecord, (obs, index, row.entropy)))
 
-        if decision.kind == KIND_ANSWER:
+        if decision.token is not None:
             token = decision.token
             if token == RELAY_ANSWER:
                 token = relay_source if relay_source is not None else WRONG

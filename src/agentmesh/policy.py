@@ -25,9 +25,6 @@ OUTCOME_AGENT_SUCCESS = "agent_success"
 OUTCOME_AGENT_FAILURE = "agent_failure"
 OUTCOMES = (OUTCOME_NONE, OUTCOME_AGENT_SUCCESS, OUTCOME_AGENT_FAILURE)
 
-KIND_ANSWER = "answer"
-KIND_DELEGATE = "delegate"
-
 
 class Observation(NamedTuple):
     """What the policy sees at one step: the task's features, the step index
@@ -41,22 +38,24 @@ class Observation(NamedTuple):
 
 @dataclass(frozen=True)
 class Decision:
-    kind: str  # KIND_ANSWER or KIND_DELEGATE
+    """One policy choice: exactly one of ``token`` and ``action_type`` is set."""
+
     token: str | None = None
     action_type: str | None = None
 
     @staticmethod
     def answer(token: str) -> "Decision":
-        return Decision(KIND_ANSWER, token=token)
+        return Decision(token=token)
 
     @staticmethod
     def delegate(action_type: str) -> "Decision":
-        return Decision(KIND_DELEGATE, action_type=action_type)
+        return Decision(action_type=action_type)
 
 
 @dataclass(frozen=True)
 class ActionSpace:
-    """Fixed ordering: answer tokens first, then delegation targets."""
+    """Answer tokens first, then delegation targets. ``decisions`` is that
+    layout; ``index_of``, ``decision_of`` and ``num_actions`` read it."""
 
     answer_tokens: tuple[str, ...]
     action_types: tuple[str, ...]
@@ -68,14 +67,14 @@ class ActionSpace:
         answers, actions = set(self.answer_tokens), set(self.action_types)
         if len(answers) < len(self.answer_tokens) or len(actions) < len(self.action_types):
             raise ValueError("answer tokens and action types must not repeat")
-        if set(CONTROL_TAGS) & (answers | actions):
+        if CONTROL_TAGS & (answers | actions):
             raise ValueError("control tags cannot be actions")
-        if set(RESERVED_TOKENS) & (answers - {RELAY_ANSWER} | actions):
+        if RESERVED_TOKENS & (answers - {RELAY_ANSWER} | actions):
             raise ValueError("reserved tokens cannot be actions, except relay_answer as an answer")
 
     @property
     def num_actions(self) -> int:
-        return len(self.answer_tokens) + len(self.action_types)
+        return len(self.decisions)
 
     @cached_property
     def decisions(self) -> tuple[Decision, ...]:
@@ -90,9 +89,7 @@ class ActionSpace:
         return decisions[index]
 
     def index_of(self, decision: Decision) -> int:
-        if decision.kind == KIND_ANSWER:
-            return self.answer_tokens.index(decision.token)
-        return len(self.answer_tokens) + self.action_types.index(decision.action_type)
+        return self.decisions.index(decision)
 
 
 @dataclass(frozen=True)

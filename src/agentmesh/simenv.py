@@ -216,9 +216,9 @@ class TaskClass:
             raise ValueError("sla_deadline_ms must be positive")
         if not self.answer_pool:
             raise ValueError("answer_pool must be nonempty")
-        if set(CONTROL_TAGS) & {self.required_action, *self.answer_pool}:
+        if CONTROL_TAGS & {self.required_action, *self.answer_pool}:
             raise ValueError("answer_pool and required_action must not be control tags")
-        if set(RESERVED_TOKENS) & {self.required_action, *self.answer_pool}:
+        if RESERVED_TOKENS & {self.required_action, *self.answer_pool}:
             raise ValueError("answer_pool and required_action must not be reserved tokens")
 
 

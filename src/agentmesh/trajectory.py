@@ -16,8 +16,6 @@ from typing import Optional
 from .errors import MalformedAgentResponse
 from .vocab import ACTION_CLOSE, ACTION_OPEN, ANS_CLOSE, ANS_OPEN, CONTROL_TAGS
 
-_CONTROL_TAGS = frozenset(CONTROL_TAGS)
-
 SOURCE_CORE = "core"
 SOURCE_AGENT = "agent"
 SOURCE_SYSTEM = "system"
@@ -111,7 +109,7 @@ def extract_answer_span(raw_tokens) -> tuple[str, ...]:
     span = raw[start + 1:end]
     if not span:
         raise MalformedAgentResponse("empty answer span")
-    if not _CONTROL_TAGS.isdisjoint(span):
+    if not CONTROL_TAGS.isdisjoint(span):
         raise MalformedAgentResponse("control tag inside answer span")
     return span
 

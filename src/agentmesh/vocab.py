@@ -10,7 +10,7 @@ ACTION_CLOSE = "</action>"
 ANS_OPEN = "<ans>"
 ANS_CLOSE = "</ans>"
 
-CONTROL_TAGS: tuple[str, ...] = (ACTION_OPEN, ACTION_CLOSE, ANS_OPEN, ANS_CLOSE)
+CONTROL_TAGS = frozenset((ACTION_OPEN, ACTION_CLOSE, ANS_OPEN, ANS_CLOSE))
 
 # Marker tokens emitted by the orchestrator / simulated agents.
 SYS_AGENT_SUCCESS = "sys_agent_success"
@@ -24,4 +24,4 @@ RELAY_ANSWER = "relay_answer"
 
 # Tokens whose meaning the orchestrator or the simulated agents fix; no
 # answer or action may be one, except RELAY_ANSWER as the relay action.
-RESERVED_TOKENS: tuple[str, ...] = (SYS_AGENT_SUCCESS, SYS_AGENT_FAILURE, NOISE, WRONG, RELAY_ANSWER)
+RESERVED_TOKENS = frozenset((SYS_AGENT_SUCCESS, SYS_AGENT_FAILURE, NOISE, WRONG, RELAY_ANSWER))

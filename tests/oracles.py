@@ -180,7 +180,7 @@ class ClassOracle:
             if step >= self.max_steps:
                 return self._terminal(0.0, invocations)  # truncated
             decision = actions.decision_of(policy[(step, flag)])
-            if decision.kind == "answer":
+            if decision.token is not None:
                 if decision.token == RELAY_ANSWER:
                     acc = 1.0 if relay_correct is True else 0.0
                 else:

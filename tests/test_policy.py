@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from agentmesh import policy
@@ -459,12 +459,29 @@ class TestSftDatasetIO:
         assert exc.value.line_no == 1
 
 
-def test_action_space_index_round_trip():
-    actions = SPEC.actions
-    for i in range(SPEC.num_actions):
-        assert actions.index_of(actions.decision_of(i)) == i
-    assert actions.decision_of(0) == Decision.answer("ack")
-    assert actions.decision_of(2) == Decision.delegate("network_analysis")
+NAMES = ("ack", "nack", "slicing", "network_analysis", "protocol_query")
+NAME_LISTS = st.lists(st.sampled_from(NAMES), max_size=4, unique=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(NAME_LISTS, NAME_LISTS)
+def test_action_space_index_round_trip(answer_tokens, action_types):
+    # one alphabet for both, so a name can be an answer token and an action type
+    assume(len(answer_tokens) + len(action_types) >= 2)
+    actions = ActionSpace(tuple(answer_tokens), tuple(action_types))
+    decisions = actions.decisions
+    assert actions.num_actions == len(decisions)
+    for i in range(actions.num_actions):
+        assert actions.decision_of(i) is decisions[i]
+        assert actions.index_of(decisions[i]) == i
+        assert (decisions[i].token is not None) == (i < len(answer_tokens))
+    for name in set(answer_tokens) & set(action_types):
+        assert actions.index_of(Decision.answer(name)) != actions.index_of(Decision.delegate(name))
+    outside = next(name for name in NAMES if name not in answer_tokens)
+    with pytest.raises(ValueError):
+        actions.index_of(Decision.answer(outside))
+    assert SPEC.actions.decision_of(0) == Decision.answer("ack")
+    assert SPEC.actions.decision_of(2) == Decision.delegate("network_analysis")
 
 
 def test_action_space_keeps_one_decision_per_index():

@@ -50,7 +50,9 @@ def test_every_record_refuses_a_field_assignment(world, spec):
     for record, name in [(ep, "scalar_reward"), (ep.outcome, "final_answer"),
                          (ep.steps[0], "entropy"), (ep.reward_vector, "accuracy"),
                          (task, "ground_truth"), (response, "succeeded"),
-                         (demo, "demo_action_index")]:
+                         (demo, "demo_action_index"),
+                         # every episode of an action space shares its cached decisions
+                         (spec.actions.decision_of(0), "token")]:
         with pytest.raises(AttributeError):
             setattr(record, name, None)
 
