@@ -1,8 +1,11 @@
 """Exception types shared across the package, and how a path shows in
-their messages. Bad input is a :class:`BadConfig`, whether from the config,
-a ``--set``, the card file, the dataset, the checkpoint, an unwritable
-artifact or a learning rate that overflows: the command line exits 1 on it,
-and 2 on a failed ``run`` episode or any other package error."""
+their messages. A :class:`BadConfig` is bad input, and the command line exits
+1 on it: the config, a ``--set``, the card file, the dataset (a
+:class:`BadDataset`, with its line number), the checkpoint, an unwritable
+artifact, a learning rate that overflows or a card the registry refuses.
+Any other :class:`AgentMeshError`, such as a card id the registry or the env
+does not hold, exits 2, as does a ``run`` episode that fails: the episode
+loop catches :class:`NoAgentForAction` and :class:`MalformedAgentResponse`."""
 
 
 def printable(path) -> str:
@@ -15,20 +18,6 @@ def printable(path) -> str:
 
 class AgentMeshError(Exception):
     """Base class for all package errors."""
-
-
-# --- registry ---
-
-class DuplicateId(AgentMeshError):
-    pass
-
-
-class EmptyActions(AgentMeshError):
-    pass
-
-
-class UnknownCard(AgentMeshError):
-    pass
 
 
 # --- router ---
@@ -52,9 +41,6 @@ class BadConfig(AgentMeshError):
 
 
 class BadDataset(BadConfig):
-    def __init__(self, line_no: int, reason: str = ""):
-        msg = f"bad dataset line {line_no}"
-        if reason:
-            msg += f": {reason}"
-        super().__init__(msg)
+    def __init__(self, line_no: int, reason: str):
+        super().__init__(f"bad dataset line {line_no}: {reason}")
         self.line_no = line_no

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DuplicateId, EmptyActions, UnknownCard
+from .errors import AgentMeshError, BadConfig
 
 if TYPE_CHECKING:
     from .router import RoutingWeights
@@ -127,9 +127,9 @@ class Registry:
 
     def register_card(self, card: AgentCard, initial_metrics: AgentMetrics | None = None) -> str:
         if not card.supported_actions:
-            raise EmptyActions(f"card {card.card_id!r} declares no supported actions")
+            raise BadConfig(f"card {card.card_id!r} declares no supported actions")
         if card.card_id in self._entries:
-            raise DuplicateId(f"card id {card.card_id!r} already registered")
+            raise BadConfig(f"card id {card.card_id!r} already registered")
         self._entries[card.card_id] = (card, initial_metrics or _NO_METRICS)
         for action_type in card.supported_actions:
             self._indexes.pop(action_type, None)
@@ -164,7 +164,7 @@ class Registry:
         try:
             card, prev = self._entries[card_id]
         except KeyError:
-            raise UnknownCard(f"card id {card_id!r} is not registered") from None
+            raise AgentMeshError(f"card id {card_id!r} is not registered") from None
         a = 1.0 if prev.sample_count == 0 else EWMA_ALPHA
         observed_acc = 1.0 if success else 0.0
         updated = AgentMetrics(min(max(load_now, 0.0), 1.0),

@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import BadConfig, UnknownCard
+from .errors import AgentMeshError, BadConfig
 from .registry import AgentCard, AgentMetrics, Registry
 from .vocab import ANS_CLOSE, ANS_OPEN, CONTROL_TAGS, NOISE, RESERVED_TOKENS, WRONG
 
@@ -344,7 +344,7 @@ class SimEnv:
         """
         agent = self.agents.get(card_id)
         if agent is None:
-            raise UnknownCard(f"no simulated agent for card {card_id!r}")
+            raise AgentMeshError(f"no simulated agent for card {card_id!r}")
         rng, loads = self.rng, self.loads
 
         for cid in loads:

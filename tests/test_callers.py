@@ -1,6 +1,8 @@
 """Every public top-level function and class of the package, and every
 public method and property of its top-level classes, has a caller: code in
-``src/``, ``demos/`` or ``bench/`` reads its name outside its own definition."""
+``src/``, ``demos/`` or ``bench/`` reads its name outside its own definition.
+Every exception type of the package is one that some ``except`` clause in
+``src/`` names."""
 
 import ast
 from pathlib import Path
@@ -87,3 +89,43 @@ def test_every_public_name_has_a_caller(module):
 ])
 def test_the_check_finds_exactly_the_uncalled_names(source, elsewhere, names):
     assert uncalled(source, elsewhere) == names
+
+
+def uncaught(errors_source: str, sources: list[str]) -> list[str]:
+    """The classes that ``errors_source`` defines and that no ``except``
+    clause of ``sources`` names, as a name, an attribute or a member of a
+    tuple."""
+    caught = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught |= names_read(node.type)
+    return [node.name for node in ast.parse(errors_source).body
+            if isinstance(node, ast.ClassDef) and node.name not in caught]
+
+
+# exception types that no except clause names, with why each stays
+UNCAUGHT_ERRORS = {
+    "BadDataset": "the dataset reader raises it for its line_no and its 'bad dataset line N:' "
+                  "prefix; cli.main catches it as a BadConfig",
+}
+
+
+def test_every_error_type_is_caught():
+    names = set(uncaught((PACKAGE / "errors.py").read_text(),
+                         [module.read_text() for module in MODULES]))
+    assert names == set(UNCAUGHT_ERRORS), (
+        f"errors.py defines types that no except clause names: "
+        f"{', '.join(sorted(names - set(UNCAUGHT_ERRORS)))}; "
+        f"allowed but caught: {', '.join(sorted(set(UNCAUGHT_ERRORS) - names))}")
+
+
+@pytest.mark.parametrize("sources, names", [
+    (["try: f()\nexcept E: pass\n"], []),
+    (["try: f()\nexcept (ValueError, E) as exc: pass\n"], []),
+    (["try: f()\nexcept errors.E: pass\n"], []),
+    (["try: f()\nexcept: pass\n"], ["E"]),
+    (["raise E()\n", "try: f()\nexcept ValueError: raise E()\n"], ["E"]),
+], ids=["name", "tuple", "attribute", "bare except", "raised, not caught"])
+def test_the_check_finds_exactly_the_uncaught_errors(sources, names):
+    assert uncaught("class E(Exception): pass\n", sources) == names

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from agentmesh import cli
 from agentmesh.cli import main
 from agentmesh.config import load_cards, load_config
-from agentmesh.errors import UnknownCard
+from agentmesh.errors import AgentMeshError
+from agentmesh.registry import AgentCard, Registry
 from agentmesh.trainer import MAX_GROUP_SIZE
 
 TASK = {"name": "t", "probability": 1.0, "required_action": "a", "answer_pool": ["x"]}
@@ -231,11 +232,22 @@ def test_bad_config_file_names_its_key(config, cards, message, tmp_path, monkeyp
 
 def test_any_other_package_error_exits_2(monkeypatch, capsys):
     def command(args):
-        raise UnknownCard("card id 'x' is not registered")
+        raise AgentMeshError("card id 'x' is not registered")
 
     monkeypatch.setitem(cli._COMMANDS, "run", command)
     assert main(["run"]) == 2
     assert capsys.readouterr().err == "error: card id 'x' is not registered\n"
+
+
+def test_a_card_the_registry_refuses_exits_1(monkeypatch, capsys):
+    def command(args):
+        registry = Registry()
+        for _ in range(2):
+            registry.register_card(AgentCard("x", "native", frozenset({"a"})))
+
+    monkeypatch.setitem(cli._COMMANDS, "run", command)
+    assert main(["run"]) == 1
+    assert capsys.readouterr().err == "error: card id 'x' already registered\n"
 
 
 # out_dir is read from the config only without --out, which run_cli passes

@@ -54,9 +54,12 @@ def unused_imports(source: str) -> list[tuple[int, str]]:
 
 @pytest.mark.parametrize("module", MODULES, ids=[m.name for m in MODULES])
 def test_every_imported_name_is_used(module):
-    unused = [f"{name} (line {line})" for line, name in unused_imports(module.read_text())
-              if (module.name, name) not in RE_EXPORTS]
-    assert not unused, f"{module.name} imports names it never uses: {', '.join(unused)}"
+    unused = {name for _, name in unused_imports(module.read_text())}
+    expected = {name for path, name in RE_EXPORTS if path == module.name}
+    assert unused == expected, (f"{module.name} imports names it never uses: "
+                                f"{', '.join(sorted(unused - expected))}; "
+                                f"allowed but used or not imported: "
+                                f"{', '.join(sorted(expected - unused))}")
 
 
 @pytest.mark.parametrize("source, unused", [

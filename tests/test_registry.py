@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from agentmesh.errors import DuplicateId, EmptyActions, UnknownCard
+from agentmesh.errors import AgentMeshError, BadConfig
 from agentmesh.registry import EWMA_ALPHA, AgentCard, AgentMetrics, Registry, score
 from agentmesh.router import RoutingWeights
 
@@ -22,18 +22,18 @@ class TestRegisterCard:
     def test_duplicate_id_rejected(self):
         reg = Registry()
         reg.register_card(card())
-        with pytest.raises(DuplicateId):
+        with pytest.raises(BadConfig):
             reg.register_card(card())
 
     def test_duplicate_id_rejected_across_protocols(self):
         reg = Registry()
         reg.register_card(card(protocol="native"))
-        with pytest.raises(DuplicateId):
+        with pytest.raises(BadConfig):
             reg.register_card(card(protocol="a2a"))
 
     def test_empty_actions_rejected(self):
         reg = Registry()
-        with pytest.raises(EmptyActions):
+        with pytest.raises(BadConfig):
             reg.register_card(card(actions=()))
 
 
@@ -157,7 +157,7 @@ class TestUpdateMetrics:
         assert got.sample_count == 1
 
     def test_unknown_card(self):
-        with pytest.raises(UnknownCard):
+        with pytest.raises(AgentMeshError):
             Registry().update_metrics("ghost", latency_ms=1.0, success=True, load_now=0.0)
 
     @given(

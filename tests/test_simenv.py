@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from agentmesh import simenv
 from agentmesh.config import default_policy_spec
-from agentmesh.errors import BadConfig, UnknownCard
+from agentmesh.errors import AgentMeshError, BadConfig
 from agentmesh.orchestrator import execute_episode
 from agentmesh.registry import AgentCard
 from agentmesh.router import RoutingWeights
@@ -359,7 +359,7 @@ class TestInvokeAgent:
         world = single_agent_world()
         task = self.na_task(world)
         env = world.build_env(0)
-        with pytest.raises(UnknownCard):
+        with pytest.raises(AgentMeshError):
             env.invoke_agent("ghost", "network_analysis", task)
 
     def test_unsupported_action(self):
